@@ -15,6 +15,12 @@ complete criterion because the relations are length-homogeneous.
 
 Products are always function-order: multiply(x, y) traverses y first, then x.
 Algebras are immutable after build.
+
+Only relations algebras are self-checked at build (relations vanish, and
+ASSOCIATIVITY_SAMPLES seeded basis triples associate): their product comes
+from the row-reduced basis.  For truncated and monomial ideals the product is
+path concatenation followed by a subword test, and a path with a zero subpath
+is zero, so associativity holds by construction.
 """
 
 import random
@@ -124,7 +130,7 @@ def _all_paths_up_to(quiver, max_len):
 class BoundQuiverAlgebra:
     """kQ/I with an enumerated basis and exact structure constants."""
 
-    def __init__(self, quiver, ideal, field=QQ, check=True, max_basis=None):
+    def __init__(self, quiver, ideal, field=QQ, max_basis=None):
         """max_basis: optional hard cap on the basis enumeration; exceeding it
         aborts with InfiniteDimensional (used to keep sampled instances at
         desk scale before the probe bound is reached)."""
@@ -153,8 +159,8 @@ class BoundQuiverAlgebra:
             self._from[p.source].append(i)
             self._into[p.target].append(i)
         self.dimension = len(self.basis)
-        if check:
-            self._check_relations_vanish()
+        self._check_relations_vanish()
+        if self.kind == "relations":
             self._spot_check_associativity()
 
     # -- construction --------------------------------------------------
@@ -460,6 +466,5 @@ class BoundQuiverAlgebra:
         )
 
 
-def build_algebra(quiver, ideal, field=QQ, check=True, max_basis=None):
-    return BoundQuiverAlgebra(quiver, ideal, field=field, check=check,
-                              max_basis=max_basis)
+def build_algebra(quiver, ideal, field=QQ, max_basis=None):
+    return BoundQuiverAlgebra(quiver, ideal, field=field, max_basis=max_basis)

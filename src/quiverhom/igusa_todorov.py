@@ -35,22 +35,11 @@ class K0Lattice:
     def __init__(self, algebra, basis, matrix):
         self.algebra = algebra
         self.basis = basis
-        self.index = {c.sort_key: i for i, c in enumerate(basis)}
         self.matrix = matrix  # d x d nonnegative integers, column j = syzygy of basis[j]
 
     @property
     def rank(self):
         return len(self.basis)
-
-    def vector_of(self, multiset, distinct=True):
-        v = [0] * len(self.basis)
-        for cls, mult in multiset.counts.items():
-            if cls.projective:
-                continue
-            if cls.sort_key not in self.index:
-                raise InternalInvariantError(f"class {cls} outside the lattice")
-            v[self.index[cls.sort_key]] = 1 if distinct else mult
-        return v
 
     def apply(self, vector):
         d = len(self.basis)

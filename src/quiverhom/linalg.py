@@ -21,29 +21,22 @@ def mat_copy(a):
     return [row[:] for row in a]
 
 
-def shape(a):
-    return (len(a), len(a[0]) if a else 0)
-
-
-def mat_mul(field, a, b):
-    n = len(a)
-    k = len(b)
-    m = len(b[0]) if k else 0
-    zero = field.zero
-    out = [[zero] * m for _ in range(n)]
-    for i in range(n):
+def mat_mul(field, a, a_rows, b, b_rows, b_cols):
+    """a (a_rows x b_rows) @ b (b_rows x b_cols), safe for zero dimensions."""
+    out = zeros(field, a_rows, b_cols)
+    for i in range(a_rows):
         ai = a[i]
         oi = out[i]
-        for t in range(k):
+        for t in range(b_rows):
             x = ai[t]
             if field.is_zero(x):
                 continue
             bt = b[t]
-            for j in range(m):
-                y = bt[j]
-                if not field.is_zero(y):
-                    oi[j] = field.add(oi[j], field.mul(x, y))
+            for j in range(b_cols):
+                if not field.is_zero(bt[j]):
+                    oi[j] = field.add(oi[j], field.mul(x, bt[j]))
     return out
+
 
 def mat_vec(field, a, v):
     out = []
@@ -123,21 +116,6 @@ def unit_vector(field, n, i):
     return v
 
 
-def solve(field, a, b):
-    """One solution x of a x = b, or None if inconsistent (b a column vector)."""
-    if not a:
-        return None if any(not field.is_zero(x) for x in b) else []
-    n = len(a[0])
-    aug = [row[:] + [bv] for row, bv in zip(a, b)]
-    r, pivots = rref(field, aug)
-    if n in pivots:
-        return None
-    x = [field.zero] * n
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i][n]
-    return x
-
-
 def solve_many(field, a, bs):
     """Solve a x = b for every column b in bs; None entries where inconsistent."""
     if not bs:
@@ -171,38 +149,11 @@ def invert(field, a):
         return []
     if len(a[0]) != n:
         return None
-    aug = [row[:] + identity(field, n)[i] for i, row in enumerate(a)]
+    aug = [row[:] + unit_vector(field, n, i) for i, row in enumerate(a)]
     r, pivots = rref(field, aug)
     if pivots[:n] != list(range(n)):
         return None
     return [row[n:] for row in r[:n]]
-
-
-def column_space_basis(field, a):
-    """Rows spanning the column space (computed on the transpose)."""
-    if not a or not a[0]:
-        return []
-    t = transpose(a)
-    r, pivots = rref(field, t)
-    return [r[i] for i in range(len(pivots))]
-
-
-def transpose(a):
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
-
-
-def hstack(a, b):
-    if not a:
-        return mat_copy(b)
-    if not b:
-        return mat_copy(a)
-    return [ra + rb for ra, rb in zip(a, b)]
-
-
-def vstack(a, b):
-    return mat_copy(a) + mat_copy(b)
 
 
 def is_zero_matrix(field, a):

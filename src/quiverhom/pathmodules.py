@@ -129,11 +129,6 @@ class ModuleMultiset:
             out.counts = Counter({c: m * k for c, m in self.counts.items()})
         return out
 
-    def drop_projectives(self):
-        out = ModuleMultiset()
-        out.counts = Counter({c: m for c, m in self.counts.items() if not c.projective})
-        return out
-
     def key(self):
         return tuple(sorted((c.sort_key, m) for c, m in self.counts.items()))
 
@@ -242,15 +237,6 @@ class PathModuleCalculus:
         if cls.representative is None:
             cls.representative = p
         return cls
-
-    def class_from_continuations(self, vertex, continuations):
-        conts = frozenset(tuple(a) for a in continuations)
-        if () not in conts:
-            raise InternalInvariantError("continuation set must contain the trivial path")
-        for arrows in conts:
-            if arrows and arrows[:-1] not in conts:
-                raise InternalInvariantError("continuation set must be prefix closed")
-        return self._intern(vertex, conts)
 
     def simple_class(self, v):
         return self._intern(v, frozenset({()}))
@@ -445,6 +431,3 @@ class PeriodicityResult:
 def pd_value_json(value):
     return "infinite" if value == INFINITE else value
 
-
-def multiset_of_path(algebra, p):
-    return ModuleMultiset([calculus(algebra).class_of(p)])

@@ -21,26 +21,8 @@ from .errors import (
     FieldMismatch,
     InternalInvariantError,
     NoDecomposition,
-    ZeroPath,
 )
 from .quiver import INFINITE
-
-
-def _mul(field, a, a_rows, b, b_rows, b_cols):
-    """a (a_rows x b_rows) @ b (b_rows x b_cols), safe for zero dimensions."""
-    out = linalg.zeros(field, a_rows, b_cols)
-    for i in range(a_rows):
-        ai = a[i]
-        oi = out[i]
-        for t in range(b_rows):
-            x = ai[t]
-            if field.is_zero(x):
-                continue
-            bt = b[t]
-            for j in range(b_cols):
-                if not field.is_zero(bt[j]):
-                    oi[j] = field.add(oi[j], field.mul(x, bt[j]))
-    return out
 
 
 class Representation:
@@ -96,8 +78,8 @@ class Representation:
         cur_rows = self.dims[src]
         for name in path.arrows:
             a = quiver.arrow_by_name[name]
-            cur = _mul(self.field, self.mats[name], self.dims[a.target], cur,
-                       cur_rows, self.dims[src])
+            cur = linalg.mat_mul(self.field, self.mats[name], self.dims[a.target],
+                                 cur, cur_rows, self.dims[src])
             cur_rows = self.dims[a.target]
         self._eval_cache[key] = cur
         return cur
@@ -140,8 +122,8 @@ class Representation:
                 if linalg.is_zero_matrix(F, mat):
                     continue
                 for a in quiver.arrows_from(v):
-                    nm = _mul(F, self.mats[a.name], self.dims[a.target], mat,
-                              self.dims[v], self.dims[start])
+                    nm = linalg.mat_mul(F, self.mats[a.name], self.dims[a.target], mat,
+                                        self.dims[v], self.dims[start])
                     stack.append((a.target, depth + 1, nm))
 
     def __repr__(self):
@@ -337,10 +319,6 @@ class Presentation:
         self._kernel_top = None
         self._sections = None
 
-    @property
-    def cover_dims(self):
-        return {w: len(self.cover_basis[w]) for w in self.rep.algebra.quiver.vertices}
-
     def cover_rep(self):
         algebra = self.rep.algebra
         parts = [projective(algebra, v) for v, _ in self.copies]
@@ -450,12 +428,12 @@ class ModuleHom:
         F = self.source.field
         quiver = self.source.algebra.quiver
         for a in quiver.arrows:
-            left = _mul(F, self.matrices[a.target], self.target.dims[a.target],
-                        self.source.mats[a.name], self.source.dims[a.target],
-                        self.source.dims[a.source])
-            right = _mul(F, self.target.mats[a.name], self.target.dims[a.target],
-                         self.matrices[a.source], self.target.dims[a.source],
-                         self.source.dims[a.source])
+            left = linalg.mat_mul(F, self.matrices[a.target], self.target.dims[a.target],
+                                  self.source.mats[a.name], self.source.dims[a.target],
+                                  self.source.dims[a.source])
+            right = linalg.mat_mul(F, self.target.mats[a.name], self.target.dims[a.target],
+                                   self.matrices[a.source], self.target.dims[a.source],
+                                   self.source.dims[a.source])
             for r1, r2 in zip(left, right):
                 if any(not F.is_zero(F.sub(x, y)) for x, y in zip(r1, r2)):
                     return False

@@ -40,8 +40,6 @@ from helpers import (
     seeded,
 )
 
-LATTICE_REGISTRY = []
-
 
 def report(n, ok, detail):
     print(f"ACCEPTANCE {n}: {'PASS' if ok else 'FAIL'} - {detail}")
@@ -304,10 +302,14 @@ def test_criterion_8_periodicity_equivalence(exhaustive_results):
 # -- criterion 9 ---------------------------------------------------------------
 
 
-def test_criterion_9_phi_property_suite():
+@pytest.fixture(scope="module")
+def phi_suite():
+    """Criterion 9's seeded loop, run once; criterion 10 reuses its first 60
+    lattices."""
     rng = seeded(909)
     instances = 0
     multisets = 0
+    lattices = []
     while instances < 100:
         A = random_monomial_algebra(rng, max_dim=40)
         calc = calculus(A)
@@ -317,8 +319,8 @@ def test_criterion_9_phi_property_suite():
         instances += 1
         lattice = build_lattice(A, classes + [calc.simple_class(v)
                                               for v in A.quiver.vertices])
-        if len(LATTICE_REGISTRY) < 60:
-            LATTICE_REGISTRY.append(lattice)
+        if len(lattices) < 60:
+            lattices.append(lattice)
         finite = [c for c in classes if calc.pd(c) != INFINITE]
         infinite = [c for c in classes if calc.pd(c) == INFINITE]
         for _ in range(5):
@@ -343,6 +345,11 @@ def test_criterion_9_phi_property_suite():
             c = rng.choice(infinite)
             multisets += 1
             assert phi(A, ModuleMultiset([c])).value == 0
+    return {"instances": instances, "multisets": multisets, "lattices": lattices}
+
+
+def test_criterion_9_phi_property_suite(phi_suite):
+    instances, multisets = phi_suite["instances"], phi_suite["multisets"]
     assert multisets >= 500
     report(9, True, f"{instances} random monomial instances, {multisets} "
                     "multisets: phi = pd when finite, phi = 0 on single "
@@ -354,14 +361,13 @@ def test_criterion_9_phi_property_suite():
 # -- criterion 10 ----------------------------------------------------------------
 
 
-def test_criterion_10_rank_stabilization():
-    assert LATTICE_REGISTRY, "criterion 9 populates the registry first"
+def test_criterion_10_rank_stabilization(phi_suite):
     extra = []
     for i, A in enumerate(exhaustive_truncated_family(max_vertices=2, max_arrows=4)):
         calc = calculus(A)
         extra.append(build_lattice(A, calc.all_path_classes()))
     checked = 0
-    for lattice in LATTICE_REGISTRY + extra:
+    for lattice in phi_suite["lattices"] + extra:
         d = lattice.rank
         if d == 0:
             continue

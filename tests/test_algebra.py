@@ -188,6 +188,27 @@ class TestMultiply:
         assert out == {ab: F.of(6)}
 
 
+def test_monomial_like_products_are_associative():
+    """Truncated and monomial builds run no associativity self-check, so
+    check every basis triple here, on random monomial algebras and on
+    truncated cycles and a truncated loop quiver."""
+    algebras = [random_monomial_algebra(seeded(seed + 1300), max_dim=30)
+                for seed in range(20)]
+    algebras += [build_algebra(cycle_quiver(n), TruncatedIdeal(k))
+                 for n in (1, 2, 3) for k in (2, 3, 4)]
+    loop = Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1"), ("g", "2", "2")])
+    algebras.append(build_algebra(loop, TruncatedIdeal(3)))
+    for A in algebras:
+        one = A.field.one
+        units = [{i: one} for i in range(A.dimension)]
+        for x in units:
+            for y in units:
+                xy = A.multiply(x, y)
+                for z in units:
+                    assert A.multiply(xy, z) == A.multiply(x, A.multiply(y, z)), (
+                        A, x, y, z)
+
+
 class TestRelationsEngine:
     def test_sec3_dimension_oracle(self, sec3):
         # independent reduced-row-echelon count of the degree-2 layer
