@@ -20,7 +20,7 @@ class Rationals:
     one = Fraction(1)
 
     def of(self, x):
-        return Fraction(x)
+        return x if type(x) is Fraction else Fraction(x)
 
     def add(self, a, b):
         return a + b
@@ -79,7 +79,7 @@ class PrimeField:
         self.one = 1
 
     def of(self, x):
-        if isinstance(x, Fraction):
+        if type(x) is Fraction:
             return self.mul(x.numerator % self.p, self.inv(x.denominator % self.p))
         return x % self.p
 

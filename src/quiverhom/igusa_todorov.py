@@ -14,8 +14,6 @@ catalog of indecomposables, and applies the same rank procedure; the sound
 stopping rules are documented on phi_of_reps.
 """
 
-from fractions import Fraction
-
 from . import linalg, reps
 from .errors import (
     HypothesisViolated,
@@ -90,8 +88,7 @@ def build_lattice(algebra, seed_classes):
 def _rank_of_int_rows(rows):
     if not rows:
         return 0
-    frac = [[Fraction(x) for x in r] for r in rows]
-    return linalg.rank(QQ, frac)
+    return linalg.rank(QQ, rows)
 
 
 def rank_sequence(lattice, generators, upto):

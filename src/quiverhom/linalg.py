@@ -1,8 +1,13 @@
 """Dense exact linear algebra over a coefficient field.
 
 Matrices are lists of row lists.  Everything here is fraction-exact; ranks,
-kernels and inverses are certificates, not approximations.
+kernels and inverses are certificates, not approximations.  The kernels read
+`field.char` once per call and compute on plain ints: `% p` inline over F_p,
+fraction-free Gauss-Jordan on primitive integer rows over Q.
 """
+
+from fractions import Fraction
+from math import gcd, lcm
 
 
 def zeros(field, rows, cols):
@@ -17,36 +22,25 @@ def identity(field, n):
     return m
 
 
-def mat_copy(a):
-    return [row[:] for row in a]
-
-
 def mat_mul(field, a, a_rows, b, b_rows, b_cols):
     """a (a_rows x b_rows) @ b (b_rows x b_cols), safe for zero dimensions."""
-    out = zeros(field, a_rows, b_cols)
+    p = field.char
+    out = []
     for i in range(a_rows):
-        ai = a[i]
-        oi = out[i]
-        for t in range(b_rows):
-            x = ai[t]
-            if field.is_zero(x):
-                continue
-            bt = b[t]
-            for j in range(b_cols):
-                if not field.is_zero(bt[j]):
-                    oi[j] = field.add(oi[j], field.mul(x, bt[j]))
+        acc = [field.zero] * b_cols
+        for x, bt in zip(a[i], b):
+            if x:
+                for j, y in enumerate(bt):
+                    if y:
+                        acc[j] += x * y
+        out.append([s % p for s in acc] if p else acc)
     return out
 
 
 def mat_vec(field, a, v):
-    out = []
-    for row in a:
-        s = field.zero
-        for x, y in zip(row, v):
-            if not (field.is_zero(x) or field.is_zero(y)):
-                s = field.add(s, field.mul(x, y))
-        out.append(s)
-    return out
+    nonzero = [(j, y) for j, y in enumerate(v) if y]
+    out = [sum([row[j] * y for j, y in nonzero if row[j]], field.zero) for row in a]
+    return [s % field.char for s in out] if field.char else out
 
 
 def mat_add(field, a, b):
@@ -58,31 +52,53 @@ def mat_scale(field, c, a):
 
 
 def rref(field, a):
-    """Reduced row echelon form (copy); returns (matrix, pivot column list)."""
-    m = mat_copy(a)
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+    """Reduced row echelon form (new row lists); returns (matrix, pivot column list)."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    p = field.char
+    if p:
+        m = [[x % p for x in row] for row in a]
+    else:
+        m = []
+        for row in a:
+            den = lcm(*(x.denominator for x in row))
+            m.append([x.numerator * (den // x.denominator) for x in row])
     pivots = []
     r = 0
     for c in range(cols):
-        pr = None
-        for i in range(r, rows):
-            if not field.is_zero(m[i][c]):
-                pr = i
+        for pr in range(r, rows):
+            if m[pr][c]:
                 break
-        if pr is None:
+        else:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
-        for i in range(rows):
-            if i != r and not field.is_zero(m[i][c]):
+        prow = m[r]
+        pv = prow[c]
+        if p:
+            if pv != 1:
+                inv = pow(pv, p - 2, p)
+                prow = m[r] = [x * inv % p for x in prow]
+            for i in range(rows):
                 f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
+                if f and i != r:
+                    m[i] = [(x - f * y) % p for x, y in zip(m[i], prow)]
+        else:
+            for i in range(rows):
+                f = m[i][c]
+                if f and i != r:
+                    g = gcd(pv, f)
+                    s, t = pv // g, f // g
+                    row = [s * x - t * y for x, y in zip(m[i], prow)]
+                    g = gcd(*row)
+                    m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == rows:
             break
+    if not p:
+        for i, row in enumerate(m):
+            pv = row[pivots[i]] if i < r else 1
+            m[i] = [Fraction(x, pv) if x else field.zero for x in row]
     return m, pivots
 
 
@@ -97,15 +113,15 @@ def nullspace(field, a, cols=None):
     if not a:
         return [unit_vector(field, cols, i) for i in range(cols)] if cols else []
     n = len(a[0])
+    p = field.char
     r, pivots = rref(field, a)
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
     basis = []
     for fc in free:
-        v = [field.zero] * n
-        v[fc] = field.one
+        v = unit_vector(field, n, fc)
         for i, pc in enumerate(pivots):
-            v[pc] = field.neg(r[i][fc])
+            v[pc] = -r[i][fc] % p if p else -r[i][fc]
         basis.append(v)
     return basis
 
@@ -121,18 +137,15 @@ def solve_many(field, a, bs):
     if not bs:
         return []
     if not a:
-        return [([] if all(field.is_zero(x) for x in b) else None) for b in bs]
+        return [None if any(b) else [] for b in bs]
     n = len(a[0])
-    k = len(bs)
-    aug = [row[:] + [b[i] for b in bs] for i, row in enumerate(a)]
+    aug = [row + [b[i] for b in bs] for i, row in enumerate(a)]
     r, pivots = rref(field, aug)
     pivots = [p for p in pivots if p < n]
     rank_a = len(pivots)
     sols = []
-    for j in range(k):
-        col = n + j
-        bad = any(not field.is_zero(r[i][col]) for i in range(rank_a, len(r)))
-        if bad:
+    for col in range(n, n + len(bs)):
+        if any(r[i][col] for i in range(rank_a, len(r))):
             sols.append(None)
             continue
         x = [field.zero] * n
@@ -143,13 +156,13 @@ def solve_many(field, a, bs):
 
 
 def invert(field, a):
-    """Inverse of a square matrix, or None if singular."""
+    """Inverse of a square matrix, or None if singular; ValueError if not square."""
     n = len(a)
     if n == 0:
         return []
-    if len(a[0]) != n:
-        return None
-    aug = [row[:] + unit_vector(field, n, i) for i, row in enumerate(a)]
+    if any(len(row) != n for row in a):
+        raise ValueError(f"invert needs a square matrix; got {n} rows, not all of length {n}")
+    aug = [row + unit_vector(field, n, i) for i, row in enumerate(a)]
     r, pivots = rref(field, aug)
     if pivots[:n] != list(range(n)):
         return None
@@ -157,4 +170,4 @@ def invert(field, a):
 
 
 def is_zero_matrix(field, a):
-    return all(field.is_zero(x) for row in a for x in row)
+    return not any(any(row) for row in a)

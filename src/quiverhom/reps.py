@@ -434,9 +434,8 @@ class ModuleHom:
             right = linalg.mat_mul(F, self.target.mats[a.name], self.target.dims[a.target],
                                    self.matrices[a.source], self.target.dims[a.source],
                                    self.source.dims[a.source])
-            for r1, r2 in zip(left, right):
-                if any(not F.is_zero(F.sub(x, y)) for x, y in zip(r1, r2)):
-                    return False
+            if left != right:
+                return False
         return True
 
     def is_vertexwise_invertible(self):
@@ -468,16 +467,17 @@ def _hom_parameter_space(source, target):
             continue
         block = [[F.zero] * total for _ in range(nw)]
         for pos, coeff in enumerate(kv):
-            if F.is_zero(coeff):
+            if not coeff:
                 continue
             ci, b = pres.cover_basis[w][pos]
-            v = pres.copies[ci][0]
             act = target.evaluate_path(source.algebra.basis[b])
             off = offsets[ci]
-            for i in range(nw):
-                for j in range(target.dims[v]):
-                    if not F.is_zero(act[i][j]):
-                        block[i][off + j] = F.add(block[i][off + j], F.mul(coeff, act[i][j]))
+            for brow, arow in zip(block, act):
+                for j, x in enumerate(arow, off):
+                    if x:
+                        brow[j] += coeff * x
+        if F.char:
+            block = [[x % F.char for x in brow] for brow in block]
         rows.extend(block)
     params = linalg.nullspace(F, rows, cols=total) if rows else [
         linalg.unit_vector(F, total, i) for i in range(total)
@@ -499,19 +499,15 @@ def _materialize_hom(source, target, pres, offsets, u):
         for j in range(m):
             cover_vec = secs[w][j]
             for pos, coeff in enumerate(cover_vec):
-                if F.is_zero(coeff):
+                if not coeff:
                     continue
                 ci, b = pres.cover_basis[w][pos]
-                v = pres.copies[ci][0]
                 act = target.evaluate_path(source.algebra.basis[b])
-                uv = uparts[ci]
-                for i in range(n):
-                    s = F.zero
-                    for t in range(target.dims[v]):
-                        if not (F.is_zero(act[i][t]) or F.is_zero(uv[t])):
-                            s = F.add(s, F.mul(act[i][t], uv[t]))
-                    if not F.is_zero(s):
-                        mat[i][j] = F.add(mat[i][j], F.mul(coeff, s))
+                for i, x in enumerate(linalg.mat_vec(F, act, uparts[ci])):
+                    if x:
+                        mat[i][j] += coeff * x
+        if F.char:
+            mat = [[x % F.char for x in row] for row in mat]
         mats[w] = mat
     return ModuleHom(source, target, mats)
 
@@ -583,28 +579,43 @@ def iso_test(m, n, trials=20, seed=0):
 def _sample_invertible(m, n, basis, trials, seed):
     F = m.field
     rng = random.Random(seed)
-    quiver = m.algebra.quiver
+    entries = [_nonzero_entries(h) for h in basis]
+    # a row or column that is zero in every basis hom is zero in every
+    # combination, so no candidate could be invertible
+    nonzero = [e for hom_entries in entries for e in hom_entries]
+    if len({(v, i) for v, i, _j, _x in nonzero}) < m.total_dim or \
+            len({(v, j) for v, _i, j, _x in nonzero}) < m.total_dim:
+        return None
     for t in range(trials):
         if t == 0 and len(basis) == 1:
             coeffs = [F.one]
         else:
             coeffs = [F.random(rng) for _ in basis]
-        mats = {}
-        for v in quiver.vertices:
-            r, c = n.dims[v], m.dims[v]
-            mat = linalg.zeros(F, r, c)
-            for coef, h in zip(coeffs, basis):
-                hm = h.matrices[v]
-                for i in range(r):
-                    for j in range(c):
-                        if not F.is_zero(hm[i][j]):
-                            mat[i][j] = F.add(mat[i][j], F.mul(coef, hm[i][j]))
-            mats[v] = mat
-        cand = ModuleHom(m, n, mats)
+        cand = ModuleHom(m, n, _combine(F, n.dims, m.dims, coeffs, entries))
         cert = _try_certificate(cand)
         if cert is not None:
             return IsoResult("isomorphic", cert, f"random combination, trial {t}")
     return None
+
+
+def _nonzero_entries(hom):
+    """The nonzero (vertex, row, column, value) entries of hom's matrices."""
+    return [(v, i, j, x)
+            for v, mat in hom.matrices.items()
+            for i, row in enumerate(mat)
+            for j, x in enumerate(row) if x]
+
+
+def _combine(F, rows, cols, coeffs, entries):
+    """Per-vertex rows[v] x cols[v] matrices of sum(coef * hom) from sparse entries."""
+    p = F.char
+    mats = {v: [[F.zero] * cols[v] for _ in range(r)] for v, r in rows.items()}
+    for coef, hom_entries in zip(coeffs, entries):
+        for v, i, j, x in hom_entries:
+            mats[v][i][j] += coef * x
+    if p:
+        mats = {v: [[x % p for x in row] for row in mat] for v, mat in mats.items()}
+    return mats
 
 
 def iso_test_against_sum(m, parts, trials=20, seed=0):
@@ -629,36 +640,25 @@ def iso_test_against_sum(m, parts, trials=20, seed=0):
     for rep, _mult in parts:
         if id(rep) not in block_bases:
             block_bases[id(rep)] = hom_space(rep, m)
-    copies = []  # (rep, per-vertex column offsets, hom basis)
+    copies = []  # (rep, per-vertex column offsets)
     offset = {v: 0 for v in algebra.quiver.vertices}
     for rep in expanded:
-        copies.append((rep, dict(offset), block_bases[id(rep)]))
+        copies.append((rep, dict(offset)))
         total_dim_hom += len(block_bases[id(rep)])
         for v in algebra.quiver.vertices:
             offset[v] += rep.dims[v]
     if total_dim_hom == 0:
         return IsoResult("not_isomorphic", detail="Hom(sum, M) = 0"), nsum
-    # sample combinations blockwise: only each hom's own columns are touched
+    # sample combinations blockwise: each hom's nonzero entries are collected
+    # once, shifted into its copy's columns; one coefficient per hom per trial
     F = m.field
     rng = random.Random(seed)
-    quiver = algebra.quiver
+    block_entries = {key: [_nonzero_entries(h) for h in homs] for key, homs in block_bases.items()}
+    entries = [[(v, i, offs[v] + j, x) for v, i, j, x in hom_entries]
+               for rep, offs in copies for hom_entries in block_entries[id(rep)]]
     for t in range(trials):
-        mats = {v: linalg.zeros(F, m.dims[v], nsum.dims[v]) for v in quiver.vertices}
-        for rep, offs, homs in copies:
-            for h in homs:
-                coef = F.random(rng)
-                for v in quiver.vertices:
-                    hm = h.matrices[v]
-                    base = offs[v]
-                    tgt = mats[v]
-                    for i in range(m.dims[v]):
-                        row = hm[i]
-                        trow = tgt[i]
-                        for j in range(rep.dims[v]):
-                            x = row[j]
-                            if not F.is_zero(x):
-                                trow[base + j] = F.add(trow[base + j], F.mul(coef, x))
-        cand = ModuleHom(nsum, m, mats)
+        coeffs = [F.random(rng) for _ in entries]
+        cand = ModuleHom(nsum, m, _combine(F, m.dims, nsum.dims, coeffs, entries))
         cert = _try_certificate(cand)
         if cert is not None:
             return IsoResult("isomorphic", cert, f"random combination, trial {t}"), nsum

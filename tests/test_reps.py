@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from quiverhom import corpus, reps
@@ -148,6 +150,67 @@ class TestHomAndIso:
             elif c1 != c2 and distinct_checked < 40:
                 assert verdict.status == "not_isomorphic", (str(p1), str(p2))
                 distinct_checked += 1
+
+
+def _certificate_digest(result):
+    """sha256 of the certificate matrices, formatted vertex by vertex."""
+    cert = result.certificate
+    F = cert.source.field
+    text = ";".join(
+        v + ":" + "|".join(",".join(F.fmt(x) for x in row) for row in cert.matrices[v])
+        for v in cert.source.algebra.quiver.vertices
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestCandidateOrder:
+    """Random iso candidates draw one coefficient per hom basis element per
+    trial, in a fixed order; these pin the certificates that order yields."""
+
+    def test_infinito_syzygy_against_sum(self, infinito):
+        om = reps.syzygy_rep(corpus.make_m_alpha(infinito, ["1", "2"]))
+        res, _nsum = reps.iso_test_against_sum(
+            om, [(corpus.make_m_alpha(infinito, ["2", "1"]), 1), (reps.simple(infinito, "3"), 16)]
+        )
+        assert res.detail == "random combination, trial 0"
+        assert _certificate_digest(res) == \
+            "3c90fa584872666452b4e5220799233d9e9900e7e9bf581cf29307c8639d03ef"
+
+    def test_sec3_permuted_sum(self, sec3):
+        p, s, i = reps.projective(sec3, "1"), reps.simple(sec3, "1"), reps.injective(sec3, "2")
+        x = reps.direct_sum(sec3, [p, s, i])
+        y = reps.direct_sum(sec3, [i, p, s])
+        res = reps.iso_test(x, y)
+        assert len(reps.hom_space(x, y)) == 11
+        assert res.detail == "random combination, trial 0"
+        assert _certificate_digest(res) == \
+            "7561f1ec0e3ef35df64e3e92744638ccd07fef2265abcc2015021a6cf9bcc222"
+
+    def test_prime_field_against_sum(self):
+        A = corpus.algebra("finito_f32003")
+        vs = A.quiver.vertices
+        p, s, i = reps.projective(A, vs[0]), reps.simple(A, vs[0]), reps.injective(A, vs[-1])
+        x = reps.direct_sum(A, [p, s, i])
+        res, _nsum = reps.iso_test_against_sum(x, [(i, 1), (s, 1), (p, 1)])
+        assert res.detail == "random combination, trial 0"
+        assert _certificate_digest(res) == \
+            "17843cad49cd0d66f69a0fcc02fbadfbd6a10823ea72b442f5560a72a5ad0353"
+
+    def test_shared_zero_line_runs_no_trial(self, monkeypatch):
+        # Hom(Omega^3 I(3), Omega^6 I(3)) over F_32003 is spanned by one map
+        # that vanishes at a vertex: no combination is invertible
+        A = corpus.algebra("finito_f32003")
+        traj = [reps.injective(A, "3")]
+        for _ in range(6):
+            traj.append(reps.syzygy_rep(traj[-1]))
+        m, n = traj[3], traj[6]
+        (h,) = reps.hom_space(m, n)
+        assert any(not any(row) for mat in h.matrices.values() for row in mat)
+        inverted = []
+        monkeypatch.setattr(reps.linalg, "invert", lambda F, a: inverted.append(a))
+        res = reps.iso_test(m, n)
+        assert (res.status, res.detail) == ("undetermined", "no invertible combination in 20 trials")
+        assert inverted == []
 
 
 class TestDecompose:
