@@ -177,10 +177,7 @@ def projective(algebra, v):
             for k, coeff in algebra.product_indices(ai, b):
                 m[pos[a.target][k]][pos[a.source][b]] = F.of(coeff)
         mats[a.name] = m
-    rep = Representation(algebra, dims, mats, name=f"P_{v}")
-    rep._proj_vertex = v
-    rep._proj_basis = {w: by_vertex[w] for w in quiver.vertices}
-    return rep
+    return Representation(algebra, dims, mats, name=f"P_{v}")
 
 
 def injective(algebra, v):
@@ -283,14 +280,19 @@ class Presentation:
     copies: list of (vertex, generator vector in M_vertex);
     cover_basis[w]: list of (copy index, algebra basis index) spanning the
     cover at w;  pi[w]: cover -> M matrices;  kernel data gives the syzygy
-    and the kernel-top generators in cover coordinates.
+    and the kernel-top generators in cover coordinates.  Holds only what it
+    reads of the module (algebra, field, dims, name), not the module itself,
+    so a module and its memoized presentation form no reference cycle.
     """
 
     def __init__(self, rep):
         algebra = rep.algebra
         quiver = algebra.quiver
         F = rep.field
-        self.rep = rep
+        self.algebra = algebra
+        self.field = F
+        self.dims = rep.dims
+        self.name = rep.name
         tops = top_complements(rep)
         self.copies = []
         for v in quiver.vertices:
@@ -320,20 +322,45 @@ class Presentation:
         self._sections = None
 
     def cover_rep(self):
-        algebra = self.rep.algebra
-        parts = [projective(algebra, v) for v, _ in self.copies]
+        """The projective cover as a dense Representation; the tests' oracle
+        for `cover_images`."""
+        parts = [projective(self.algebra, v) for v, _ in self.copies]
         if not parts:
-            return Representation(algebra, {}, name="0")
-        return direct_sum(algebra, parts)
+            return Representation(self.algebra, {}, name="0")
+        return direct_sum(self.algebra, parts)
+
+    def cover_images(self, arrow, vectors):
+        """Images under an arrow u -> w of cover-coordinate vectors at u.
+
+        The cover's action is read off the algebra's structure constants:
+        position (ci, b) at u goes to (ci, k) at w with the coefficient of k
+        in arrow * b.  Each vector's nonzero entries are pushed through that
+        sparse map and every image entry is reduced once."""
+        algebra = self.algebra
+        F = self.field
+        p = F.char
+        ai = algebra.index_of(algebra.path((arrow.name,)))
+        slot = {cb: j for j, cb in enumerate(self.cover_basis[arrow.target])}
+        action = [[(slot[(ci, k)], F.of(c)) for k, c in algebra.product_indices(ai, b)]
+                  for ci, b in self.cover_basis[arrow.source]]
+        n = len(slot)
+        images = []
+        for vec in vectors:
+            acc = [F.zero] * n
+            for pos, x in enumerate(vec):
+                if x:
+                    for t, c in action[pos]:
+                        acc[t] += c * x
+            images.append([s % p for s in acc] if p else acc)
+        return images
 
     def kernel(self):
         """(kernel representation, embedding matrices kernel -> cover)."""
         if self._kernel is not None:
             return self._kernel
-        algebra = self.rep.algebra
+        algebra = self.algebra
         quiver = algebra.quiver
-        F = self.rep.field
-        cover = self.cover_rep()
+        F = self.field
         embed = {}
         for w in quiver.vertices:
             basis = linalg.nullspace(F, self.pi[w], cols=len(self.cover_basis[w]))
@@ -342,8 +369,7 @@ class Presentation:
         mats = {}
         for a in quiver.arrows:
             u, w = a.source, a.target
-            cov = cover.mats[a.name]
-            targets = [linalg.mat_vec(F, cov, k) for k in embed[u]]
+            targets = self.cover_images(a, embed[u])
             basis_mat = [
                 [embed[w][t][i] for t in range(dims[w])]
                 for i in range(len(self.cover_basis[w]))
@@ -356,7 +382,7 @@ class Presentation:
                 for i in range(dims[w]):
                     m[i][j] = sol[i]
             mats[a.name] = m
-        ker = Representation(algebra, dims, mats, name=f"syz({self.rep.name})" if self.rep.name else "syz")
+        ker = Representation(algebra, dims, mats, name=f"syz({self.name})" if self.name else "syz")
         self._kernel = (ker, embed)
         return self._kernel
 
@@ -367,18 +393,17 @@ class Presentation:
         ker, embed = self.kernel()
         tops = top_complements(ker)
         gens = []
-        F = self.rep.field
-        for w in self.rep.algebra.quiver.vertices:
+        F = self.field
+        p = F.char
+        for w in self.algebra.quiver.vertices:
             for t in tops[w]:
                 vec = [F.zero] * len(self.cover_basis[w])
                 for idx, coeff in enumerate(t):
-                    if F.is_zero(coeff):
-                        continue
-                    kvec = embed[w][idx]
-                    for i, x in enumerate(kvec):
-                        if not F.is_zero(x):
-                            vec[i] = F.add(vec[i], F.mul(coeff, x))
-                gens.append((w, vec))
+                    if coeff:
+                        for i, x in enumerate(embed[w][idx]):
+                            if x:
+                                vec[i] += coeff * x
+                gens.append((w, [x % p for x in vec] if p else vec))
         self._kernel_top = gens
         return gens
 
@@ -386,10 +411,10 @@ class Presentation:
         """Per vertex, cover-coordinate preimages of the standard basis of M."""
         if self._sections is not None:
             return self._sections
-        F = self.rep.field
+        F = self.field
         out = {}
-        for w in self.rep.algebra.quiver.vertices:
-            n = self.rep.dims[w]
+        for w in self.algebra.quiver.vertices:
+            n = self.dims[w]
             eyes = [linalg.unit_vector(F, n, i) for i in range(n)]
             sols = linalg.solve_many(F, self.pi[w], eyes)
             if any(s is None for s in sols):
@@ -550,9 +575,10 @@ def _try_certificate(hom):
 def iso_test(m, n, trials=20, seed=0):
     """Certified module isomorphism test.
 
-    not_isomorphic on dimension-vector mismatch, zero hom space, or hom
-    dimension asymmetry; isomorphic only with a re-verified invertible
-    intertwiner; undetermined after the trial budget."""
+    not_isomorphic on dimension-vector mismatch, zero hom space, a row or
+    column that is zero in every hom, or hom dimension asymmetry; isomorphic
+    only with a re-verified invertible intertwiner; undetermined after the
+    trial budget."""
     if m.field != n.field:
         raise FieldMismatch(f"{m.field.name} vs {n.field.name}")
     if m.dim_vector() != n.dim_vector():
@@ -568,7 +594,11 @@ def iso_test(m, n, trials=20, seed=0):
     basis = hom_space(m, n)
     if not basis:
         return IsoResult("not_isomorphic", detail="Hom(M,N) = 0")
-    found = _sample_invertible(m, n, basis, trials, seed)
+    entries = [_nonzero_entries(h) for h in basis]
+    line = _shared_zero_line(entries, n.dims, m.dims)
+    if line:
+        return IsoResult("not_isomorphic", detail=line)
+    found = _sample_invertible(m, n, entries, trials, seed)
     if found is not None:
         return found
     if len(basis) != hom_dim(n, m):
@@ -576,21 +606,15 @@ def iso_test(m, n, trials=20, seed=0):
     return IsoResult("undetermined", detail=f"no invertible combination in {trials} trials")
 
 
-def _sample_invertible(m, n, basis, trials, seed):
+def _sample_invertible(m, n, entries, trials, seed):
+    """Random combinations of the homs given by their nonzero entries."""
     F = m.field
     rng = random.Random(seed)
-    entries = [_nonzero_entries(h) for h in basis]
-    # a row or column that is zero in every basis hom is zero in every
-    # combination, so no candidate could be invertible
-    nonzero = [e for hom_entries in entries for e in hom_entries]
-    if len({(v, i) for v, i, _j, _x in nonzero}) < m.total_dim or \
-            len({(v, j) for v, _i, j, _x in nonzero}) < m.total_dim:
-        return None
     for t in range(trials):
-        if t == 0 and len(basis) == 1:
+        if t == 0 and len(entries) == 1:
             coeffs = [F.one]
         else:
-            coeffs = [F.random(rng) for _ in basis]
+            coeffs = [F.random(rng) for _ in entries]
         cand = ModuleHom(m, n, _combine(F, n.dims, m.dims, coeffs, entries))
         cert = _try_certificate(cand)
         if cert is not None:
@@ -604,6 +628,25 @@ def _nonzero_entries(hom):
             for v, mat in hom.matrices.items()
             for i, row in enumerate(mat)
             for j, x in enumerate(row) if x]
+
+
+def _shared_zero_line(entries, rows, cols):
+    """Name a row or column that is zero in every hom given by its nonzero
+    entries (per-vertex shapes rows[v] x cols[v]), or return "".
+
+    Every hom is a combination of a basis, so such a line is zero in every
+    hom and no hom is invertible: a certified non-isomorphism."""
+    used_rows = {(v, i) for hom_entries in entries for v, i, _j, _x in hom_entries}
+    used_cols = {(v, j) for hom_entries in entries for v, _i, j, _x in hom_entries}
+    for v, r in rows.items():
+        for i in range(r):
+            if (v, i) not in used_rows:
+                return f"row {i} at vertex {v} is zero in every hom"
+    for v, c in cols.items():
+        for j in range(c):
+            if (v, j) not in used_cols:
+                return f"column {j} at vertex {v} is zero in every hom"
+    return ""
 
 
 def _combine(F, rows, cols, coeffs, entries):
@@ -623,7 +666,8 @@ def iso_test_against_sum(m, parts, trials=20, seed=0):
 
     parts: list of (Representation, multiplicity).  Builds Hom(sum, m) from
     the small spaces Hom(part, m) and samples invertible combinations of the
-    block-embedded maps.
+    block-embedded maps; a row or column that is zero in all of them
+    certifies not_isomorphic without a trial.
     """
     algebra = m.algebra
     expanded = []
@@ -656,6 +700,9 @@ def iso_test_against_sum(m, parts, trials=20, seed=0):
     block_entries = {key: [_nonzero_entries(h) for h in homs] for key, homs in block_bases.items()}
     entries = [[(v, i, offs[v] + j, x) for v, i, j, x in hom_entries]
                for rep, offs in copies for hom_entries in block_entries[id(rep)]]
+    line = _shared_zero_line(entries, m.dims, nsum.dims)
+    if line:
+        return IsoResult("not_isomorphic", detail=line), nsum
     for t in range(trials):
         coeffs = [F.random(rng) for _ in entries]
         cand = ModuleHom(nsum, m, _combine(F, m.dims, nsum.dims, coeffs, entries))
@@ -826,18 +873,19 @@ def pd_rep(m, max_steps=20, trials=20, seed=0):
     path-module classes and handed to the combinatorial pd; over a certified
     self-injective algebra any non-projective module has infinite pd; and a
     certified isomorphism between two distinct trajectory members (equal
-    dimension vectors) closes a cycle.  Otherwise at_least(max_steps)."""
+    fingerprints) closes a cycle.  Otherwise at_least(max_steps)."""
     algebra = m.algebra
     if m.is_zero():
         return PdProbe("exact", 0, "zero module")
     current = m
     trajectory = [m]
+    buckets = {_fingerprint(m): [0]}
     for step in range(1, 3):
         current = syzygy_rep(current)
         if current.is_zero():
             return PdProbe("exact", step - 1, "syzygy vanished")
         trajectory.append(current)
-        hit = _trajectory_repeat(trajectory, trials, seed)
+        hit = _trajectory_repeat(trajectory, buckets, trials, seed)
         if hit is not None:
             return PdProbe("infinite", INFINITE, hit)
     if algebra.is_monomial_like:
@@ -863,24 +911,63 @@ def pd_rep(m, max_steps=20, trials=20, seed=0):
         if current.is_zero():
             return PdProbe("exact", len(trajectory) - 1, "syzygy vanished")
         trajectory.append(current)
-        hit = _trajectory_repeat(trajectory, trials, seed)
+        hit = _trajectory_repeat(trajectory, buckets, trials, seed)
         if hit is not None:
             return PdProbe("infinite", INFINITE, hit)
     return PdProbe("at_least", max_steps, "step cap reached")
 
 
-def _trajectory_repeat(trajectory, trials, seed, window=48):
-    """Certified repeat detection: compare the newest member against earlier
-    ones with the same dimension vector.  Long trajectories only probe the
-    earliest and latest `window` candidates — missing a distant repeat
-    downgrades to at_least, never to a false certificate."""
-    last = trajectory[-1]
-    same = [i for i in range(len(trajectory) - 1)
-            if trajectory[i].dim_vector() == last.dim_vector()]
-    if len(same) > 2 * window:
-        same = same[:window] + same[-window:]
-    for i in same:
-        r = iso_test(trajectory[i], last, trials=trials, seed=seed)
+def _fingerprint(rep):
+    """An exact isomorphism invariant: the dimension vector, and for a thin
+    module (every dimension at most 1) also a complete canonical form.
+
+    A thin module's isomorphisms are the vertexwise rescalings.  From each
+    support vertex not yet reached, in quiver order, grow a spanning tree
+    over the arrows that act nonzero, scanning them in quiver arrow order;
+    rescale the basis so that the tree arrows act by 1, and record the
+    rescaled scalar of every nonzero arrow.  Thin modules are isomorphic iff
+    their fingerprints are equal."""
+    dv = rep.dim_vector()
+    if any(d > 1 for d in dv):
+        return dv
+    F = rep.field
+    quiver = rep.algebra.quiver
+    nonzero = [(a, rep.mats[a.name][0][0]) for a in quiver.arrows
+               if rep.dims[a.source] and rep.dims[a.target] and rep.mats[a.name][0][0]]
+    # the new basis vector at v is scale[v] times the old one, so an arrow
+    # u -> w acting by s acts by s * scale[u] / scale[w] afterwards
+    scale = {}
+    for v in quiver.vertices:
+        if rep.dims[v] and v not in scale:
+            scale[v] = F.one
+            grown = True
+            while grown:
+                grown = False
+                for a, s in nonzero:
+                    if a.source in scale and a.target not in scale:
+                        scale[a.target] = F.mul(s, scale[a.source])
+                        grown = True
+                    elif a.target in scale and a.source not in scale:
+                        scale[a.source] = F.div(scale[a.target], s)
+                        grown = True
+    return dv, tuple((a.name, F.div(F.mul(s, scale[a.source]), scale[a.target]))
+                     for a, s in nonzero)
+
+
+def _trajectory_repeat(trajectory, buckets, trials, seed, window=48):
+    """Certified repeat detection: compare the newest member against the
+    earlier ones with the same fingerprint, recorded in buckets (fingerprint
+    -> trajectory indices), then file it there.  Isomorphic modules have
+    equal fingerprints, so no repeat is skipped; every hit is confirmed by
+    iso_test.  A long bucket only probes its earliest and latest `window`
+    members; missing a distant repeat downgrades to at_least, never to a
+    false certificate."""
+    last = len(trajectory) - 1
+    same = buckets.setdefault(_fingerprint(trajectory[last]), [])
+    probe = same if len(same) <= 2 * window else same[:window] + same[-window:]
+    for i in probe:
+        r = iso_test(trajectory[i], trajectory[last], trials=trials, seed=seed)
         if r.isomorphic:
-            return f"syzygy step {len(trajectory) - 1} isomorphic to step {i}"
+            return f"syzygy step {last} isomorphic to step {i}"
+    same.append(last)
     return None

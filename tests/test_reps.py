@@ -1,9 +1,12 @@
+import gc
 import hashlib
+import weakref
 
 import pytest
 
-from quiverhom import corpus, reps
+from quiverhom import corpus, linalg, reps
 from quiverhom.algebra import TruncatedIdeal, build_algebra
+from quiverhom.algfile import parse_algebra_text
 from quiverhom.errors import FieldMismatch, NoDecomposition
 from quiverhom.pathmodules import ModuleMultiset, calculus
 from quiverhom.quiver import Quiver
@@ -198,7 +201,8 @@ class TestCandidateOrder:
 
     def test_shared_zero_line_runs_no_trial(self, monkeypatch):
         # Hom(Omega^3 I(3), Omega^6 I(3)) over F_32003 is spanned by one map
-        # that vanishes at a vertex: no combination is invertible
+        # that vanishes at a vertex: no hom is invertible, which certifies
+        # not_isomorphic before any trial or the reverse hom solve
         A = corpus.algebra("finito_f32003")
         traj = [reps.injective(A, "3")]
         for _ in range(6):
@@ -206,10 +210,22 @@ class TestCandidateOrder:
         m, n = traj[3], traj[6]
         (h,) = reps.hom_space(m, n)
         assert any(not any(row) for mat in h.matrices.values() for row in mat)
+        inverted, reverse = [], []
+        monkeypatch.setattr(reps.linalg, "invert", lambda F, a: inverted.append(a))
+        monkeypatch.setattr(reps, "hom_dim", lambda s, t: reverse.append((s, t)))
+        res = reps.iso_test(m, n)
+        assert (res.status, res.detail) == ("not_isomorphic", "row 0 at vertex 1 is zero in every hom")
+        assert inverted == [] and reverse == []
+
+    def test_sum_shared_zero_line_runs_no_trial(self, monkeypatch):
+        # every map from a simple into P_1 lands in the socle, so the
+        # block-embedded homs S_1^3 + S_2^2 -> P_1 miss the top of P_1
+        A = corpus.algebra("sec4_example")
+        parts = [(reps.simple(A, "1"), 3), (reps.simple(A, "2"), 2)]
         inverted = []
         monkeypatch.setattr(reps.linalg, "invert", lambda F, a: inverted.append(a))
-        res = reps.iso_test(m, n)
-        assert (res.status, res.detail) == ("undetermined", "no invertible combination in 20 trials")
+        res, _nsum = reps.iso_test_against_sum(reps.projective(A, "1"), parts)
+        assert (res.status, res.detail) == ("not_isomorphic", "row 0 at vertex 1 is zero in every hom")
         assert inverted == []
 
 
@@ -293,3 +309,132 @@ class TestSelfInjectivity:
     def test_truncated_cycle_certified(self):
         A = truncated_cycle(3, 2)
         assert reps.certified_self_injective(A) is True
+
+
+def _trajectory(rep, steps):
+    out = [rep]
+    for _ in range(steps):
+        out.append(reps.syzygy_rep(out[-1]))
+    return out
+
+
+class TestCoverAction:
+    """The presentation's sparse cover action, read off the structure
+    constants, against the dense projective cover as an oracle."""
+
+    @staticmethod
+    def _check(rep):
+        pres = reps.presentation(rep)
+        cover = pres.cover_rep()
+        _ker, embed = pres.kernel()
+        F = rep.field
+        checked = 0
+        for a in rep.algebra.quiver.arrows:
+            n = len(pres.cover_basis[a.source])
+            units = [linalg.unit_vector(F, n, i) for i in range(n)]
+            for vecs in (embed[a.source], units):
+                assert pres.cover_images(a, vecs) == \
+                    [linalg.mat_vec(F, cover.mats[a.name], k) for k in vecs]
+                checked += len(vecs)
+        return checked
+
+    def test_random_monomial_algebras(self):
+        checked = 0
+        for seed in range(10):
+            A = random_monomial_algebra(seeded(seed + 6000))
+            calc = calculus(A)
+            rng = seeded(seed)
+            rep = reps.rep_of_class(calc.class_of(random_nonzero_path(rng, A)))
+            for member in _trajectory(rep, 2):
+                if not member.is_zero():
+                    checked += self._check(member)
+        assert checked > 0
+
+    def test_infinito(self, infinito):
+        m = corpus.make_m_alpha(infinito, ["1", "2"])
+        for member in _trajectory(m, 1) + [reps.injective(infinito, "2")]:
+            self._check(member)
+
+    def test_finito_f32003(self):
+        A = corpus.algebra("finito_f32003")
+        for member in _trajectory(reps.injective(A, "3"), 4) + [reps.injective(A, "1")]:
+            self._check(member)
+
+
+class TestRepeatDetection:
+    @pytest.mark.parametrize("p, step", [(3, 5), (5, 9), (7, 7), (11, 21), (101, 201)])
+    def test_finito_over_fp_repeats_with_one_iso_test(self, p, step, monkeypatch):
+        """pd_rep of I(3) over F_p returns the repeat recorded before
+        fingerprint keying, with one iso test in place of up to 14545."""
+        A = parse_algebra_text(corpus.FILES["finito.alg"].replace("field: Q", f"field: Fp {p}"))
+        assert reps.certified_self_injective(A) is False  # memoized before counting
+        calls = []
+        iso_test = reps.iso_test
+        monkeypatch.setattr(reps, "iso_test",
+                            lambda *args, **kw: calls.append(args) or iso_test(*args, **kw))
+        probe = reps.pd_rep(reps.injective(A, "3"), max_steps=2 * p + 10)
+        assert probe.kind == "infinite"
+        assert probe.detail == f"syzygy step {step} isomorphic to step 1"
+        assert len(calls) == 1
+
+
+def _rescaled(rep, rng):
+    """A random vertexwise rescaling of a thin module: isomorphic to it."""
+    F = rep.field
+    scale = {v: F.random(rng) for v in rep.algebra.quiver.vertices}
+    mats = {}
+    for a in rep.algebra.quiver.arrows:
+        m = rep.mats[a.name]
+        mats[a.name] = [[F.div(F.mul(m[0][0], scale[a.source]), scale[a.target])]] if m and m[0] else m
+    return reps.Representation(rep.algebra, rep.dims, mats, name=rep.name)
+
+
+class TestFingerprint:
+    @staticmethod
+    def _thin_modules(sec3):
+        A = corpus.algebra("finito_f32003")
+        members = [t for t in _trajectory(reps.injective(A, "3"), 12)
+                   if max(t.dim_vector()) <= 1]
+        params = [corpus.make_m_param(sec3, [a]) for a in ("1", "2", "-1/2", "3")] + \
+            [corpus.make_n_param(sec3, [a]) for a in ("1", "2", "-1/2", "3")]
+        assert len(members) == 12
+        return members + params + [reps.syzygy_rep(m) for m in params]
+
+    def test_rescaling_keeps_fingerprint_and_is_certified(self, sec3):
+        rng = seeded(7)
+        for m in self._thin_modules(sec3):
+            for _ in range(3):
+                n = _rescaled(m, rng)
+                assert reps._fingerprint(n) == reps._fingerprint(m)
+                assert reps.iso_test(m, n).isomorphic
+
+    def test_distinct_fingerprints_are_not_isomorphic(self, sec3):
+        mods = self._thin_modules(sec3)
+        rng = seeded(8)
+        checked = 0
+        for _ in range(120):
+            m, n = rng.choice(mods), rng.choice(mods)
+            if m.field != n.field or reps._fingerprint(m) == reps._fingerprint(n):
+                continue
+            assert reps.iso_test(m, n).status == "not_isomorphic"
+            checked += 1
+        assert checked >= 40
+
+    def test_thick_module_keys_on_dimension_vector(self, sec4):
+        p1 = reps.projective(sec4, "1")
+        assert reps._fingerprint(p1) == p1.dim_vector() == (3, 2)
+
+
+def test_presentation_leaves_no_reference_cycle():
+    A = corpus.algebra("finito_f32003")
+    gc.disable()
+    try:
+        m = reps.syzygy_rep(reps.injective(A, "3"))
+        pres = reps.presentation(m)
+        pres.kernel_top_generators()
+        pres.sections()
+        ref = weakref.ref(m)
+        del m
+        assert ref() is None
+    finally:
+        gc.enable()
