@@ -33,7 +33,6 @@ from .errors import (
     InternalInvariantError,
     NotAdmissible,
     UnsupportedIdeal,
-    ZeroPath,
 )
 from .fields import QQ
 from .quiver import Path, compose
@@ -370,49 +369,6 @@ class BoundQuiverAlgebra:
         if not self.is_monomial_like:
             raise UnsupportedIdeal("path enumeration needs a monomial or truncated ideal")
         return [p for p in self.basis if not p.is_trivial()]
-
-    # -- annihilators ----------------------------------------------------
-
-    def annihilator_sets(self, p):
-        """Minimal annihilating paths of a nonzero nontrivial path p.
-
-        L(p): right-minimal nonzero q with s(q) = t(p) and q*p = 0 — the
-        minimal continuations killing p, i.e. the syzygy generators of Ap.
-        R(p): left-minimal nonzero q with t(q) = s(p) and p*q = 0.
-        Minimality: no proper initial (for L) / final (for R) traversal
-        segment of q lies in the same annihilating set.
-        """
-        if not self.is_monomial_like:
-            raise UnsupportedIdeal("annihilator sets need a monomial or truncated ideal")
-        p = self.path(p)
-        if p.is_trivial():
-            raise ZeroPath(f"{p} is trivial")
-        if self.path_is_zero(p):
-            raise ZeroPath(f"{p} is zero in the algebra")
-        s_left = [
-            q
-            for q in self.nonzero_nontrivial_paths()
-            if q.source == p.target and self._path_is_zero_monomial_like(p.arrows + q.arrows)
-        ]
-        s_right = [
-            q
-            for q in self.nonzero_nontrivial_paths()
-            if q.target == p.source and self._path_is_zero_monomial_like(q.arrows + p.arrows)
-        ]
-        left_set = {q.arrows for q in s_left}
-        right_set = {q.arrows for q in s_right}
-        L = [
-            q
-            for q in s_left
-            if not any(q.arrows[:j] in left_set for j in range(1, q.length))
-        ]
-        R = [
-            q
-            for q in s_right
-            if not any(q.arrows[q.length - j :] in right_set for j in range(1, q.length))
-        ]
-        key = lambda q: (q.length, q.arrows)
-        return sorted(L, key=key), sorted(R, key=key)
 
     # -- self checks ------------------------------------------------------
 

@@ -55,25 +55,10 @@ def _require_monomial_like(algebra):
 
 def perfect_pair_successors(algebra):
     """Map p -> q over all nonzero nontrivial paths where (p, q) is a perfect
-    pair; each node has at most one successor since R(p) must be a singleton."""
+    pair; each node has at most one successor since R(p) must be a singleton.
+    The map is built once per algebra and kept by its path-module calculus."""
     _require_monomial_like(algebra)
-    succ = {}
-    ann_cache = {}
-
-    def ann(p):
-        if p.arrows not in ann_cache:
-            ann_cache[p.arrows] = algebra.annihilator_sets(p)
-        return ann_cache[p.arrows]
-
-    for p in algebra.nonzero_nontrivial_paths():
-        _L, R = ann(p)
-        if len(R) != 1:
-            continue
-        q = R[0]
-        Lq, _Rq = ann(q)
-        if len(Lq) == 1 and Lq[0] == p:
-            succ[p] = q
-    return succ
+    return calculus(algebra).perfect_pair_successors()
 
 
 def perfect_paths(algebra):

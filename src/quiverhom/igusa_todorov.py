@@ -23,6 +23,7 @@ from .errors import (
     UnsupportedIdeal,
 )
 from .fields import QQ
+from .gorenstein import is_self_injective_truncated
 from .pathmodules import calculus
 
 
@@ -91,13 +92,20 @@ def _rank_of_int_rows(rows):
     return linalg.rank(QQ, rows)
 
 
-def rank_sequence(lattice, generators, upto):
-    """Ranks of the span of T^l applied to the generators, l = 0..upto."""
+def rank_sequence(lattice, generators, upto, whole=False):
+    """Ranks of the span of T^l applied to the generators, l = 0..upto.
+
+    whole: the generators span the whole lattice, so T^l V = im T^l and equal
+    ranks at l and l + 1 mean equal images; the sequence is then constant and
+    stops at the first repeat.  A proper subspace may repeat and then drop
+    (e1 -> e2 -> 0 with V = <e1> has ranks 1, 1, 0), so it runs to upto."""
     vectors = [list(g) for g in generators]
     ranks = [_rank_of_int_rows(vectors)]
     for _ in range(upto):
         vectors = [lattice.apply(v) for v in vectors]
         ranks.append(_rank_of_int_rows(vectors))
+        if whole and ranks[-1] == ranks[-2]:
+            break
     return ranks
 
 
@@ -145,23 +153,25 @@ def phidim_subcat(algebra, seed_classes):
     if d == 0:
         return PhiResult(0, [0], lattice)
     gens = [[1 if j == i else 0 for j in range(d)] for i in range(d)]
-    ranks = rank_sequence(lattice, gens, d)
-    target = ranks[d]
-    value = min(l for l, r in enumerate(ranks) if r == target)
+    ranks = rank_sequence(lattice, gens, d, whole=True)
+    value = min(l for l, r in enumerate(ranks) if r == ranks[-1])
     return PhiResult(value, ranks, lattice)
 
 
 class PhidimBounds:
-    def __init__(self, lower, upper, subcat, lower_witness):
+    def __init__(self, lower, upper, subcat, lower_witness, rule):
         self.lower = lower
         self.upper = upper
         self.subcat = subcat
         self.lower_witness = lower_witness
+        self.rule = rule
 
     def to_json(self):
         return {
             "lower": self.lower,
             "upper": self.upper,
+            "exact": self.lower == self.upper,
+            "rule": self.rule,
             "subcat_phidim": self.subcat,
             "lower_witness": self.lower_witness,
         }
@@ -175,50 +185,22 @@ def phidim_bounds(algebra):
 
     upper = phidim of the path-class closure + 1 (truncated: first syzygies
     are path-module sums) or + 2 (monomial: second syzygies are), via
-    phi(M) <= phi(syzygy(M)) + 1.  lower = max phi over a deterministic
-    sample: all single classes, all pairs, and simple-class combinations of
-    size <= 4."""
+    phi(M) <= phi(syzygy(M)) + 1.  lower = phi of the sum of all classes of
+    the syzygy hull of the path classes and the simples, which dominates
+    every bundle in the hull since phi(M) <= phi(M + N).  Closed values
+    (Fernandez-Lanzilotta-Mendoza) pin the answer: rule "finite_gldim"
+    (phidim = gldim), rule "self_injective" (a truncated cycle graph,
+    phidim = 0); otherwise the rule is "hull_and_shift"."""
     if not algebra.is_monomial_like:
         raise UnsupportedIdeal("phidim bounds need a monomial or truncated ideal")
     calc = calculus(algebra)
     path_classes = calc.all_path_classes()
     simple_classes = [calc.simple_class(v) for v in algebra.quiver.vertices]
-    seed = path_classes + simple_classes
-    lattice = build_lattice(algebra, seed)
-    d = lattice.rank
     sub = phidim_subcat(algebra, path_classes)
     upper = sub.value + (1 if algebra.kind == "truncated" else 2)
-
-    def phi_in_lattice(classes):
-        keys = {c.sort_key for c in classes if not c.projective}
-        gens = [[1 if j == i else 0 for j in range(d)]
-                for i, c in enumerate(lattice.basis) if c.sort_key in keys]
-        if not gens:
-            return 0
-        ranks = rank_sequence(lattice, gens, d)
-        return min(l for l, r in enumerate(ranks) if r == ranks[d])
-
-    lower = 0
-    witness = "zero module"
-    candidates = []
-    nonproj = [c for c in lattice.basis]
-    for c in nonproj:
-        candidates.append([c])
-    for i in range(len(nonproj)):
-        for j in range(i + 1, len(nonproj)):
-            candidates.append([nonproj[i], nonproj[j]])
-    simples = [c for c in simple_classes if not c.projective]
-    for size in (2, 3, 4):
-        if len(simples) >= size:
-            from itertools import combinations
-
-            for combo in combinations(simples, size):
-                candidates.append(list(combo))
-    for combo in candidates:
-        value = phi_in_lattice(combo)
-        if value > lower:
-            lower = value
-            witness = " + ".join(c.label for c in combo)
+    hull = phidim_subcat(algebra, path_classes + simple_classes)
+    lower = hull.value
+    witness = f"sum of the {hull.lattice.rank} classes of the syzygy hull"
     if lower > upper:
         raise InternalInvariantError(f"phidim lower bound {lower} exceeds upper {upper}")
     gl = calc.gldim()
@@ -226,7 +208,14 @@ def phidim_bounds(algebra):
         raise InternalInvariantError(
             f"phidim upper bound {upper} below finite global dimension {gl.value}"
         )
-    return PhidimBounds(lower, upper, sub.value, witness)
+    rule = "hull_and_shift"
+    if gl.is_finite():
+        lower = upper = gl.value
+        rule = "finite_gldim"
+    elif algebra.kind == "truncated" and is_self_injective_truncated(algebra):
+        lower = upper = 0
+        rule = "self_injective"
+    return PhidimBounds(lower, upper, sub.value, witness, rule)
 
 
 # -- hybrid phi for explicit modules ------------------------------------------
@@ -650,8 +639,9 @@ def triangular_check(algebra, gamma, gamma_bar, witness_pairs=(), trials=20, see
     if up_a is not None and up_b is not None:
         theorem_upper = up_a + up_b + 1
     if algebra.is_monomial_like:
-        c_lower = phidim_bounds(algebra).lower
-        lower_note = "path-class lattice sample"
+        bounds = phidim_bounds(algebra)
+        c_lower = bounds.lower
+        lower_note = f"path-class lattice bounds, rule {bounds.rule}"
     else:
         c_lower = 0
         lower_note = "no witness"

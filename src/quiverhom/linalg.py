@@ -51,8 +51,9 @@ def mat_scale(field, c, a):
     return [[field.mul(c, x) for x in row] for row in a]
 
 
-def rref(field, a):
-    """Reduced row echelon form (new row lists); returns (matrix, pivot column list)."""
+def _eliminate(field, a):
+    """Gauss-Jordan on plain ints: rows reduced mod p with unit pivots over
+    F_p, primitive integer rows over Q.  Returns (rows, pivot column list)."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
     p = field.char
@@ -95,7 +96,14 @@ def rref(field, a):
         r += 1
         if r == rows:
             break
-    if not p:
+    return m, pivots
+
+
+def rref(field, a):
+    """Reduced row echelon form (new row lists); returns (matrix, pivot column list)."""
+    m, pivots = _eliminate(field, a)
+    if not field.char:
+        r = len(pivots)
         for i, row in enumerate(m):
             pv = row[pivots[i]] if i < r else 1
             m[i] = [Fraction(x, pv) if x else field.zero for x in row]
@@ -105,7 +113,7 @@ def rref(field, a):
 def rank(field, a):
     if not a or not a[0]:
         return 0
-    return len(rref(field, a)[1])
+    return len(_eliminate(field, a)[1])
 
 
 def nullspace(field, a, cols=None):

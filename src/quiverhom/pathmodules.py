@@ -203,6 +203,7 @@ class PathModuleCalculus:
         self._classes = {}
         self._syzygy = {}
         self._pd = {}
+        self._perfect_pairs = None
         self._all_from = {
             v: frozenset(
                 algebra.basis[i].arrows for i in algebra.basis_indices_from(v)
@@ -295,6 +296,58 @@ class PathModuleCalculus:
                 nxt = nxt.add(self.syzygy_class(cls).scale(mult))
             current = nxt
         return current
+
+    # -- annihilators and perfect pairs ---------------------------------------
+
+    def annihilator_sets(self, p):
+        """Minimal annihilating paths (L(p), R(p)) of a nonzero nontrivial path
+        p, each sorted by (length, arrows).
+
+        L(p): the nontrivial q out of t(p) with q*p = 0 whose one-arrow-shorter
+        initial segment does not kill p (the syzygy generators of Ap).  R(p):
+        the nontrivial q into s(p) with p*q = 0 whose one-arrow-shorter final
+        segment does not.  Killing passes to extensions, so this is
+        minimality among all proper segments."""
+        p = self.algebra.path(p)
+        if p.is_trivial():
+            raise ZeroPath(f"{p} is trivial")
+        if self.algebra.path_is_zero(p):
+            raise ZeroPath(f"{p} is zero in the algebra")
+        key = lambda q: (q.length, q.arrows)
+        return (sorted(self._left_annihilators(p), key=key),
+                sorted(self._right_annihilators(p), key=key))
+
+    def _left_annihilators(self, p):
+        A = self.algebra
+        zero, a = A._path_is_zero_monomial_like, p.arrows
+        out = []
+        for i in A.basis_indices_from(p.target):
+            q = A.basis[i]
+            if q.arrows and zero(a + q.arrows) and not zero(a + q.arrows[:-1]):
+                out.append(q)
+        return out
+
+    def _right_annihilators(self, p):
+        A = self.algebra
+        zero, a = A._path_is_zero_monomial_like, p.arrows
+        out = []
+        for i in A.basis_indices_into(p.source):
+            q = A.basis[i]
+            if q.arrows and zero(q.arrows + a) and not zero(q.arrows[1:] + a):
+                out.append(q)
+        return out
+
+    def perfect_pair_successors(self):
+        """Map p -> q over the nonzero nontrivial paths where (p, q) is a
+        perfect pair: R(p) = {q} and L(q) = {p}.  Built once per algebra."""
+        if self._perfect_pairs is None:
+            succ = {}
+            for p in self.algebra.nonzero_nontrivial_paths():
+                right = self._right_annihilators(p)
+                if len(right) == 1 and self._left_annihilators(right[0]) == [p]:
+                    succ[p] = right[0]
+            self._perfect_pairs = succ
+        return self._perfect_pairs
 
     # -- projective dimension -------------------------------------------------
 

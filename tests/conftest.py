@@ -1,11 +1,14 @@
 import os
 import sys
+from itertools import islice
 
 sys.path.insert(0, os.path.dirname(__file__))
 
 import pytest
 
 from quiverhom import corpus
+
+from helpers import exhaustive_truncated_family
 
 
 @pytest.fixture(scope="session")
@@ -26,3 +29,9 @@ def finito():
 @pytest.fixture(scope="session")
 def infinito():
     return corpus.algebra("infinito")
+
+
+@pytest.fixture(scope="session")
+def family_sample():
+    """Every 7th member of the criteria 7/8 truncated family (768 algebras)."""
+    return list(islice(exhaustive_truncated_family(), 0, None, 7))

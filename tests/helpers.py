@@ -1,11 +1,14 @@
-"""Shared test utilities: deterministic random instance generators and the
-exhaustive small-quiver enumeration used by the acceptance suite."""
+"""Shared test utilities: deterministic random instance generators, the
+exhaustive small-quiver enumeration used by the acceptance suite, and
+brute-force oracles for the combinatorial layer."""
 
 import random
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 from quiverhom.algebra import MonomialIdeal, TruncatedIdeal, build_algebra
-from quiverhom.errors import InfiniteDimensional, NotAdmissible, ParseError
+from quiverhom.errors import InfiniteDimensional, NotAdmissible, ParseError, ZeroPath
+from quiverhom.igusa_todorov import build_lattice, rank_sequence
+from quiverhom.pathmodules import calculus
 from quiverhom.quiver import Path, Quiver
 
 
@@ -108,3 +111,64 @@ def exhaustive_truncated_family(max_vertices=4, max_arrows=6, ks=(2, 3)):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+# -- brute-force oracles ---------------------------------------------------------
+
+
+def annihilator_sets(algebra, p):
+    """Oracle for L(p), R(p): scan the whole basis for the annihilating
+    paths, then keep those with no annihilating proper initial (for L) or
+    final (for R) segment."""
+    p = algebra.path(p)
+    if p.is_trivial() or algebra.path_is_zero(p):
+        raise ZeroPath(f"{p} is trivial or zero")
+    paths = algebra.nonzero_nontrivial_paths()
+    s_left = [q for q in paths
+              if q.source == p.target and algebra.tuple_is_zero(p.arrows + q.arrows)]
+    s_right = [q for q in paths
+               if q.target == p.source and algebra.tuple_is_zero(q.arrows + p.arrows)]
+    left_set = {q.arrows for q in s_left}
+    right_set = {q.arrows for q in s_right}
+    L = [q for q in s_left
+         if not any(q.arrows[:j] in left_set for j in range(1, q.length))]
+    R = [q for q in s_right
+         if not any(q.arrows[q.length - j:] in right_set for j in range(1, q.length))]
+    key = lambda q: (q.length, q.arrows)
+    return sorted(L, key=key), sorted(R, key=key)
+
+
+def perfect_pair_successors(algebra):
+    """Oracle for the perfect-pair map, from the basis-scan annihilator sets."""
+    succ = {}
+    for p in algebra.nonzero_nontrivial_paths():
+        _L, R = annihilator_sets(algebra, p)
+        if len(R) == 1 and annihilator_sets(algebra, R[0])[0] == [p]:
+            succ[p] = R[0]
+    return succ
+
+
+def sampled_phidim_lower(algebra):
+    """The sampled lower bound on phidim: the largest phi, inside the syzygy
+    hull of the path classes and the simples, over every single hull class,
+    every pair of them, and the simple-class combinations of sizes 2 to 4."""
+    calc = calculus(algebra)
+    simple_classes = [calc.simple_class(v) for v in algebra.quiver.vertices]
+    lattice = build_lattice(algebra, calc.all_path_classes() + simple_classes)
+    d = lattice.rank
+    basis = lattice.basis
+
+    def phi_in_lattice(classes):
+        keys = {c.sort_key for c in classes if not c.projective}
+        gens = [[1 if j == i else 0 for j in range(d)]
+                for i, c in enumerate(basis) if c.sort_key in keys]
+        if not gens:
+            return 0
+        ranks = rank_sequence(lattice, gens, d)
+        return min(l for l, r in enumerate(ranks) if r == ranks[d])
+
+    candidates = [[c] for c in basis] + [list(pair) for pair in combinations(basis, 2)]
+    simples = [c for c in simple_classes if not c.projective]
+    for size in (2, 3, 4):
+        candidates += [list(combo) for combo in combinations(simples, size)]
+    return max((phi_in_lattice(combo) for combo in candidates), default=0)

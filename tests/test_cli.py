@@ -83,7 +83,9 @@ class TestBasicCommands:
     def test_phidim_bounds(self, capsys):
         code, doc = run_json(capsys, "phidim-bounds", "--algebra", "corpus:c3_k2")
         assert code == 0
-        assert doc["result"]["lower"] == 0 and doc["result"]["upper"] == 1
+        assert doc["result"]["lower"] == 0 and doc["result"]["upper"] == 0
+        assert doc["result"]["exact"] is True
+        assert doc["result"]["rule"] == "self_injective"
 
 
 class TestExitCodes:

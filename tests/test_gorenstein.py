@@ -6,6 +6,7 @@ from quiverhom.errors import PreconditionViolated, UnsupportedIdeal
 from quiverhom.pathmodules import ModuleMultiset, calculus
 from quiverhom.quiver import Quiver
 
+import helpers
 from helpers import random_monomial_algebra, seeded
 
 
@@ -51,6 +52,27 @@ class TestPerfectPaths:
     def test_relations_unsupported(self, sec3):
         with pytest.raises(UnsupportedIdeal):
             gorenstein.perfect_paths(sec3)
+
+
+class TestPerfectPairOracle:
+    """The continuation-set L/R sets and perfect-pair map against the
+    basis-scan oracle of tests/helpers.py."""
+
+    def check(self, A):
+        calc = calculus(A)
+        for p in A.nonzero_nontrivial_paths():
+            assert calc.annihilator_sets(p) == helpers.annihilator_sets(A, p)
+        succ = gorenstein.perfect_pair_successors(A)
+        assert succ == helpers.perfect_pair_successors(A)
+        assert gorenstein.perfect_pair_successors(A) is succ
+
+    def test_truncated_family_every_7th(self, family_sample):
+        for A in family_sample:
+            self.check(A)
+
+    def test_seeded_monomial(self):
+        for seed in range(50):
+            self.check(random_monomial_algebra(seeded(seed + 13000)))
 
 
 class TestGpAndFlags:

@@ -4,6 +4,7 @@ from quiverhom import corpus, reps
 from quiverhom.algebra import TruncatedIdeal, build_algebra
 from quiverhom.errors import HypothesisViolated, UnsupportedIdeal
 from quiverhom.igusa_todorov import (
+    K0Lattice,
     build_lattice,
     corner_algebra,
     merge_lower_bound,
@@ -17,7 +18,7 @@ from quiverhom.igusa_todorov import (
 from quiverhom.pathmodules import ModuleMultiset, calculus
 from quiverhom.quiver import INFINITE, Quiver
 
-from helpers import random_monomial_algebra, seeded
+from helpers import random_monomial_algebra, sampled_phidim_lower, seeded
 
 
 def truncated_cycle(n, k):
@@ -125,17 +126,21 @@ class TestPhidim:
         assert res.value == best
 
     def test_bounds_cycle(self):
+        # self-injective: phidim = 0 exactly
         for n in (2, 3, 5):
             b = phidim_bounds(truncated_cycle(n, 2))
-            assert (b.lower, b.upper) == (0, 1)
+            assert (b.lower, b.upper) == (0, 0)
+            assert b.to_json()["exact"] is True
+            assert b.rule == "self_injective"
 
     def test_bounds_acyclic_vs_gldim(self):
         A = truncated_line(4, 2)
         b = phidim_bounds(A)
         g = calculus(A).gldim()
         assert b.upper >= g.value >= b.lower
-        # finite global dimension is realized by phi of some sample
-        assert b.lower == g.value
+        # finite global dimension pins phidim = gldim
+        assert b.lower == b.upper == g.value
+        assert b.rule == "finite_gldim"
 
     def test_bounds_sec4_finite(self, sec4):
         b = phidim_bounds(sec4)
@@ -157,7 +162,52 @@ class TestPhidim:
             assert phi(sec4, ModuleMultiset([c])).value <= sub.value
 
 
+class TestPhidimBoundsFamilies:
+    def test_whole_hull_dominates_sample(self, family_sample):
+        # the old sampled lower bound never exceeds the new one
+        monomials = [random_monomial_algebra(seeded(seed + 14000)) for seed in range(100)]
+        for A in family_sample + monomials:
+            b = phidim_bounds(A)
+            assert sampled_phidim_lower(A) <= b.lower <= b.upper
+            assert b.to_json()["exact"] == (b.lower == b.upper)
+            gl = calculus(A).gldim()
+            if gl.is_finite():
+                assert (b.lower, b.upper, b.rule) == (gl.value, gl.value, "finite_gldim")
+
+
 class TestRankStabilization:
+    def test_whole_lattice_early_stop(self):
+        # on a whole lattice the sequence stops at its first repeat and
+        # gives the same phi as the full d-step sequence
+        rng = seeded(15000)
+        lattices = []
+        for _ in range(200):
+            d = rng.randint(1, 7)
+            matrix = [[rng.choice((0, 0, 0, 1, 2)) for _ in range(d)] for _ in range(d)]
+            lattices.append(K0Lattice(None, list(range(d)), matrix))
+        for seed in range(20):
+            A = random_monomial_algebra(seeded(seed + 15100))
+            lattices.append(build_lattice(A, calculus(A).all_path_classes()))
+        for lat in lattices:
+            d = lat.rank
+            if d == 0:
+                continue
+            gens = [[1 if j == i else 0 for j in range(d)] for i in range(d)]
+            full = rank_sequence(lat, gens, d)
+            short = rank_sequence(lat, gens, d, whole=True)
+            assert short == full[:len(short)]
+            phi_full = min(l for l, r in enumerate(full) if r == full[d])
+            phi_short = min(l for l, r in enumerate(short) if r == short[-1])
+            assert phi_short == phi_full
+
+    def test_proper_subspace_keeps_full_sequence(self):
+        # S_1 -> S_2 -> 0 on the line 1 -> 2 -> 3 with k = 2: V = <S_1>
+        # repeats its rank once and then drops
+        A = truncated_line(3, 2)
+        res = phi(A, ModuleMultiset([calculus(A).simple_class("1")]))
+        assert res.ranks == [1, 1, 0]
+        assert res.value == 2
+
     def test_double_horizon(self):
         for seed in range(8):
             A = random_monomial_algebra(seeded(seed + 700))
