@@ -14,7 +14,9 @@ that the degree-N layer of the span covers every degree-N path, which is a
 complete criterion because the relations are length-homogeneous.
 
 Products are always function-order: multiply(x, y) traverses y first, then x.
-Algebras are immutable after build.
+Algebras are immutable after build; the values derived from a whole algebra
+(its path-module calculus, class lists, perfect pairs, global dimension) are
+built on first use and kept in its one memo table, see `memo`.
 
 Only relations algebras are self-checked at build (relations vanish, and
 ASSOCIATIVITY_SAMPLES seeded basis triples associate): their product comes
@@ -139,6 +141,7 @@ class BoundQuiverAlgebra:
         self.kind = ideal.kind
         self.max_basis = max_basis
         self._product_cache = {}
+        self._memo = {}
         if self.kind == "truncated":
             self.nilpotency = ideal.k
             self._build_monomial_like()
@@ -336,6 +339,16 @@ class BoundQuiverAlgebra:
             result = self.reduce_path(compose(p, q))
         self._product_cache[key] = result
         return result
+
+    def memo(self, key, build):
+        """The value stored under key, or build() stored there on first use.
+        A None result is returned but not stored: it means undetermined."""
+        value = self._memo.get(key)
+        if value is None:
+            value = build()
+            if value is not None:
+                self._memo[key] = value
+        return value
 
     def multiply(self, x, y):
         """Bilinear product of sparse vectors {index: coeff}."""

@@ -290,22 +290,15 @@ def cmd_batch(args, _algebra=None):
         entry = {"line": line}
         try:
             sub = parser.parse_args(argv)
-            fn, needs_algebra = COMMANDS[sub.command]
-            if needs_algebra:
-                algebra, _src = load_algebra(sub.algebra)
-                entry["result"] = fn(sub, algebra)
-            else:
-                entry["result"] = fn(sub)
-            entry["exit"] = 0
-        except _CapReached as cap:
-            entry["result"] = cap.payload
-            entry["exit"] = 2
         except SystemExit:
-            entry["error"] = "bad arguments"
-            entry["exit"] = 1
-        except QuiverHomError as exc:
-            entry["error"] = f"{exc.code}: {exc.message}"
-            entry["exit"] = 2 if isinstance(exc, Indeterminate) else 1
+            entry.update(error="bad arguments", exit=1)
+        else:
+            exit_code, payload, error = _run_command(sub)
+            if error is None:
+                entry["result"] = payload
+            else:
+                entry["error"] = f"{error['error']}: {error['message']}"
+            entry["exit"] = exit_code
         results.append(entry)
     return {"runs": results}
 
@@ -397,33 +390,33 @@ def _render(payload, args, warnings=()):
     return "\n".join(lines)
 
 
-def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run_command(args):
+    """Run a parsed command line: (exit code, payload, error).  Exactly one
+    of payload and error is None; error is {"error": code, "message": text}.
+    Exit codes: 0 answer, 1 user error, 2 a cap was reached, 3 internal."""
     fn, needs_algebra = COMMANDS[args.command]
-    exit_code = 0
     try:
         if needs_algebra:
             algebra, _src = load_algebra(args.algebra)
-            payload = fn(args, algebra)
-        else:
-            payload = fn(args)
+            return 0, fn(args, algebra), None
+        return 0, fn(args), None
     except _CapReached as cap:
-        payload = cap.payload
-        exit_code = 2
-    except Indeterminate as exc:
-        print(_render({"error": exc.code, "message": exc.message}, args), file=sys.stderr)
-        return 2
-    except InternalInvariantError as exc:
-        print(_render({"error": exc.code, "message": exc.message}, args), file=sys.stderr)
-        return 3
+        return 2, cap.payload, None
     except QuiverHomError as exc:
-        print(_render({"error": exc.code, "message": exc.message}, args), file=sys.stderr)
-        return 1
+        exit_code = 2 if isinstance(exc, Indeterminate) else \
+            3 if isinstance(exc, InternalInvariantError) else 1
+        return exit_code, None, {"error": exc.code, "message": exc.message}
     except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(_render(payload, args))
+        return 1, None, {"error": "FILE_NOT_FOUND", "message": str(exc)}
+
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
+    exit_code, payload, error = _run_command(args)
+    if error is None:
+        print(_render(payload, args))
+    else:
+        print(_render(error, args), file=sys.stderr)
     return exit_code
 
 

@@ -56,38 +56,55 @@ def _require_monomial_like(algebra):
 def perfect_pair_successors(algebra):
     """Map p -> q over all nonzero nontrivial paths where (p, q) is a perfect
     pair; each node has at most one successor since R(p) must be a singleton.
-    The map is built once per algebra and kept by its path-module calculus."""
+    The map is built once per algebra and kept in its memo."""
     _require_monomial_like(algebra)
     return calculus(algebra).perfect_pair_successors()
 
 
-def perfect_paths(algebra):
-    """All perfect paths, each with its relation-cycle."""
-    succ = perfect_pair_successors(algebra)
-    on_cycle = {}
-    for start in succ:
-        if start in on_cycle:
-            continue
-        seen = {}
-        cur = start
+def _functional_cycles(succ, starts):
+    """The cycles of a functional digraph (succ maps a node to its one
+    successor), walking from each start in turn.  Each cycle is returned once,
+    as a list beginning at the node where the first walk to reach it entered
+    it."""
+    cycles = []
+    done = set()
+    for start in starts:
+        position = {}
         order = []
-        while cur in succ and cur not in seen:
-            seen[cur] = len(order)
+        cur = start
+        while cur in succ and cur not in position and cur not in done:
+            position[cur] = len(order)
             order.append(cur)
             cur = succ[cur]
-        if cur in seen:
-            # cycle from position seen[cur] to the end
-            cycle = order[seen[cur]:]
-            for i, p in enumerate(cycle):
-                rotated = cycle[i:] + cycle[:i]
-                on_cycle[p] = PerfectPath(p, rotated + [p])
-    result = [on_cycle[p] for p in sorted(on_cycle, key=lambda p: (p.length, p.arrows))]
-    return result
+        if cur in position:
+            cycles.append(order[position[cur]:])
+        done.update(order)
+    return cycles
+
+
+def perfect_paths(algebra):
+    """All perfect paths, each with its relation-cycle; a fresh list on each
+    call."""
+    return list(algebra.memo("perfect_paths", lambda: _perfect_paths(algebra)))
+
+
+def _perfect_paths(algebra):
+    succ = perfect_pair_successors(algebra)
+    on_cycle = {}
+    for cycle in _functional_cycles(succ, succ):
+        for i, p in enumerate(cycle):
+            on_cycle[p] = PerfectPath(p, cycle[i:] + cycle[:i + 1])
+    return [on_cycle[p] for p in sorted(on_cycle, key=lambda p: (p.length, p.arrows))]
 
 
 def gp_indecomposables(algebra):
     """Classes of the nonprojective indecomposable Gorenstein-projective
-    modules: one per perfect path, deduplicated by iso class."""
+    modules: one per perfect path, deduplicated by iso class; a fresh list on
+    each call."""
+    return list(algebra.memo("gp_indecomposables", lambda: _gp_indecomposables(algebra)))
+
+
+def _gp_indecomposables(algebra):
     calc = calculus(algebra)
     out = []
     seen = set()
@@ -120,10 +137,15 @@ def syzygy_cycles(algebra):
 
     Along any syzygy period the norm is conserved, so every class supporting
     a periodic module passes this filter; completeness within path modules
-    follows from second syzygies being path-module sums.  Returns a list of
-    cycles, each a list of (class, companions-multiset) in syzygy order.
+    follows from second syzygies being path-module sums.  Returns a fresh
+    list of cycles, each a list of (class, companions-multiset) in syzygy
+    order.
     """
     _require_monomial_like(algebra)
+    return list(algebra.memo("syzygy_cycles", lambda: _syzygy_cycles(algebra)))
+
+
+def _syzygy_cycles(algebra):
     calc = calculus(algebra)
     succ = {}
     companions = {}
@@ -141,23 +163,8 @@ def syzygy_cycles(algebra):
         rest.counts[nxt] -= 1
         rest.counts = +rest.counts
         companions[cls] = rest
-    cycles = []
-    seen_cycle_keys = set()
-    for start in sorted(succ, key=lambda c: c.sort_key):
-        seen = {}
-        cur = start
-        order = []
-        while cur in succ and cur not in seen:
-            seen[cur] = len(order)
-            order.append(cur)
-            cur = succ[cur]
-        if cur in seen:
-            cycle = order[seen[cur]:]
-            key = frozenset(c.sort_key for c in cycle)
-            if key not in seen_cycle_keys:
-                seen_cycle_keys.add(key)
-                cycles.append([(c, companions[c]) for c in cycle])
-    return cycles
+    cycles = _functional_cycles(succ, sorted(succ, key=lambda c: c.sort_key))
+    return [[(c, companions[c]) for c in cycle] for cycle in cycles]
 
 
 class PeriodicModule:
@@ -209,37 +216,35 @@ def _padded_periodic_module(algebra, cycle, cap=1000):
     return PeriodicModule(bundle, verdict.period, base, L)
 
 
-def find_periodic_module(algebra, cap=1000, prefer_non_gp=False, gp_keys=None):
-    """A periodic module (verified), or None when no syzygy cycle exists."""
+def find_periodic_module(algebra, cap=1000):
+    """A periodic module (verified) on the first syzygy cycle, or None when no
+    syzygy cycle exists."""
     cycles = syzygy_cycles(algebra)
     if not cycles:
         return None
-    chosen = cycles[0]
-    if prefer_non_gp:
-        if gp_keys is None:
-            gp_keys = {cls.sort_key for cls, _ in gp_indecomposables(algebra)}
-        for cycle in cycles:
-            bad = _bad_cycle_class(cycle, gp_keys)
-            if bad is not None:
-                reordered = _rotate_cycle_to(cycle, bad)
-                chosen = reordered
-                break
-    return _padded_periodic_module(algebra, chosen, cap=cap)
+    return _padded_periodic_module(algebra, cycles[0], cap=cap)
 
 
-def _rotate_cycle_to(cycle, cls):
-    idx = next(i for i, (c, _m) in enumerate(cycle) if c == cls)
-    return cycle[idx:] + cycle[:idx]
+def _counterexample(algebra, cap):
+    """The witness against Co-Gorenstein, as (periodic module, offending
+    class), or None when every syzygy cycle is companion-free and GP.
 
-
-def _bad_cycle_class(cycle, gp_keys):
-    """A class on the cycle witnessing failure of Gorenstein-projectivity:
-    either some edge carries companions (then no class on the cycle is GP) or
-    some class is simply not in the GP list."""
-    has_companions = any(not comp.is_empty() for _c, comp in cycle)
-    for c, _comp in cycle:
-        if has_companions or c.sort_key not in gp_keys:
-            return c
+    The first cycle with a class outside GP is rotated to that class (to its
+    first class when some edge carries companions, since then no class on the
+    cycle is GP) and padded; the offending class is the witness's first
+    summand that is neither projective nor GP."""
+    gp_keys = {cls.sort_key for cls, _ in gp_indecomposables(algebra)}
+    for cycle in syzygy_cycles(algebra):
+        has_companions = any(not comp.is_empty() for _c, comp in cycle)
+        bad = [i for i, (c, _comp) in enumerate(cycle)
+               if has_companions or c.sort_key not in gp_keys]
+        if not bad:
+            continue
+        witness = _padded_periodic_module(algebra, cycle[bad[0]:] + cycle[:bad[0]], cap=cap)
+        for cls in witness.multiset.classes():
+            if not cls.projective and cls.sort_key not in gp_keys:
+                return witness, cls
+        raise InternalInvariantError("bad cycle produced a witness inside GP + projectives")
     return None
 
 
@@ -306,18 +311,12 @@ def cogorenstein_truncated(algebra, cap=1000):
     hearts = final_subhearts(core)
     if not any(h.is_cycle_graph() for h in hearts):
         return CoGorensteinVerdict(True, "no_cycle_subheart")
-    gp_keys = {cls.sort_key for cls, _ in gp_indecomposables(algebra)}
-    witness = find_periodic_module(algebra, cap=cap, prefer_non_gp=True, gp_keys=gp_keys)
-    if witness is None:
+    found = _counterexample(algebra, cap)
+    if found is None:
         raise InternalInvariantError(
-            "cycle-graph subheart present but no periodic module found"
+            "cycle-graph subheart present but every syzygy cycle is Gorenstein-projective"
         )
-    offending = _offending_summand(algebra, witness, gp_keys)
-    if offending is None:
-        raise InternalInvariantError(
-            "periodic witness has no summand outside GP and projectives"
-        )
-    return CoGorensteinVerdict(False, "counterexample", witness, offending)
+    return CoGorensteinVerdict(False, "counterexample", *found)
 
 
 def cogorenstein_monomial(algebra, cap=1000):
@@ -329,32 +328,15 @@ def cogorenstein_monomial(algebra, cap=1000):
     criterion.
     """
     _require_monomial_like(algebra)
-    gp = gp_indecomposables(algebra)
-    gp_keys = {cls.sort_key for cls, _ in gp}
-    gp_cycles = [pp.relation_cycle for _cls, pp in gp]
-    cycles = syzygy_cycles(algebra)
+    gp_cycles = [pp.relation_cycle for _cls, pp in gp_indecomposables(algebra)]
     notes = ["search-based assembly: exact cycles vs the perfect-path list"]
-    for cycle in cycles:
-        bad = _bad_cycle_class(cycle, gp_keys)
-        if bad is None:
-            continue
-        witness = _padded_periodic_module(algebra, _rotate_cycle_to(cycle, bad), cap=cap)
-        offending = _offending_summand(algebra, witness, gp_keys)
-        if offending is None:
-            raise InternalInvariantError(
-                "bad cycle produced a witness inside GP + projectives"
-            )
-        return CoGorensteinVerdict(False, "counterexample", witness, offending, notes,
+    found = _counterexample(algebra, cap)
+    if found is not None:
+        return CoGorensteinVerdict(False, "counterexample", *found, notes,
                                    relation_cycles=gp_cycles)
-    branch = "no_periodic_cycles" if not cycles else "all_cycles_gorenstein_projective"
+    branch = "no_periodic_cycles" if not syzygy_cycles(algebra) else \
+        "all_cycles_gorenstein_projective"
     return CoGorensteinVerdict(True, branch, notes=notes, relation_cycles=gp_cycles)
-
-
-def _offending_summand(algebra, witness, gp_keys):
-    for cls in witness.multiset.classes():
-        if not cls.projective and cls.sort_key not in gp_keys:
-            return cls
-    return None
 
 
 # -- restriction to the infinite-path core ---------------------------------------

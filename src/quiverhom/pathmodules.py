@@ -18,15 +18,10 @@ from collections import Counter
 from .errors import Indeterminate, InternalInvariantError, UnsupportedIdeal, ZeroPath
 from .quiver import INFINITE, Path, analyze
 
-_CALC_ATTR = "_path_calculus"
-
 
 def calculus(algebra):
-    calc = getattr(algebra, _CALC_ATTR, None)
-    if calc is None:
-        calc = PathModuleCalculus(algebra)
-        setattr(algebra, _CALC_ATTR, calc)
-    return calc
+    """The algebra's path-module calculus, built once and kept in its memo."""
+    return algebra.memo("calculus", lambda: PathModuleCalculus(algebra))
 
 
 class PathModuleClass:
@@ -203,7 +198,6 @@ class PathModuleCalculus:
         self._classes = {}
         self._syzygy = {}
         self._pd = {}
-        self._perfect_pairs = None
         self._all_from = {
             v: frozenset(
                 algebra.basis[i].arrows for i in algebra.basis_indices_from(v)
@@ -246,15 +240,16 @@ class PathModuleCalculus:
         return self._intern(v, self._all_from[v])
 
     def all_path_classes(self):
-        """Deduplicated classes of every nonzero nontrivial path."""
-        out = []
-        seen = set()
+        """Deduplicated classes of every nonzero nontrivial path, sorted; a
+        fresh list on each call."""
+        return list(self.algebra.memo("all_path_classes", self._path_classes))
+
+    def _path_classes(self):
+        classes = {}
         for p in self.algebra.nonzero_nontrivial_paths():
             c = self.class_of(p)
-            if c.sort_key not in seen:
-                seen.add(c.sort_key)
-                out.append(c)
-        return sorted(out, key=lambda c: c.sort_key)
+            classes.setdefault(c.sort_key, c)
+        return [classes[key] for key in sorted(classes)]
 
     # -- syzygies ------------------------------------------------------------
 
@@ -340,14 +335,15 @@ class PathModuleCalculus:
     def perfect_pair_successors(self):
         """Map p -> q over the nonzero nontrivial paths where (p, q) is a
         perfect pair: R(p) = {q} and L(q) = {p}.  Built once per algebra."""
-        if self._perfect_pairs is None:
-            succ = {}
-            for p in self.algebra.nonzero_nontrivial_paths():
-                right = self._right_annihilators(p)
-                if len(right) == 1 and self._left_annihilators(right[0]) == [p]:
-                    succ[p] = right[0]
-            self._perfect_pairs = succ
-        return self._perfect_pairs
+        return self.algebra.memo("perfect_pairs", self._perfect_pairs)
+
+    def _perfect_pairs(self):
+        succ = {}
+        for p in self.algebra.nonzero_nontrivial_paths():
+            right = self._right_annihilators(p)
+            if len(right) == 1 and self._left_annihilators(right[0]) == [p]:
+                succ[p] = right[0]
+        return succ
 
     # -- projective dimension -------------------------------------------------
 
@@ -410,6 +406,9 @@ class PathModuleCalculus:
     # -- global dimension -------------------------------------------------------
 
     def gldim(self):
+        return self.algebra.memo("gldim", self._gldim)
+
+    def _gldim(self):
         value = max(self.pd(self.simple_class(v)) for v in self.algebra.quiver.vertices)
         formula = None
         if self.algebra.kind == "truncated":

@@ -321,14 +321,6 @@ class Presentation:
         self._kernel_top = None
         self._sections = None
 
-    def cover_rep(self):
-        """The projective cover as a dense Representation; the tests' oracle
-        for `cover_images`."""
-        parts = [projective(self.algebra, v) for v, _ in self.copies]
-        if not parts:
-            return Representation(self.algebra, {}, name="0")
-        return direct_sum(self.algebra, parts)
-
     def cover_images(self, arrow, vectors):
         """Images under an arrow u -> w of cover-coordinate vectors at u.
 
@@ -838,15 +830,18 @@ def class_catalog(algebra):
 
 def certified_self_injective(algebra, trials=20, seed=0):
     """Exact self-injectivity: match every projective to an injective via
-    certified isomorphisms.  Returns True/False/None (None = undetermined)."""
-    cached = getattr(algebra, "_self_injective", "unset")
-    if cached != "unset":
-        return cached
+    certified isomorphisms.  Returns True/False/None (None = undetermined).
+    Only a certified verdict is kept in the algebra's memo, so a later call
+    with more trials can still decide."""
+    return algebra.memo("self_injective",
+                        lambda: _match_projectives_to_injectives(algebra, trials, seed))
+
+
+def _match_projectives_to_injectives(algebra, trials, seed):
     verts = algebra.quiver.vertices
     projs = {v: projective(algebra, v) for v in verts}
     injs = {v: injective(algebra, v) for v in verts}
     unmatched = set(verts)
-    verdict = True
     for v in verts:
         hit = None
         undecided = False
@@ -858,11 +853,9 @@ def certified_self_injective(algebra, trials=20, seed=0):
             if r.status == "undetermined":
                 undecided = True
         if hit is None:
-            verdict = None if undecided else False
-            break
+            return None if undecided else False
         unmatched.discard(hit)
-    algebra._self_injective = verdict
-    return verdict
+    return True
 
 
 def pd_rep(m, max_steps=20, trials=20, seed=0):

@@ -5,6 +5,7 @@ brute-force oracles for the combinatorial layer."""
 import random
 from itertools import combinations, combinations_with_replacement, permutations
 
+from quiverhom import reps
 from quiverhom.algebra import MonomialIdeal, TruncatedIdeal, build_algebra
 from quiverhom.errors import InfiniteDimensional, NotAdmissible, ParseError, ZeroPath
 from quiverhom.igusa_todorov import build_lattice, rank_sequence
@@ -172,3 +173,12 @@ def sampled_phidim_lower(algebra):
     for size in (2, 3, 4):
         candidates += [list(combo) for combo in combinations(simples, size)]
     return max((phi_in_lattice(combo) for combo in candidates), default=0)
+
+
+def cover_rep(pres):
+    """A presentation's projective cover as a dense Representation: the
+    oracle for `Presentation.cover_images`."""
+    parts = [reps.projective(pres.algebra, v) for v, _ in pres.copies]
+    if not parts:
+        return reps.Representation(pres.algebra, {}, name="0")
+    return reps.direct_sum(pres.algebra, parts)

@@ -3,8 +3,9 @@ import os
 
 import pytest
 
-from quiverhom import corpus
+from quiverhom import cli, corpus
 from quiverhom.cli import main
+from quiverhom.errors import InternalInvariantError
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +98,7 @@ class TestExitCodes:
 
     def test_missing_file_is_one(self, capsys):
         code, out, err = run(capsys, "info", "--algebra", "/nonexistent.alg")
-        assert code == 1
+        assert code == 1 and "FILE_NOT_FOUND" in err
 
     def test_cap_is_two(self, capsys):
         code, doc = run_json(capsys, "pd", "--algebra", "corpus:finito",
@@ -115,6 +116,43 @@ class TestExitCodes:
             capsys, "triangular-check", "--algebra", "corpus:finito",
             "--split", os.path.join(corpus_dir, "finito_bad.split"))
         assert code == 1 and "HYPOTHESIS_VIOLATED" in err
+
+
+class TestBatch:
+    def batch(self, capsys, tmp_path, *lines):
+        script = tmp_path / "lines.txt"
+        script.write_text("\n".join(lines) + "\n")
+        code, doc = run_json(capsys, "batch", str(script))
+        assert code == 0
+        return doc["result"]["runs"]
+
+    def test_missing_file_is_one_entry(self, capsys, tmp_path):
+        runs = self.batch(capsys, tmp_path,
+                          "gldim --algebra corpus:a3_k2",
+                          "gldim --algebra /nonexistent.alg",
+                          "quiverhom gldim --algebra corpus:c3_k2")
+        assert [r["exit"] for r in runs] == [0, 1, 0]
+        assert runs[0]["result"] == {"gldim": 2, "formula_value": 2}
+        assert runs[1]["error"].startswith("FILE_NOT_FOUND: ") and "result" not in runs[1]
+        assert runs[2]["line"] == "quiverhom gldim --algebra corpus:c3_k2"
+
+    def test_bad_arguments_and_cap(self, capsys, tmp_path):
+        runs = self.batch(capsys, tmp_path,
+                          "gldim",
+                          "pd --algebra corpus:finito --module inj(3) --max-steps 5")
+        assert runs[0] == {"line": "gldim", "error": "bad arguments", "exit": 1}
+        assert runs[1]["exit"] == 2 and runs[1]["result"]["pd"]["kind"] == "at_least"
+
+    def test_internal_error_is_three(self, capsys, tmp_path, monkeypatch):
+        def broken(args, algebra):
+            raise InternalInvariantError("broken on purpose")
+
+        monkeypatch.setitem(cli.COMMANDS, "gldim", (broken, True))
+        code, doc = run_json(capsys, "gldim", "--algebra", "corpus:a3_k2")
+        assert code == 3 and doc["result"]["error"] == "INTERNAL"
+        runs = self.batch(capsys, tmp_path, "gldim --algebra corpus:a3_k2")
+        assert runs == [{"line": "gldim --algebra corpus:a3_k2",
+                         "error": "INTERNAL: broken on purpose", "exit": 3}]
 
 
 class TestDeterminism:

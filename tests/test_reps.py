@@ -11,7 +11,7 @@ from quiverhom.errors import FieldMismatch, NoDecomposition
 from quiverhom.pathmodules import ModuleMultiset, calculus
 from quiverhom.quiver import Quiver
 
-from helpers import random_monomial_algebra, random_nonzero_path, seeded
+from helpers import cover_rep, random_monomial_algebra, random_nonzero_path, seeded
 
 
 def truncated_cycle(n, k):
@@ -66,7 +66,7 @@ class TestSyzygyRep:
             p = random_nonzero_path(seeded(seed), A)
             rep = reps.rep_of_class(calc.class_of(p))
             pres = reps.presentation(rep)
-            cover = pres.cover_rep()
+            cover = cover_rep(pres)
             ker = reps.syzygy_rep(rep)
             for i, v in enumerate(A.quiver.vertices):
                 assert cover.dims[v] - rep.dims[v] == ker.dims[v]
@@ -325,7 +325,7 @@ class TestCoverAction:
     @staticmethod
     def _check(rep):
         pres = reps.presentation(rep)
-        cover = pres.cover_rep()
+        cover = cover_rep(pres)
         _ker, embed = pres.kernel()
         F = rep.field
         checked = 0
