@@ -23,7 +23,7 @@ from .algebra import (
     TruncatedIdeal,
     build_algebra,
 )
-from .errors import ParseError
+from .errors import NotAdmissible, ParseError
 from .fields import QQ, field_from_spec
 from .quiver import Path, Quiver
 
@@ -40,6 +40,7 @@ def _lines(text):
 def parse_algebra_text(text):
     """Parse .alg text into a built BoundQuiverAlgebra."""
     vertices = None
+    vertices_line = None
     arrows = []
     truncated = None
     monomial_seen = False
@@ -60,6 +61,7 @@ def parse_algebra_text(text):
             if vertices is not None:
                 raise ParseError("duplicate vertices line", line=lineno)
             vertices = value.split()
+            vertices_line = lineno
             if not vertices:
                 raise ParseError("empty vertex list", line=lineno)
         elif key == "arrow":
@@ -93,26 +95,24 @@ def parse_algebra_text(text):
         raise ParseError("missing vertices line")
     if not arrows:
         raise ParseError("no arrows declared")
-    try:
-        quiver = Quiver(vertices, [a for _ln, a in arrows])
-    except ParseError:
-        raise
+    quiver = _build_quiver(vertices, vertices_line, arrows)
     field = QQ
     if field_spec is not None:
-        lineno, value = field_spec
-        try:
-            field = field_from_spec(value)
-        except ParseError as exc:
-            raise ParseError(exc.message, line=lineno)
+        field = _on_line(field_spec[0], field_from_spec, field_spec[1])
 
     ideal_kinds = (truncated is not None) + monomial_seen + relations_seen
     if ideal_kinds != 1:
         raise ParseError("exactly one of truncated/monomial/relations must appear")
     if truncated is not None:
-        ideal = TruncatedIdeal(truncated[1])
+        ideal = _on_line(truncated[0], TruncatedIdeal, truncated[1])
     elif monomial_seen:
-        gens = [_parse_path(quiver, tok, ln) for ln, tok in monomial_paths]
-        ideal = MonomialIdeal(gens)
+        gens = [(ln, _parse_path(quiver, tok, ln)) for ln, tok in monomial_paths]
+        try:
+            ideal = MonomialIdeal([g for _ln, g in gens])
+        except NotAdmissible:
+            for ln, g in gens:
+                _on_line(ln, MonomialIdeal, [g])
+            raise
     else:
         radical_power = None
         relations = []
@@ -122,22 +122,43 @@ def parse_algebra_text(text):
                     radical_power = int(chunk.replace(" ", "")[2:])
                 except ValueError:
                     raise ParseError(f"bad radical power term {chunk!r}", line=ln)
+                radical_line = ln
                 continue
             relations.append(_parse_relation(quiver, chunk, ln))
         if nilpotency is None:
             if radical_power is None:
                 raise ParseError("relations ideal needs a nilpotency line")
-            nilpotency = (0, radical_power)
+            nilpotency = (radical_line, radical_power)
         if radical_power is not None and radical_power != nilpotency[1]:
             raise ParseError(
                 f"J^{radical_power} generator disagrees with nilpotency {nilpotency[1]}",
                 line=nilpotency[0],
             )
-        ideal = RelationsIdeal(relations, nilpotency[1],
-                               radical_power_included=radical_power is not None)
+        ideal = _on_line(nilpotency[0], RelationsIdeal, relations, nilpotency[1],
+                         radical_power is not None)
     if nilpotency is not None and ideal.kind != "relations":
         raise ParseError("nilpotency only applies to relations ideals", line=nilpotency[0])
     return build_algebra(quiver, ideal, field=field)
+
+
+def _on_line(lineno, build, *args):
+    """build(*args), a rejection re-raised with the .alg line it comes from."""
+    try:
+        return build(*args)
+    except (ParseError, NotAdmissible) as exc:
+        raise type(exc)(exc.message, line=lineno) from None
+
+
+def _build_quiver(vertices, vertices_line, arrows):
+    """The declared quiver.  A rejection names the line of the first
+    declaration that makes it fail: the vertices line or an arrow line."""
+    try:
+        return Quiver(vertices, [a for _ln, a in arrows])
+    except ParseError:
+        lines = [vertices_line] + [ln for ln, _a in arrows]
+        for k, lineno in enumerate(lines):
+            _on_line(lineno, Quiver, vertices, [a for _ln, a in arrows[:k]])
+        raise
 
 
 def _split_relations(value):

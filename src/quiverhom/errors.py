@@ -2,13 +2,17 @@
 
 
 class QuiverHomError(Exception):
-    """Base class; `code` is the machine-readable tag, exit code 1 unless noted."""
+    """Base class; `code` is the machine-readable tag, exit code 1 unless noted.
+    A `line` (of an input file) is prefixed to the message."""
 
     code = "ERROR"
 
-    def __init__(self, message=""):
+    def __init__(self, message="", line=None):
+        if line is not None:
+            message = f"line {line}: {message}"
         super().__init__(message)
         self.message = message
+        self.line = line
 
 
 class ComposeMismatch(QuiverHomError):
@@ -63,12 +67,6 @@ class HypothesisViolated(QuiverHomError):
 
 class ParseError(QuiverHomError):
     code = "PARSE_ERROR"
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 class InternalInvariantError(QuiverHomError):

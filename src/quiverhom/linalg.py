@@ -3,11 +3,16 @@
 Matrices are lists of row lists.  Everything here is fraction-exact; ranks,
 kernels and inverses are certificates, not approximations.  The kernels read
 `field.char` once per call and compute on plain ints: `% p` inline over F_p,
-fraction-free Gauss-Jordan on primitive integer rows over Q.
+fraction-free Gauss-Jordan on primitive integer rows over Q.  Invertibility
+over Q is read off the rank modulo one large prime first; only a rank below
+full there falls back to the exact rank.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+
+# A Mersenne prime: full rank modulo it certifies full rank over Q.
+LARGE_PRIME = 2**61 - 1
 
 
 def zeros(field, rows, cols):
@@ -43,27 +48,23 @@ def mat_vec(field, a, v):
     return [s % field.char for s in out] if field.char else out
 
 
-def mat_add(field, a, b):
-    return [[field.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def _integer_rows(a):
+    """Each rational row scaled by the lcm of its denominators: same row space."""
+    m = []
+    for row in a:
+        den = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (den // x.denominator) for x in row])
+    return m
 
 
-def mat_scale(field, c, a):
-    return [[field.mul(c, x) for x in row] for row in a]
-
-
-def _eliminate(field, a):
-    """Gauss-Jordan on plain ints: rows reduced mod p with unit pivots over
-    F_p, primitive integer rows over Q.  Returns (rows, pivot column list)."""
+def _eliminate(p, a, reduced=True):
+    """Gauss-Jordan on plain ints: rows reduced mod p with unit pivots for a
+    prime p, primitive integer rows over Q for p = 0.  With reduced=False
+    only the rows below each pivot are cleared, which is all a rank needs.
+    Returns (rows, pivot column list)."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    p = field.char
-    if p:
-        m = [[x % p for x in row] for row in a]
-    else:
-        m = []
-        for row in a:
-            den = lcm(*(x.denominator for x in row))
-            m.append([x.numerator * (den // x.denominator) for x in row])
+    m = [[x % p for x in row] for row in a] if p else _integer_rows(a)
     pivots = []
     r = 0
     for c in range(cols):
@@ -77,14 +78,14 @@ def _eliminate(field, a):
         pv = prow[c]
         if p:
             if pv != 1:
-                inv = pow(pv, p - 2, p)
+                inv = pow(pv, -1, p)
                 prow = m[r] = [x * inv % p for x in prow]
-            for i in range(rows):
+            for i in range(0 if reduced else r + 1, rows):
                 f = m[i][c]
                 if f and i != r:
                     m[i] = [(x - f * y) % p for x, y in zip(m[i], prow)]
         else:
-            for i in range(rows):
+            for i in range(0 if reduced else r + 1, rows):
                 f = m[i][c]
                 if f and i != r:
                     g = gcd(pv, f)
@@ -101,7 +102,7 @@ def _eliminate(field, a):
 
 def rref(field, a):
     """Reduced row echelon form (new row lists); returns (matrix, pivot column list)."""
-    m, pivots = _eliminate(field, a)
+    m, pivots = _eliminate(field.char, a)
     if not field.char:
         r = len(pivots)
         for i, row in enumerate(m):
@@ -113,7 +114,7 @@ def rref(field, a):
 def rank(field, a):
     if not a or not a[0]:
         return 0
-    return len(_eliminate(field, a)[1])
+    return len(_eliminate(field.char, a, reduced=False)[1])
 
 
 def nullspace(field, a, cols=None):
@@ -175,6 +176,22 @@ def invert(field, a):
     if pivots[:n] != list(range(n)):
         return None
     return [row[n:] for row in r[:n]]
+
+
+def is_invertible(field, a):
+    """Whether a square matrix is invertible; ValueError if not square.
+
+    Over Q the rows are scaled to integers and their rank is read modulo
+    LARGE_PRIME: a nonzero determinant residue means a nonzero determinant.
+    Only a rank below n there is decided by the exact rank."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError(f"is_invertible needs a square matrix; got {n} rows, not all of length {n}")
+    if field.char:
+        return len(_eliminate(field.char, a, reduced=False)[1]) == n
+    m = _integer_rows(a)
+    return (len(_eliminate(LARGE_PRIME, m, reduced=False)[1]) == n
+            or len(_eliminate(0, m, reduced=False)[1]) == n)
 
 
 def is_zero_matrix(field, a):

@@ -93,12 +93,15 @@ class Representation:
                 if not linalg.is_zero_matrix(F, self.evaluate_path(g)):
                     raise InternalInvariantError(f"generator {g} acts nonzero")
         if A.kind == "relations":
+            p = F.char
             for rel in A.ideal.relations:
                 acc = None
                 for c, term in rel.terms:
-                    m = linalg.mat_scale(F, F.of(c), self.evaluate_path(term))
-                    acc = m if acc is None else linalg.mat_add(F, acc, m)
-                if acc and not linalg.is_zero_matrix(F, acc):
+                    c = F.of(c)
+                    m = self.evaluate_path(term)
+                    acc = [[c * x for x in row] for row in m] if acc is None else \
+                        [[s + c * x for s, x in zip(ra, rm)] for ra, rm in zip(acc, m)]
+                if any(s % p if p else s for row in acc for s in row):
                     raise InternalInvariantError(f"relation {rel} acts nonzero")
         if A.kind in ("truncated", "relations"):
             self._check_long_paths_vanish(A.nilpotency)
@@ -460,7 +463,7 @@ class ModuleHom:
         for v in self.source.algebra.quiver.vertices:
             if self.source.dims[v] != self.target.dims[v]:
                 return False
-            if self.source.dims[v] and linalg.invert(F, self.matrices[v]) is None:
+            if not linalg.is_invertible(F, self.matrices[v]):
                 return False
         return True
 

@@ -1,6 +1,6 @@
 import pytest
 
-from quiverhom import corpus
+from quiverhom import cli, corpus
 from quiverhom.algfile import format_algebra, parse_algebra_text, parse_split_text
 from quiverhom.errors import ParseError
 
@@ -73,6 +73,33 @@ class TestParse:
         A = parse_algebra_text(text)
         assert A.path_is_zero(A.path("a.b"))
         assert not A.path_is_zero(A.path("b.a"))
+
+
+class TestErrorLines:
+    """Every rejected .alg file exits 1 with the offending line."""
+
+    @pytest.mark.parametrize("text, lineno, message", [
+        ("vertices: 1 1\narrow: a 1 1\ntruncated: 2\n", 1, "duplicate vertex names"),
+        ("vertices: 1 2\narrow: a 1 2\n# a comment\narrow: a 2 1\ntruncated: 2\n", 4,
+         "duplicate arrow names"),
+        ("vertices: 1 2\narrow: a 1 2\narrow: b 2 3\ntruncated: 2\n", 3,
+         "arrow b: endpoint not a declared vertex"),
+        ("vertices: 1 2\narrow: b 2 3\narrow: b 1 2\ntruncated: 2\n", 2,
+         "arrow b: endpoint not a declared vertex"),
+        ("vertices: 1\narrow: a 1 1\n\ntruncated: 0\n", 4,
+         "truncation exponent must be >= 2, got 0"),
+        ("vertices: 1\narrow: a 1 1\nrelations: a.a\nnilpotency: 0\n", 4,
+         "nilpotency bound must be >= 2, got 0"),
+        ("vertices: 1\narrow: a 1 1\nrelations: a.a, J^1\n", 3,
+         "nilpotency bound must be >= 2, got 1"),
+        ("vertices: 1 2\narrow: a 1 2\narrow: b 2 1\nmonomial: a.b\nmonomial: b.a, a\n", 5,
+         "monomial generator a has length 1; admissibility needs length >= 2"),
+    ])
+    def test_cli_names_the_line(self, capsys, tmp_path, text, lineno, message):
+        path = tmp_path / "bad.alg"
+        path.write_text(text)
+        assert cli.main(["info", "--algebra", str(path)]) == 1
+        assert f"line {lineno}: {message}" in capsys.readouterr().err
 
 
 class TestRoundTrip:

@@ -188,6 +188,13 @@ def test_invert(fm):
     assert_fresh_rows(inv, a)
 
 
+@given(field_and_matrix(square=True))
+@settings(max_examples=150, deadline=None)
+def test_is_invertible_matches_invert(fm):
+    F, a = fm
+    assert linalg.is_invertible(F, a) == (linalg.invert(F, a) is not None)
+
+
 @given(st.sampled_from(FIELDS), st.integers(0, 5), st.integers(0, 5), st.integers(0, 5),
        st.data())
 @settings(max_examples=100, deadline=None)
@@ -238,6 +245,30 @@ def test_invert_rejects_non_square(F):
         linalg.invert(F, linalg.zeros(F, 2, 3))
     with pytest.raises(ValueError):
         linalg.invert(F, [[F.one, F.zero], [F.one]])
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_is_invertible_fixed_cases(F):
+    assert linalg.is_invertible(F, [])
+    assert linalg.is_invertible(F, linalg.identity(F, 3))
+    assert not linalg.is_invertible(F, linalg.zeros(F, 2, 2))
+    with pytest.raises(ValueError):
+        linalg.is_invertible(F, linalg.zeros(F, 2, 3))
+    with pytest.raises(ValueError):
+        linalg.is_invertible(F, [[F.one, F.zero], [F.one]])
+
+
+def test_is_invertible_decides_zero_residues_exactly():
+    P = linalg.LARGE_PRIME
+    # singular modulo P, invertible over Q: the exact rank decides
+    assert linalg.is_invertible(QQ, [[Fraction(P), Fraction(0)], [Fraction(0), Fraction(1)]])
+    assert linalg.is_invertible(QQ, [[Fraction(P + 1), Fraction(1)], [Fraction(1), Fraction(1)]])
+    # a denominator divisible by P
+    assert linalg.is_invertible(QQ, [[Fraction(1, P)]])
+    assert linalg.is_invertible(QQ, [[Fraction(1, P), Fraction(1)], [Fraction(0), Fraction(1, 2 * P)]])
+    # singular over Q
+    assert not linalg.is_invertible(QQ, [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3), Fraction(2)]])
+    assert not linalg.is_invertible(QQ, [[Fraction(P), Fraction(2 * P)], [Fraction(1), Fraction(2)]])
 
 
 def test_rational_rref_of_integer_and_fractional_rows():

@@ -210,23 +210,23 @@ class TestCandidateOrder:
         m, n = traj[3], traj[6]
         (h,) = reps.hom_space(m, n)
         assert any(not any(row) for mat in h.matrices.values() for row in mat)
-        inverted, reverse = [], []
-        monkeypatch.setattr(reps.linalg, "invert", lambda F, a: inverted.append(a))
+        tested, reverse = [], []
+        monkeypatch.setattr(reps.linalg, "is_invertible", lambda F, a: tested.append(a))
         monkeypatch.setattr(reps, "hom_dim", lambda s, t: reverse.append((s, t)))
         res = reps.iso_test(m, n)
         assert (res.status, res.detail) == ("not_isomorphic", "row 0 at vertex 1 is zero in every hom")
-        assert inverted == [] and reverse == []
+        assert tested == [] and reverse == []
 
     def test_sum_shared_zero_line_runs_no_trial(self, monkeypatch):
         # every map from a simple into P_1 lands in the socle, so the
         # block-embedded homs S_1^3 + S_2^2 -> P_1 miss the top of P_1
         A = corpus.algebra("sec4_example")
         parts = [(reps.simple(A, "1"), 3), (reps.simple(A, "2"), 2)]
-        inverted = []
-        monkeypatch.setattr(reps.linalg, "invert", lambda F, a: inverted.append(a))
+        tested = []
+        monkeypatch.setattr(reps.linalg, "is_invertible", lambda F, a: tested.append(a))
         res, _nsum = reps.iso_test_against_sum(reps.projective(A, "1"), parts)
         assert (res.status, res.detail) == ("not_isomorphic", "row 0 at vertex 1 is zero in every hom")
-        assert inverted == []
+        assert tested == []
 
 
 class TestDecompose:
