@@ -3,16 +3,11 @@
 Matrices are lists of row lists.  Everything here is fraction-exact; ranks,
 kernels and inverses are certificates, not approximations.  The kernels read
 `field.char` once per call and compute on plain ints: `% p` inline over F_p,
-fraction-free Gauss-Jordan on primitive integer rows over Q.  Invertibility
-over Q is read off the rank modulo one large prime first; only a rank below
-full there falls back to the exact rank.
+fraction-free Gauss-Jordan on primitive integer rows over Q.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
-
-# A Mersenne prime: full rank modulo it certifies full rank over Q.
-LARGE_PRIME = 2**61 - 1
 
 
 def zeros(field, rows, cols):
@@ -48,23 +43,21 @@ def mat_vec(field, a, v):
     return [s % field.char for s in out] if field.char else out
 
 
-def _integer_rows(a):
-    """Each rational row scaled by the lcm of its denominators: same row space."""
-    m = []
-    for row in a:
-        den = lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (den // x.denominator) for x in row])
-    return m
-
-
-def _eliminate(p, a, reduced=True):
-    """Gauss-Jordan on plain ints: rows reduced mod p with unit pivots for a
-    prime p, primitive integer rows over Q for p = 0.  With reduced=False
-    only the rows below each pivot are cleared, which is all a rank needs.
-    Returns (rows, pivot column list)."""
+def _eliminate(field, a, reduced=True):
+    """Gauss-Jordan on plain ints: rows reduced mod p with unit pivots over
+    F_p, primitive integer rows over Q.  With reduced=False only the rows
+    below each pivot are cleared, which is all a rank needs.  Returns (rows,
+    pivot column list)."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    m = [[x % p for x in row] for row in a] if p else _integer_rows(a)
+    p = field.char
+    if p:
+        m = [[x % p for x in row] for row in a]
+    else:
+        m = []
+        for row in a:
+            den = lcm(*(x.denominator for x in row))
+            m.append([x.numerator * (den // x.denominator) for x in row])
     pivots = []
     r = 0
     for c in range(cols):
@@ -78,7 +71,7 @@ def _eliminate(p, a, reduced=True):
         pv = prow[c]
         if p:
             if pv != 1:
-                inv = pow(pv, -1, p)
+                inv = pow(pv, p - 2, p)
                 prow = m[r] = [x * inv % p for x in prow]
             for i in range(0 if reduced else r + 1, rows):
                 f = m[i][c]
@@ -102,7 +95,7 @@ def _eliminate(p, a, reduced=True):
 
 def rref(field, a):
     """Reduced row echelon form (new row lists); returns (matrix, pivot column list)."""
-    m, pivots = _eliminate(field.char, a)
+    m, pivots = _eliminate(field, a)
     if not field.char:
         r = len(pivots)
         for i, row in enumerate(m):
@@ -114,7 +107,7 @@ def rref(field, a):
 def rank(field, a):
     if not a or not a[0]:
         return 0
-    return len(_eliminate(field.char, a, reduced=False)[1])
+    return len(_eliminate(field, a, reduced=False)[1])
 
 
 def nullspace(field, a, cols=None):
@@ -179,19 +172,12 @@ def invert(field, a):
 
 
 def is_invertible(field, a):
-    """Whether a square matrix is invertible; ValueError if not square.
-
-    Over Q the rows are scaled to integers and their rank is read modulo
-    LARGE_PRIME: a nonzero determinant residue means a nonzero determinant.
-    Only a rank below n there is decided by the exact rank."""
+    """Whether a square matrix has full rank, without building its inverse;
+    ValueError if not square."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError(f"is_invertible needs a square matrix; got {n} rows, not all of length {n}")
-    if field.char:
-        return len(_eliminate(field.char, a, reduced=False)[1]) == n
-    m = _integer_rows(a)
-    return (len(_eliminate(LARGE_PRIME, m, reduced=False)[1]) == n
-            or len(_eliminate(0, m, reduced=False)[1]) == n)
+    return rank(field, a) == n
 
 
 def is_zero_matrix(field, a):

@@ -258,9 +258,11 @@ def test_is_invertible_fixed_cases(F):
         linalg.is_invertible(F, [[F.one, F.zero], [F.one]])
 
 
-def test_is_invertible_decides_zero_residues_exactly():
-    P = linalg.LARGE_PRIME
-    # singular modulo P, invertible over Q: the exact rank decides
+def test_is_invertible_is_exact_over_q():
+    # entries that vanish modulo the prime P: a rank read modulo P alone
+    # would answer these wrongly
+    P = 2**61 - 1
+    # singular modulo P, invertible over Q
     assert linalg.is_invertible(QQ, [[Fraction(P), Fraction(0)], [Fraction(0), Fraction(1)]])
     assert linalg.is_invertible(QQ, [[Fraction(P + 1), Fraction(1)], [Fraction(1), Fraction(1)]])
     # a denominator divisible by P
