@@ -136,7 +136,9 @@ def parse_algebra_text(text):
             )
         ideal = _on_line(nilpotency[0], RelationsIdeal, relations, nilpotency[1],
                          radical_power is not None)
-    if nilpotency is not None and ideal.kind != "relations":
+        # the build rejects only a bound the relations do not reach
+        return _on_line(nilpotency[0], build_algebra, quiver, ideal, field)
+    if nilpotency is not None:
         raise ParseError("nilpotency only applies to relations ideals", line=nilpotency[0])
     return build_algebra(quiver, ideal, field=field)
 

@@ -282,10 +282,13 @@ class Presentation:
 
     copies: list of (vertex, generator vector in M_vertex);
     cover_basis[w]: list of (copy index, algebra basis index) spanning the
-    cover at w;  pi[w]: cover -> M matrices;  kernel data gives the syzygy
-    and the kernel-top generators in cover coordinates.  Holds only what it
-    reads of the module (algebra, field, dims, name), not the module itself,
-    so a module and its memoized presentation form no reference cycle.
+    cover at w;  pi[w]: cover -> M matrices, each column a generator pushed
+    along the arrows of a basis path.  A syzygy is one elimination of pi[w]
+    per vertex: its pivots check that the cover surjects, its free columns
+    give the kernel basis and the coordinates of the cover action on it.
+    Holds only what it reads of the module (algebra, field, dims, name), not
+    the module itself, so a module and its memoized presentation form no
+    reference cycle.
     """
 
     def __init__(self, rep):
@@ -302,24 +305,23 @@ class Presentation:
             for g in tops[v]:
                 self.copies.append((v, g))
         self.cover_basis = {w: [] for w in quiver.vertices}
-        for ci, (v, _g) in enumerate(self.copies):
+        cols = {w: [] for w in quiver.vertices}
+        for ci, (v, g) in enumerate(self.copies):
+            pushed = {(): g}  # arrow prefix -> image of g along it
             for b in algebra.basis_indices_from(v):
-                w = algebra.basis[b].target
-                self.cover_basis[w].append((ci, b))
-        self.pi = {}
-        for w in quiver.vertices:
-            cols = []
-            for ci, b in self.cover_basis[w]:
-                v, g = self.copies[ci]
-                act = rep.evaluate_path(algebra.basis[b])
-                cols.append(linalg.mat_vec(F, act, g))
-            n = rep.dims[w]
-            mat = [[cols[j][i] for j in range(len(cols))] for i in range(n)]
-            self.pi[w] = mat
-            if linalg.rank(F, mat) != n:
-                raise InternalInvariantError(
-                    "projective cover of the top fails to surject"
-                )
+                path = algebra.basis[b]
+                arrows = path.arrows
+                k = len(arrows)
+                while arrows[:k] not in pushed:
+                    k -= 1
+                vec = pushed[arrows[:k]]
+                for j in range(k, len(arrows)):
+                    vec = linalg.mat_vec(F, rep.mats[arrows[j]], vec)
+                    pushed[arrows[:j + 1]] = vec
+                self.cover_basis[path.target].append((ci, b))
+                cols[path.target].append(vec)
+        self.pi = {w: [[col[i] for col in cols[w]] for i in range(rep.dims[w])]
+                   for w in quiver.vertices}
         self._kernel = None
         self._kernel_top = None
         self._sections = None
@@ -350,32 +352,55 @@ class Presentation:
         return images
 
     def kernel(self):
-        """(kernel representation, embedding matrices kernel -> cover)."""
+        """(kernel representation, embedding matrices kernel -> cover).
+
+        The kernel basis vector of a free column f of rref(pi[w]) is 1 at f
+        and 0 at the other free columns, so the kernel coordinates of a cover
+        vector are its entries at the free columns."""
         if self._kernel is not None:
             return self._kernel
         algebra = self.algebra
         quiver = algebra.quiver
         F = self.field
+        p = F.char
         embed = {}
+        reduced = {}
         for w in quiver.vertices:
-            basis = linalg.nullspace(F, self.pi[w], cols=len(self.cover_basis[w]))
+            n = len(self.cover_basis[w])
+            r, pivots = linalg.rref(F, self.pi[w])
+            if len(pivots) != self.dims[w]:
+                raise InternalInvariantError(
+                    "projective cover of the top fails to surject"
+                )
+            pivot_set = set(pivots)
+            free = [c for c in range(n) if c not in pivot_set]
+            # per free column: its nonzero entries (pivot row, value)
+            free_cols = [[(i, r[i][fc]) for i in range(len(pivots)) if r[i][fc]] for fc in free]
+            basis = []
+            for fc, col in zip(free, free_cols):
+                v = linalg.unit_vector(F, n, fc)
+                for i, c in col:
+                    v[pivots[i]] = -c % p if p else -c
+                basis.append(v)
             embed[w] = basis  # list of cover-coordinate vectors
+            reduced[w] = (pivots, free, free_cols)
         dims = {w: len(embed[w]) for w in quiver.vertices}
         mats = {}
         for a in quiver.arrows:
-            u, w = a.source, a.target
-            targets = self.cover_images(a, embed[u])
-            basis_mat = [
-                [embed[w][t][i] for t in range(dims[w])]
-                for i in range(len(self.cover_basis[w]))
-            ]
-            sols = linalg.solve_many(F, basis_mat, targets)
-            m = linalg.zeros(F, dims[w], dims[u])
-            for j, sol in enumerate(sols):
-                if sol is None:
+            pivots, free, free_cols = reduced[a.target]
+            m = [[] for _ in free]
+            for t in self.cover_images(a, embed[a.source]):
+                # t is in the kernel iff every reduced row r_i kills it:
+                # t[pivot_i] + sum over free columns f of r_i[f] * t[f] == 0
+                acc = [t[pc] for pc in pivots]
+                for fc, col, mrow in zip(free, free_cols, m):
+                    x = t[fc]
+                    mrow.append(x)
+                    if x:
+                        for i, c in col:
+                            acc[i] += c * x
+                if any([s % p for s in acc]) if p else any(acc):
                     raise InternalInvariantError("cover action leaves the kernel")
-                for i in range(dims[w]):
-                    m[i][j] = sol[i]
             mats[a.name] = m
         ker = Representation(algebra, dims, mats, name=f"syz({self.name})" if self.name else "syz")
         self._kernel = (ker, embed)

@@ -5,7 +5,7 @@ brute-force oracles for the combinatorial layer."""
 import random
 from itertools import combinations, combinations_with_replacement, permutations
 
-from quiverhom import reps
+from quiverhom import linalg, reps
 from quiverhom.algebra import MonomialIdeal, TruncatedIdeal, build_algebra
 from quiverhom.errors import InfiniteDimensional, NotAdmissible, ParseError, ZeroPath
 from quiverhom.igusa_todorov import build_lattice, rank_sequence
@@ -182,3 +182,29 @@ def cover_rep(pres):
     if not parts:
         return reps.Representation(pres.algebra, {}, name="0")
     return reps.direct_sum(pres.algebra, parts)
+
+
+def presentation_oracle(rep, pres):
+    """The cover map, kernel embedding and kernel arrow matrices of a
+    presentation, built the direct way: pi columns from whole path matrices
+    (`evaluate_path` + `mat_vec`), `linalg.nullspace` per vertex, and one
+    `linalg.solve_many` per arrow against the dense cover's action.  The
+    oracle for `Presentation.pi` and `Presentation.kernel`."""
+    A = rep.algebra
+    F = rep.field
+    pi, embed = {}, {}
+    for w in A.quiver.vertices:
+        cols = [linalg.mat_vec(F, rep.evaluate_path(A.basis[b]), pres.copies[ci][1])
+                for ci, b in pres.cover_basis[w]]
+        pi[w] = [[col[i] for col in cols] for i in range(rep.dims[w])]
+        embed[w] = linalg.nullspace(F, pi[w], cols=len(cols))
+    cover = cover_rep(pres)
+    mats = {}
+    for a in A.quiver.arrows:
+        targets = [linalg.mat_vec(F, cover.mats[a.name], k) for k in embed[a.source]]
+        basis_mat = [[k[i] for k in embed[a.target]]
+                     for i in range(len(pres.cover_basis[a.target]))]
+        sols = linalg.solve_many(F, basis_mat, targets)
+        assert all(sol is not None for sol in sols), "cover action leaves the kernel"
+        mats[a.name] = [[sol[i] for sol in sols] for i in range(len(embed[a.target]))]
+    return pi, embed, mats

@@ -92,6 +92,8 @@ class TestErrorLines:
          "nilpotency bound must be >= 2, got 0"),
         ("vertices: 1\narrow: a 1 1\nrelations: a.a, J^1\n", 3,
          "nilpotency bound must be >= 2, got 1"),
+        ("vertices: 1\narrow: a 1 1\nrelations: a.a.a\nnilpotency: 2\n", 4,
+         "J^2 is not contained in the ideal"),
         ("vertices: 1 2\narrow: a 1 2\narrow: b 2 1\nmonomial: a.b\nmonomial: b.a, a\n", 5,
          "monomial generator a has length 1; admissibility needs length >= 2"),
     ])

@@ -7,11 +7,17 @@ import pytest
 from quiverhom import corpus, linalg, reps
 from quiverhom.algebra import TruncatedIdeal, build_algebra
 from quiverhom.algfile import parse_algebra_text
-from quiverhom.errors import FieldMismatch, NoDecomposition
+from quiverhom.errors import FieldMismatch, InternalInvariantError, NoDecomposition
 from quiverhom.pathmodules import ModuleMultiset, calculus
 from quiverhom.quiver import Quiver
 
-from helpers import cover_rep, random_monomial_algebra, random_nonzero_path, seeded
+from helpers import (
+    cover_rep,
+    presentation_oracle,
+    random_monomial_algebra,
+    random_nonzero_path,
+    seeded,
+)
 
 
 def truncated_cycle(n, k):
@@ -320,13 +326,19 @@ def _trajectory(rep, steps):
 
 class TestCoverAction:
     """The presentation's sparse cover action, read off the structure
-    constants, against the dense projective cover as an oracle."""
+    constants, against the dense projective cover as an oracle; its cover
+    map, kernel embedding and kernel arrow matrices against the solve-based
+    construction."""
 
     @staticmethod
     def _check(rep):
         pres = reps.presentation(rep)
         cover = cover_rep(pres)
-        _ker, embed = pres.kernel()
+        ker, embed = pres.kernel()
+        pi, oracle_embed, oracle_mats = presentation_oracle(rep, pres)
+        assert pres.pi == pi
+        assert embed == oracle_embed
+        assert ker.mats == oracle_mats
         F = rep.field
         checked = 0
         for a in rep.algebra.quiver.arrows:
@@ -359,6 +371,30 @@ class TestCoverAction:
         A = corpus.algebra("finito_f32003")
         for member in _trajectory(reps.injective(A, "3"), 4) + [reps.injective(A, "1")]:
             self._check(member)
+
+    def test_sec3_syzygy_chain(self, sec3):
+        m = corpus.make_m_param(sec3, ["1"])
+        for member in _trajectory(m, 3) + [reps.injective(sec3, "1")]:
+            self._check(member)
+
+
+class TestInvariantErrors:
+    """Matrices that break the algebra's relations reach both invariant
+    checks of a syzygy step."""
+
+    @pytest.mark.parametrize("ideal, dims, mats, message", [
+        ("truncated: 2", (2, 2), {"a": [[0, 2], [4, 3]], "b": [[3, 6], [6, 2]]},
+         "projective cover of the top fails to surject"),
+        ("monomial: a.b.a", (1, 2), {"a": [[4], [2]], "b": [[2, 4]]},
+         "cover action leaves the kernel"),
+    ])
+    def test_syzygy_raises(self, ideal, dims, mats, message):
+        A = parse_algebra_text(
+            f"vertices: 1 2\narrow: a 1 2\narrow: b 2 1\n{ideal}\nfield: Fp 7\n")
+        rep = reps.Representation(A, dict(zip(A.quiver.vertices, dims)), mats)
+        with pytest.raises(InternalInvariantError) as info:
+            reps.syzygy_rep(rep)
+        assert info.value.message == message
 
 
 class TestRepeatDetection:
