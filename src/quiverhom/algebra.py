@@ -116,15 +116,27 @@ class RelationsIdeal:
         return f"RelationsIdeal({len(self.relations)} relations{extra}, N={self.nilpotency})"
 
 
-def _all_paths_up_to(quiver, max_len):
-    """All paths of length <= max_len, grouped by length."""
+def _all_paths_up_to(quiver, max_len, max_paths=None):
+    """All paths of length <= max_len, grouped by length up to the longest
+    one that exists.  More than max_paths of them raises InfiniteDimensional;
+    they are counted per target vertex before any is built, so a long
+    oriented cycle costs neither time nor memory."""
+    ends = dict.fromkeys(quiver.vertices, 1)  # paths of the current length by target
+    count = lengths = 0
+    while lengths <= max_len and any(ends.values()):
+        count += sum(ends.values())
+        if max_paths is not None and count > max_paths:
+            raise InfiniteDimensional(
+                f"more than {max_paths} paths of length at most {max_len}")
+        nxt = dict.fromkeys(quiver.vertices, 0)
+        for a in quiver.arrows:
+            nxt[a.target] += ends[a.source]
+        ends = nxt
+        lengths += 1
     by_len = [[Path.trivial(quiver, v) for v in quiver.vertices]]
-    for _ in range(max_len):
-        nxt = []
-        for p in by_len[-1]:
-            for a in quiver.arrows_from(p.target):
-                nxt.append(p.then(a.name))
-        by_len.append(nxt)
+    for _ in range(lengths - 1):
+        by_len.append([p.then(a.name) for p in by_len[-1]
+                       for a in quiver.arrows_from(p.target)])
     return by_len
 
 
@@ -132,9 +144,10 @@ class BoundQuiverAlgebra:
     """kQ/I with an enumerated basis and exact structure constants."""
 
     def __init__(self, quiver, ideal, field=QQ, max_basis=None):
-        """max_basis: optional hard cap on the basis enumeration; exceeding it
-        aborts with InfiniteDimensional (used to keep sampled instances at
-        desk scale before the probe bound is reached)."""
+        """max_basis: optional hard cap on the paths enumerated for the basis
+        (for a relations ideal: every path up to the nilpotency bound);
+        exceeding it aborts with InfiniteDimensional (keeps sampled instances
+        and .alg files at desk scale)."""
         self.quiver = quiver
         self.ideal = ideal
         self.field = field
@@ -144,10 +157,11 @@ class BoundQuiverAlgebra:
         self._memo = {}
         if self.kind == "truncated":
             self.nilpotency = ideal.k
-            self._build_monomial_like()
+            self.basis = [p for paths in _all_paths_up_to(quiver, ideal.k - 1, max_basis)
+                          for p in paths]
         elif self.kind == "monomial":
             self._zero_patterns = {g.arrows for g in ideal.generators}
-            self._build_monomial_like()
+            self._build_monomial()
             self.nilpotency = max((p.length for p in self.basis), default=0) + 1
         elif self.kind == "relations":
             self.nilpotency = ideal.nilpotency
@@ -178,20 +192,17 @@ class BoundQuiverAlgebra:
                         return True
         return False
 
-    def _build_monomial_like(self):
-        if self.kind == "truncated":
-            bound = self.ideal.k - 1
-        else:
-            gens = self.ideal.generators
-            if not gens:
-                # no relations: finite-dimensional only if acyclic
-                from .quiver import analyze
+    def _build_monomial(self):
+        gens = self.ideal.generators
+        if not gens:
+            # no relations: finite-dimensional only if acyclic
+            from .quiver import analyze
 
-                if not analyze(self.quiver).is_acyclic:
-                    raise InfiniteDimensional("path algebra of a cyclic quiver with empty ideal")
-                bound = len(self.quiver.vertices)
-            else:
-                bound = len(self.quiver.arrows) * max(g.length for g in gens)
+            if not analyze(self.quiver).is_acyclic:
+                raise InfiniteDimensional("path algebra of a cyclic quiver with empty ideal")
+            bound = len(self.quiver.vertices)
+        else:
+            bound = len(self.quiver.arrows) * max(g.length for g in gens)
         basis = [Path.trivial(self.quiver, v) for v in self.quiver.vertices]
         frontier = list(basis)
         while frontier:
@@ -217,13 +228,14 @@ class BoundQuiverAlgebra:
     def _build_relations(self):
         N = self.nilpotency
         F = self.field
-        by_len = _all_paths_up_to(self.quiver, N)
+        by_len = _all_paths_up_to(self.quiver, N, self.max_basis)
         self._reduction = {}
-        basis = list(by_len[0]) + list(by_len[1])
-        for p in by_len[0] + by_len[1]:
+        basis = [p for paths in by_len[:2] for p in paths]
+        for p in basis:
             self._reduction[(p.arrows, p.vertex)] = [(p, F.one)]
 
-        for degree in range(2, N + 1):
+        # no path is longer than len(by_len) - 1: J^N = 0 when that is below N
+        for degree in range(2, len(by_len)):
             # group the degree-d paths by (source, target)
             blocks = {}
             for p in by_len[degree]:
@@ -305,9 +317,6 @@ class BoundQuiverAlgebra:
     def basis_indices_into(self, v):
         return self._into[v]
 
-    def trivial_index(self, v):
-        return self._index[Path.trivial(self.quiver, v)]
-
     def path_is_zero(self, path):
         if self.kind in ("truncated", "monomial"):
             return self._path_is_zero_monomial_like(path.arrows)
@@ -364,9 +373,6 @@ class BoundQuiverAlgebra:
                     val = F.add(out.get(k, F.zero), F.mul(F.mul(ci, cj), ck))
                     out[k] = val
         return {k: v for k, v in out.items() if not F.is_zero(v)}
-
-    def vector_of_path(self, path):
-        return {i: c for i, c in self.reduce_path(path)}
 
     @property
     def is_monomial_like(self):

@@ -23,11 +23,15 @@ from .algebra import (
     TruncatedIdeal,
     build_algebra,
 )
-from .errors import NotAdmissible, ParseError
+from .errors import InfiniteDimensional, NotAdmissible, ParseError
 from .fields import QQ, field_from_spec
 from .quiver import Path, Quiver
 
 _KEYS = ("vertices", "arrow", "truncated", "monomial", "relations", "nilpotency", "field")
+
+# cap on the paths a file's algebra may enumerate; the largest corpus
+# algebra enumerates 340, and a huge exponent ends here instead of hanging
+MAX_PATHS = 10**5
 
 
 def _lines(text):
@@ -105,6 +109,7 @@ def parse_algebra_text(text):
         raise ParseError("exactly one of truncated/monomial/relations must appear")
     if truncated is not None:
         ideal = _on_line(truncated[0], TruncatedIdeal, truncated[1])
+        build_line = truncated[0]
     elif monomial_seen:
         gens = [(ln, _parse_path(quiver, tok, ln)) for ln, tok in monomial_paths]
         try:
@@ -113,6 +118,7 @@ def parse_algebra_text(text):
             for ln, g in gens:
                 _on_line(ln, MonomialIdeal, [g])
             raise
+        build_line = None
     else:
         radical_power = None
         relations = []
@@ -136,18 +142,20 @@ def parse_algebra_text(text):
             )
         ideal = _on_line(nilpotency[0], RelationsIdeal, relations, nilpotency[1],
                          radical_power is not None)
-        # the build rejects only a bound the relations do not reach
-        return _on_line(nilpotency[0], build_algebra, quiver, ideal, field)
+        # the build rejects a bound the relations do not reach or one that
+        # enumerates more than MAX_PATHS paths
+        return _on_line(nilpotency[0], build_algebra, quiver, ideal, field, MAX_PATHS)
     if nilpotency is not None:
         raise ParseError("nilpotency only applies to relations ideals", line=nilpotency[0])
-    return build_algebra(quiver, ideal, field=field)
+    return _on_line(build_line, build_algebra, quiver, ideal, field, MAX_PATHS)
 
 
 def _on_line(lineno, build, *args):
-    """build(*args), a rejection re-raised with the .alg line it comes from."""
+    """build(*args), a rejection re-raised with the .alg line it comes from
+    (unchanged when lineno is None)."""
     try:
         return build(*args)
-    except (ParseError, NotAdmissible) as exc:
+    except (ParseError, NotAdmissible, InfiniteDimensional) as exc:
         raise type(exc)(exc.message, line=lineno) from None
 
 

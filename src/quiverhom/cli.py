@@ -358,7 +358,7 @@ def build_parser():
     return parser
 
 
-def _render(payload, args, warnings=()):
+def _render(payload, args):
     if args.json:
         certificates = None
         if isinstance(payload, dict):
@@ -372,7 +372,7 @@ def _render(payload, args, warnings=()):
             "algebra": getattr(args, "algebra", None),
             "result": payload,
             "certificates": certificates,
-            "warnings": list(warnings),
+            "warnings": [],
         }
         return json.dumps(doc, sort_keys=True, default=str)
     lines = []

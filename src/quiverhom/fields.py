@@ -43,12 +43,6 @@ class Rationals:
     def is_zero(self, a):
         return a == 0
 
-    def parse(self, text):
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational scalar {text!r}: {exc}")
-
     def fmt(self, a):
         return f"{a.numerator}/{a.denominator}" if a.denominator != 1 else str(a.numerator)
 
@@ -105,12 +99,6 @@ class PrimeField:
 
     def is_zero(self, a):
         return a % self.p == 0
-
-    def parse(self, text):
-        try:
-            return self.of(Fraction(text))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad scalar {text!r} over {self.name}: {exc}")
 
     def fmt(self, a):
         return str(a % self.p)

@@ -19,7 +19,6 @@ from .errors import (
 from .pathmodules import ModuleMultiset, calculus
 from .quiver import (
     INFINITE,
-    Path,
     analyze,
     final_subhearts,
     infinite_path_core,
@@ -192,19 +191,8 @@ def _padded_periodic_module(algebra, cycle, cap=1000):
     calc = calculus(algebra)
     base = cycle[0][0]
     # finite-pd classes reachable from the cycle in the full syzygy digraph
-    todo = [c for c, _comp in cycle]
-    seen = set()
-    max_finite = 0
-    while todo:
-        c = todo.pop()
-        if c.sort_key in seen:
-            continue
-        seen.add(c.sort_key)
-        value = calc.pd(c)
-        if value != INFINITE:
-            max_finite = max(max_finite, value)
-        for child in calc.syzygy_class(c).counts:
-            todo.append(child)
+    reachable = calc.closure(c for c, _comp in cycle).values()
+    max_finite = max((v for v in map(calc.pd, reachable) if v != INFINITE), default=0)
     L = len(cycle)
     T = L * ((max_finite) // L + 1)
     bundle = calc.iterate_syzygy(ModuleMultiset([base]), T)
@@ -337,27 +325,3 @@ def cogorenstein_monomial(algebra, cap=1000):
     branch = "no_periodic_cycles" if not syzygy_cycles(algebra) else \
         "all_cycles_gorenstein_projective"
     return CoGorensteinVerdict(True, branch, notes=notes, relation_cycles=gp_cycles)
-
-
-# -- restriction to the infinite-path core ---------------------------------------
-
-
-def restrict_to_infinite_core(algebra):
-    """The same bound quiver algebra restricted to the full subquiver of
-    vertices with arbitrarily long outgoing paths; None when acyclic."""
-    from .algebra import MonomialIdeal, TruncatedIdeal, build_algebra
-
-    core = infinite_path_core(algebra.quiver)
-    if core is None:
-        return None
-    if algebra.kind == "truncated":
-        ideal = TruncatedIdeal(algebra.ideal.k)
-    else:
-        keep = set(a.name for a in core.arrows)
-        gens = [
-            Path(core, g.arrows)
-            for g in algebra.ideal.generators
-            if all(n in keep for n in g.arrows)
-        ]
-        ideal = MonomialIdeal(gens)
-    return build_algebra(core, ideal, field=algebra.field)

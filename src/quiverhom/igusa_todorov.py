@@ -65,16 +65,8 @@ def build_lattice(algebra, seed_classes):
     if not algebra.is_monomial_like:
         raise UnsupportedIdeal("the class lattice needs a monomial or truncated ideal")
     calc = calculus(algebra)
-    todo = list(seed_classes)
-    seen = {}
-    while todo:
-        c = todo.pop()
-        if c.projective or c.sort_key in seen:
-            continue
-        seen[c.sort_key] = c
-        for child in calc.syzygy_class(c).counts:
-            todo.append(child)
-    basis = sorted(seen.values(), key=lambda c: c.sort_key)
+    basis = sorted((c for c in calc.closure(seed_classes).values() if not c.projective),
+                   key=lambda c: c.sort_key)
     index = {c.sort_key: i for i, c in enumerate(basis)}
     d = len(basis)
     matrix = [[0] * d for _ in range(d)]

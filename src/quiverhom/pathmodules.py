@@ -16,7 +16,7 @@ import hashlib
 from collections import Counter
 
 from .errors import Indeterminate, InternalInvariantError, UnsupportedIdeal, ZeroPath
-from .quiver import INFINITE, Path, analyze
+from .quiver import INFINITE, Path, analyze, graph_sccs
 
 
 def calculus(algebra):
@@ -142,50 +142,6 @@ class ModuleMultiset:
         return " + ".join(parts)
 
 
-def _scc_of_graph(nodes, successors):
-    """Tarjan on an explicit node list / successor map; iterative."""
-    index, low, on_stack = {}, {}, set()
-    stack, sccs = [], []
-    counter = [0]
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(successors[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(successors[w])))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[v])
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                sccs.append(frozenset(comp))
-    return sccs
-
-
 class PathModuleCalculus:
     """Per-algebra cache of classes, syzygies and projective dimensions."""
 
@@ -278,9 +234,6 @@ class PathModuleCalculus:
         self._syzygy[cls.sort_key] = result
         return result
 
-    def syzygy_simple(self, v):
-        return self.syzygy_class(self.simple_class(v))
-
     def iterate_syzygy(self, multiset, steps=1):
         current = multiset
         for _ in range(steps):
@@ -347,8 +300,10 @@ class PathModuleCalculus:
 
     # -- projective dimension -------------------------------------------------
 
-    def _close(self, roots):
-        todo = [c for c in roots]
+    def closure(self, roots):
+        """The classes reachable from roots under syzygy, roots included:
+        sort_key -> class."""
+        todo = list(roots)
         seen = {}
         while todo:
             c = todo.pop()
@@ -365,12 +320,12 @@ class PathModuleCalculus:
         cached = self._pd.get(cls.sort_key)
         if cached is not None:
             return cached
-        closed = self._close([cls])
+        closed = self.closure([cls])
         succ = {
             key: [child.sort_key for child in self.syzygy_class(c).counts]
             for key, c in closed.items()
         }
-        sccs = _scc_of_graph(list(succ), succ)
+        sccs = graph_sccs(list(succ), succ)
         infinite = set()
         for comp in sccs:
             if len(comp) > 1 or any(k in succ[k] for k in comp):

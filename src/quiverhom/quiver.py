@@ -154,17 +154,6 @@ class Path:
         """Extend by one arrow at the end of the traversal."""
         return Path(self.quiver, self.arrows + (arrow_name,))
 
-    def initial(self, n):
-        """Initial traversal segment of length n (trivial at the source for n=0)."""
-        if n == 0:
-            return Path.trivial(self.quiver, self.source)
-        return Path(self.quiver, self.arrows[:n])
-
-    def final(self, n):
-        if n == 0:
-            return Path.trivial(self.quiver, self.target)
-        return Path(self.quiver, self.arrows[-n:])
-
     def traversal_str(self):
         return ".".join(self.arrows) if self.arrows else f"e_{self.vertex}"
 
@@ -206,45 +195,42 @@ def compose(p, q):
 
 # -- strongly connected structure ------------------------------------------
 
-def strongly_connected_components(quiver):
-    """Tarjan, iteratively; components are returned as frozensets of vertices
-    in a deterministic (reverse topological) order."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    next_index = [0]
-    sccs = []
-
-    for root in quiver.vertices:
+def graph_sccs(nodes, successors):
+    """Tarjan, iteratively, on a node list and a successor map; components
+    are returned as frozensets in reverse topological order (successors
+    first), deterministic for a given node and successor order."""
+    index, low, on_stack = {}, {}, set()
+    stack, sccs = [], []
+    counter = 0
+    for root in nodes:
         if root in index:
             continue
-        work = [(root, iter(quiver.arrows_from(root)))]
-        index[root] = low[root] = next_index[0]
-        next_index[0] += 1
+        work = [(root, iter(successors[root]))]
+        index[root] = low[root] = counter
+        counter += 1
         stack.append(root)
         on_stack.add(root)
         while work:
             v, it = work[-1]
             advanced = False
-            for arrow in it:
-                w = arrow.target
+            for w in it:
                 if w not in index:
-                    index[w] = low[w] = next_index[0]
-                    next_index[0] += 1
+                    index[w] = low[w] = counter
+                    counter += 1
                     stack.append(w)
                     on_stack.add(w)
-                    work.append((w, iter(quiver.arrows_from(w))))
+                    work.append((w, iter(successors[w])))
                     advanced = True
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
+                if w in on_stack and index[w] < low[v]:
+                    low[v] = index[w]
             if advanced:
                 continue
             work.pop()
             if work:
                 parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
             if low[v] == index[v]:
                 comp = set()
                 while True:
@@ -255,6 +241,14 @@ def strongly_connected_components(quiver):
                         break
                 sccs.append(frozenset(comp))
     return sccs
+
+
+def strongly_connected_components(quiver):
+    """The quiver's components as frozensets of vertices, in graph_sccs order."""
+    succ = {v: [] for v in quiver.vertices}
+    for a in quiver.arrows:
+        succ[a.source].append(a.target)
+    return graph_sccs(quiver.vertices, succ)
 
 
 def _scc_has_arrow(quiver, comp):

@@ -204,15 +204,6 @@ def injective(algebra, v):
     return Representation(algebra, dims, mats, name=f"I_{v}")
 
 
-def standard_modules(algebra):
-    vs = algebra.quiver.vertices
-    return (
-        {v: simple(algebra, v) for v in vs},
-        {v: projective(algebra, v) for v in vs},
-        {v: injective(algebra, v) for v in vs},
-    )
-
-
 def rep_of_class(cls):
     """Concrete representation of a path module class from its continuations."""
     algebra = cls.algebra
@@ -233,15 +224,6 @@ def rep_of_class(cls):
                 m[pos[a.target][ext]][pos[a.source][arrows]] = F.one
         mats[a.name] = m
     return Representation(algebra, dims, mats, name=cls.label)
-
-
-def rep_of_multiset(multiset, algebra):
-    parts = []
-    for cls, mult in multiset:
-        parts.extend(rep_of_class(cls) for _ in range(mult))
-    if not parts:
-        return Representation(algebra, {}, name="0")
-    return direct_sum(algebra, parts, name=str(multiset))
 
 
 # -- tops, covers, presentations ---------------------------------------------
@@ -736,88 +718,49 @@ def iso_test_against_sum(m, parts, trials=20, seed=0):
 # -- decomposition against a catalog ------------------------------------------
 
 
-def decompose_against_catalog(m, catalog, trials=20, seed=0, max_candidates=20000,
-                              ambiguity_budget=25):
+def decompose_against_catalog(m, catalog, trials=20, seed=0):
     """Certified decomposition of m as a multiset over catalog entries.
 
-    catalog: list of (name, Representation) asserted indecomposable by the
-    caller.  Enumerates dimension-vector knapsack candidates, prunes by top
-    dimension vectors, and certifies with iso_test_against_sum.  Returns
-    (Counter name -> multiplicity, warnings list).
+    catalog: list of (name, Representation), pairwise non-isomorphic
+    indecomposables (the caller's contract).  Candidates are the multisets
+    whose dimension vectors and top dimension vectors both sum to m's,
+    enumerated with the largest entries first and the highest counts first;
+    the first one that iso_test_against_sum certifies is returned, and by
+    Krull-Schmidt it is the only one (a duplicate entry could only change
+    which of two isomorphic names comes back).  Returns (Counter name ->
+    multiplicity, warnings); the warnings list is always empty.
     """
     from collections import Counter
 
-    warnings = []
     if m.is_zero():
-        return Counter(), warnings
-    verts = m.algebra.quiver.vertices
-    target = m.dim_vector()
-    target_top = top_dim_vector(m)
-    entries = []
-    for name, rep in catalog:
-        if rep.is_zero():
-            continue
-        entries.append((name, rep, rep.dim_vector(), top_dim_vector(rep)))
-    entries.sort(key=lambda e: (-sum(e[2]), e[0]))
+        return Counter(), []
+    entries = sorted(((name, rep, rep.dim_vector() + top_dim_vector(rep))
+                      for name, rep in catalog if not rep.is_zero()),
+                     key=lambda e: (-e[1].total_dim, e[0]))
 
-    candidates = []
-
-    def dfs(idx, remaining, chosen):
-        if len(candidates) >= max_candidates:
-            return
-        if all(r == 0 for r in remaining):
-            candidates.append(list(chosen))
+    def candidates(idx, remaining):
+        # top vectors are nonnegative, so a count that overshoots a top
+        # coordinate cuts only multisets that could not match m's top
+        if not any(remaining):
+            yield []
             return
         if idx == len(entries):
             return
-        name, rep, dv, _tv = entries[idx]
-        mx = min(
-            (r // d for r, d in zip(remaining, dv) if d > 0),
-            default=0,
-        )
-        for count in range(mx, -1, -1):
-            rem = tuple(r - count * d for r, d in zip(remaining, dv))
-            if any(x < 0 for x in rem):
-                continue
-            if count:
-                chosen.append((idx, count))
-            dfs(idx + 1, rem, chosen)
-            if count:
-                chosen.pop()
+        vec = entries[idx][2]
+        most = min(r // d for r, d in zip(remaining, vec) if d)
+        for count in range(most, -1, -1):
+            rest = tuple(r - count * d for r, d in zip(remaining, vec))
+            for tail in candidates(idx + 1, rest):
+                yield [(idx, count)] + tail if count else tail
 
-    dfs(0, target, [])
-    if len(candidates) >= max_candidates:
-        warnings.append(f"candidate enumeration capped at {max_candidates}")
-
-    def top_of(cand):
-        out = [0] * len(verts)
-        for idx, count in cand:
-            tv = entries[idx][3]
-            out = [a + count * b for a, b in zip(out, tv)]
-        return tuple(out)
-
-    filtered = [c for c in candidates if top_of(c) == target_top]
-    result = None
-    checked_after_success = 0
-    for cand in filtered:
+    for cand in candidates(0, m.dim_vector() + top_dim_vector(m)):
         parts = [(entries[idx][1], count) for idx, count in cand]
         verdict, _nsum = iso_test_against_sum(m, parts, trials=trials, seed=seed)
         if verdict.isomorphic:
-            counter = Counter({entries[idx][0]: count for idx, count in cand})
-            if result is None:
-                result = counter
-            elif counter != result:
-                warnings.append(f"AMBIGUOUS: {dict(counter)} also certifies")
-        if result is not None:
-            checked_after_success += 1
-            if checked_after_success > ambiguity_budget:
-                warnings.append("ambiguity scan truncated")
-                break
-    if result is None:
-        raise NoDecomposition(
-            f"no catalog multiset certifies against dim vector {target}"
-        )
-    return result, warnings
+            return Counter({entries[idx][0]: count for idx, count in cand}), []
+    raise NoDecomposition(
+        f"no catalog multiset certifies against dim vector {m.dim_vector()}"
+    )
 
 
 # -- projective dimension probing ---------------------------------------------
@@ -912,7 +855,7 @@ def pd_rep(m, max_steps=20, trials=20, seed=0):
     if algebra.is_monomial_like:
         catalog, classes = class_catalog(algebra)
         calc = pathmodules.calculus(algebra)
-        counts, warnings = decompose_against_catalog(
+        counts, _warnings = decompose_against_catalog(
             trajectory[2], catalog, trials=trials, seed=seed
         )
         worst = 0

@@ -165,7 +165,7 @@ class TestAnnihilators:
 
 class TestMultiply:
     def test_idempotents(self, sec4):
-        e1 = sec4.trivial_index("1")
+        e1 = sec4.index_of(sec4.path("e_1"))
         assert sec4.product_indices(e1, e1) == [(e1, sec4.field.one)]
 
     def test_gamma_squared_zero(self, sec4):
@@ -174,8 +174,8 @@ class TestMultiply:
 
     def test_infinito_commutation(self, infinito):
         # a2*a1 - abar2*abar1 maps to zero in the quotient
-        v1 = infinito.vector_of_path(infinito.path("a1.a2"))
-        v2 = infinito.vector_of_path(infinito.path("abar1.abar2"))
+        v1 = dict(infinito.reduce_path(infinito.path("a1.a2")))
+        v2 = dict(infinito.reduce_path(infinito.path("abar1.abar2")))
         diff = {k: infinito.field.sub(v1.get(k, 0), v2.get(k, 0))
                 for k in set(v1) | set(v2)}
         assert all(infinito.field.is_zero(x) for x in diff.values())

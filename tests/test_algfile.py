@@ -96,6 +96,11 @@ class TestErrorLines:
          "J^2 is not contained in the ideal"),
         ("vertices: 1 2\narrow: a 1 2\narrow: b 2 1\nmonomial: a.b\nmonomial: b.a, a\n", 5,
          "monomial generator a has length 1; admissibility needs length >= 2"),
+        # a huge exponent on a cycle ends at the path cap, not in a hang
+        ("vertices: 1\narrow: a 1 1\ntruncated: 99999999999\n", 3,
+         "more than 100000 paths of length at most 99999999998"),
+        ("vertices: 1\narrow: a 1 1\nrelations: a.a.a\nnilpotency: 99999999\n", 4,
+         "more than 100000 paths of length at most 99999999"),
     ])
     def test_cli_names_the_line(self, capsys, tmp_path, text, lineno, message):
         path = tmp_path / "bad.alg"

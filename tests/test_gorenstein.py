@@ -3,8 +3,9 @@ import pytest
 from quiverhom import gorenstein, reps
 from quiverhom.algebra import TruncatedIdeal, build_algebra
 from quiverhom.errors import PreconditionViolated, UnsupportedIdeal
+from quiverhom.igusa_todorov import corner_algebra
 from quiverhom.pathmodules import ModuleMultiset, calculus
-from quiverhom.quiver import Quiver
+from quiverhom.quiver import Quiver, infinite_path_core
 
 import helpers
 from helpers import random_monomial_algebra, seeded
@@ -213,12 +214,13 @@ class TestCoGorenstein:
             ),
         ]
         for A in instances:
-            core = gorenstein.restrict_to_infinite_core(A)
+            core = infinite_path_core(A.quiver)
             full = gorenstein.find_periodic_module(A) is not None
             if core is None:
                 assert not full
             else:
-                assert full == (gorenstein.find_periodic_module(core) is not None)
+                corner = corner_algebra(A, core.vertices)
+                assert full == (gorenstein.find_periodic_module(corner) is not None)
 
     def test_verdict_json(self, sec4):
         doc = gorenstein.cogorenstein_monomial(sec4).to_json()

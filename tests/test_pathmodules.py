@@ -126,7 +126,7 @@ class TestSyzygyClass:
             A = random_monomial_algebra(seeded(seed + 77))
             calc = calculus(A)
             for v in A.quiver.vertices:
-                syz = calc.syzygy_simple(v)
+                syz = calc.syzygy_class(calc.simple_class(v))
                 arrows = A.quiver.arrows_from(v)
                 assert len(syz) == len(arrows)
 
@@ -134,7 +134,7 @@ class TestSyzygyClass:
         A = truncated_line(3, 2)
         calc = calculus(A)
         assert calc.simple_class("3").projective
-        assert calc.syzygy_simple("3").is_empty()
+        assert calc.syzygy_class(calc.simple_class("3")).is_empty()
 
 
 class TestPdAndGldim:

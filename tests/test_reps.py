@@ -8,7 +8,7 @@ from quiverhom import corpus, linalg, reps
 from quiverhom.algebra import TruncatedIdeal, build_algebra
 from quiverhom.algfile import parse_algebra_text
 from quiverhom.errors import FieldMismatch, InternalInvariantError, NoDecomposition
-from quiverhom.pathmodules import ModuleMultiset, calculus
+from quiverhom.pathmodules import calculus
 from quiverhom.quiver import Quiver
 
 from helpers import (
@@ -34,10 +34,9 @@ class TestStandardModules:
         p1.check_relations()
 
     def test_sec4_standard_modules_satisfy_relations(self, sec4):
-        simples, projectives, injectives = reps.standard_modules(sec4)
-        for fam in (simples, projectives, injectives):
-            for rep in fam.values():
-                assert rep.check_relations()
+        for v in sec4.quiver.vertices:
+            for make in (reps.simple, reps.projective, reps.injective):
+                assert make(sec4, v).check_relations()
 
     def test_sec4_dimensions(self, sec4):
         assert reps.projective(sec4, "1").dim_vector() == (3, 2)
@@ -255,13 +254,36 @@ class TestDecompose:
             counts, _warn = reps.decompose_against_catalog(omega2, catalog)
             assert sum(counts.values()) >= 1
 
-    def test_duplicate_catalog_entries_flag_ambiguity(self, sec4):
+    def _count_sum_tests(self, monkeypatch):
+        calls = []
+        iso_sum = reps.iso_test_against_sum
+
+        def counted(m, parts, **kw):
+            calls.append(parts)
+            return iso_sum(m, parts, **kw)
+
+        monkeypatch.setattr(reps, "iso_test_against_sum", counted)
+        return calls
+
+    def test_first_certificate_wins_over_duplicate_entry(self, sec4, monkeypatch):
         p1 = reps.projective(sec4, "1")
-        p1_copy = reps.projective(sec4, "1")
-        catalog = [("first", p1), ("twin", p1_copy)]
+        catalog = [("first", p1), ("twin", reps.projective(sec4, "1"))]
+        calls = self._count_sum_tests(monkeypatch)
         counts, warn = reps.decompose_against_catalog(p1, catalog)
-        assert sum(counts.values()) == 1
-        assert any("AMBIGUOUS" in w for w in warn)
+        assert dict(counts) == {"first": 1}
+        assert warn == []
+        assert len(calls) == 1
+
+    def test_refused_candidate_then_certified_one(self, infinito, monkeypatch):
+        # Omega M_beta(1,3) has the dimension and top vectors of both
+        # M_alpha(2,2) + S_3^23 (tried first, refused) and M_beta(2,2) + S_3^23
+        catalog, _assume = corpus.infinito_catalog(infinito, 3)
+        omega = reps.syzygy_rep(corpus.make_m_beta(infinito, ["1", "3"]))
+        calls = self._count_sum_tests(monkeypatch)
+        counts, warn = reps.decompose_against_catalog(omega, catalog)
+        assert dict(counts) == {"M_beta(2,2)": 1, "S_3": 23}
+        assert warn == []
+        assert len(calls) == 2
 
     def test_no_decomposition_raises(self, sec3):
         m = corpus.make_m_param(sec3, ["1"])
@@ -289,9 +311,7 @@ class TestPdRep:
 
     def test_monomial_handoff_certifies_infinite(self, sec4):
         calc = calculus(sec4)
-        m = reps.rep_of_multiset(
-            ModuleMultiset([calc.simple_class("2")]), sec4)
-        probe = reps.pd_rep(m)
+        probe = reps.pd_rep(reps.rep_of_class(calc.simple_class("2")))
         assert probe.kind == "infinite"
 
     def test_self_injective_certificate(self, sec3):
