@@ -47,7 +47,7 @@ def parse_algebra_text(text):
     vertices_line = None
     arrows = []
     truncated = None
-    monomial_seen = False
+    monomial_line = None  # the last monomial line
     relations_seen = False
     monomial_paths = []  # (lineno, token)
     relation_chunks = []  # (lineno, chunk)
@@ -79,7 +79,7 @@ def parse_algebra_text(text):
             except ValueError:
                 raise ParseError(f"bad truncation exponent {value!r}", line=lineno)
         elif key == "monomial":
-            monomial_seen = True
+            monomial_line = lineno
             for tok in value.split(","):
                 tok = tok.strip()
                 if tok:
@@ -104,13 +104,13 @@ def parse_algebra_text(text):
     if field_spec is not None:
         field = _on_line(field_spec[0], field_from_spec, field_spec[1])
 
-    ideal_kinds = (truncated is not None) + monomial_seen + relations_seen
+    ideal_kinds = (truncated is not None) + (monomial_line is not None) + relations_seen
     if ideal_kinds != 1:
         raise ParseError("exactly one of truncated/monomial/relations must appear")
     if truncated is not None:
         ideal = _on_line(truncated[0], TruncatedIdeal, truncated[1])
         build_line = truncated[0]
-    elif monomial_seen:
+    elif monomial_line is not None:
         gens = [(ln, _parse_path(quiver, tok, ln)) for ln, tok in monomial_paths]
         try:
             ideal = MonomialIdeal([g for _ln, g in gens])
@@ -118,7 +118,10 @@ def parse_algebra_text(text):
             for ln, g in gens:
                 _on_line(ln, MonomialIdeal, [g])
             raise
-        build_line = None
+        # only the generators of all monomial lines together leave the
+        # algebra finite-dimensional or not, so a failed build names the
+        # last of those lines, where the ideal is complete
+        build_line = monomial_line
     else:
         radical_power = None
         relations = []

@@ -11,6 +11,7 @@ Exit codes: 0 success; 1 user/parse error; 2 a computational cap was reached
 
 import argparse
 import json
+import os
 import sys
 
 from . import corpus, gorenstein, reps
@@ -413,10 +414,16 @@ def _run_command(args):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     exit_code, payload, error = _run_command(args)
-    if error is None:
-        print(_render(payload, args))
-    else:
+    if error is not None:
         print(_render(error, args), file=sys.stderr)
+        return exit_code
+    try:
+        print(_render(payload, args))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early (e.g. `| head`): the answer stands;
+        # point stdout at devnull so the interpreter's final flush is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return exit_code
 
 

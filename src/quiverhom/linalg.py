@@ -1,7 +1,8 @@
-"""Dense exact linear algebra over a coefficient field.
+"""Exact linear algebra over a coefficient field.
 
-Matrices are lists of row lists.  Everything here is fraction-exact; ranks,
-kernels and inverses are certificates, not approximations.  The kernels read
+Matrices are lists of row lists; `sparse_rref` alone takes sparse rows,
+{column: value} dicts.  Everything here is fraction-exact; ranks, kernels and
+inverses are certificates, not approximations.  The kernels read
 `field.char` once per call and compute on plain ints: `% p` inline over F_p,
 fraction-free Gauss-Jordan on primitive integer rows over Q.
 """
@@ -102,6 +103,51 @@ def rref(field, a):
             pv = row[pivots[i]] if i < r else 1
             m[i] = [Fraction(x, pv) if x else field.zero for x in row]
     return m, pivots
+
+
+def sparse_rref(field, rows):
+    """rref of sparse rows, {column: value} dicts of nonzero values: returns
+    (row dicts, pivot column list) in pivot order, each row 1 at its pivot.
+
+    Rows are taken one at a time.  Each is cleared at the pivots found so far
+    and takes its leftmost column as a new pivot, which is then cleared from
+    the earlier rows.  A new pivot leads a vector of the row space, so the
+    pivots are those of the rref, and the rows that are the identity at them
+    are the rows of the rref."""
+    p = field.char
+    basis = {}  # pivot column -> row, 1 there and 0 at the other pivots
+    for row in rows:
+        acc = {j: x % p for j, x in row.items() if x % p} if p else \
+            {j: x for j, x in row.items() if x}
+        for c in [c for c in acc if c in basis]:
+            _sub_multiple(acc, acc[c], basis[c], p)
+        if not acc:
+            continue
+        c = min(acc)
+        pv = acc[c]
+        if pv != 1:
+            inv = pow(pv, p - 2, p) if p else 1 / Fraction(pv)
+            acc = {j: x * inv % p for j, x in acc.items()} if p else \
+                {j: x * inv for j, x in acc.items()}
+        for other in basis.values():
+            f = other.get(c)
+            if f:
+                _sub_multiple(other, f, acc, p)
+        basis[c] = acc
+    pivots = sorted(basis)
+    return [basis[c] for c in pivots], pivots
+
+
+def _sub_multiple(acc, f, row, p):
+    """acc -= f * row on sparse rows, in place, keeping only nonzero values."""
+    for j, y in row.items():
+        x = acc.get(j, 0) - f * y
+        if p:
+            x %= p
+        if x:
+            acc[j] = x
+        else:
+            del acc[j]
 
 
 def rank(field, a):

@@ -30,27 +30,42 @@ class Representation:
     matrices.  Immutable after construction."""
 
     def __init__(self, algebra, dims, mats=None, name=""):
-        self.algebra = algebra
-        self.field = algebra.field
-        quiver = algebra.quiver
-        self.dims = {v: int(dims.get(v, 0)) for v in quiver.vertices}
-        if any(d < 0 for d in self.dims.values()):
+        F = algebra.field
+        dims = {v: int(dims.get(v, 0)) for v in algebra.quiver.vertices}
+        if any(d < 0 for d in dims.values()):
             raise ValueError("negative dimension")
-        self.mats = {}
-        mats = mats or {}
-        for a in quiver.arrows:
-            r, c = self.dims[a.target], self.dims[a.source]
-            m = mats.get(a.name)
+        given = mats or {}
+        mats = {}
+        for a in algebra.quiver.arrows:
+            r, c = dims[a.target], dims[a.source]
+            m = given.get(a.name)
             if m is None:
-                m = linalg.zeros(self.field, r, c)
+                m = linalg.zeros(F, r, c)
             else:
                 if len(m) != r or any(len(row) != c for row in m):
                     raise ValueError(
                         f"matrix for arrow {a.name} must be {r}x{c} (target x source)"
                     )
-                m = [[self.field.of(x) for x in row] for row in m]
-            self.mats[a.name] = m
+                m = [[F.of(x) for x in row] for row in m]
+            mats[a.name] = m
+        self._set(algebra, dims, mats, name, None)
+
+    @classmethod
+    def _of_field_elements(cls, algebra, dims, mats, name, columns=None):
+        """A module whose dims name every vertex and whose matrices, one per
+        arrow, are already field elements of the right shapes (a kernel, a
+        direct sum): taken as they are, with no per-entry copy."""
+        rep = cls.__new__(cls)
+        rep._set(algebra, dims, mats, name, columns)
+        return rep
+
+    def _set(self, algebra, dims, mats, name, columns):
+        self.algebra = algebra
+        self.field = algebra.field
+        self.dims = dims
+        self.mats = mats
         self.name = name
+        self._columns = columns
         self._eval_cache = {}
         self._presentation = None
 
@@ -65,6 +80,21 @@ class Representation:
 
     def is_zero(self):
         return self.total_dim == 0
+
+    def columns(self):
+        """Per arrow name, the columns of its matrix as sparse {row: value}
+        dicts of the nonzero entries; built once per module."""
+        if self._columns is None:
+            quiver = self.algebra.quiver
+            self._columns = {}
+            for a in quiver.arrows:
+                cols = [{} for _ in range(self.dims[a.source])]
+                for i, row in enumerate(self.mats[a.name]):
+                    for j, x in enumerate(row):
+                        if x:
+                            cols[j][i] = x
+                self._columns[a.name] = cols
+        return self._columns
 
     def evaluate_path(self, path):
         """Matrix of the path action (dim target x dim source); memoized."""
@@ -153,7 +183,7 @@ def direct_sum(algebra, parts, name=""):
             ro += pr
             co += pc
         mats[a.name] = m
-    return Representation(algebra, dims, mats, name=name)
+    return Representation._of_field_elements(algebra, dims, mats, name)
 
 
 # -- standard modules --------------------------------------------------------
@@ -230,27 +260,18 @@ def rep_of_class(cls):
 
 
 def top_complements(rep):
-    """Per vertex: vectors spanning a complement of the radical = sum of the
-    incoming arrow images.  Their count is the top dimension vector."""
+    """Per vertex: unit vectors, as {index: 1} dicts, spanning a complement
+    of the radical = sum of the incoming arrow images.  Their count is the
+    top dimension vector."""
     quiver = rep.algebra.quiver
     F = rep.field
+    cols = rep.columns()
     out = {}
     for w in quiver.vertices:
-        n = rep.dims[w]
-        if n == 0:
-            out[w] = []
-            continue
-        image_rows = []
-        for a in quiver.arrows_into(w):
-            m = rep.mats[a.name]
-            for j in range(rep.dims[a.source]):
-                image_rows.append([m[i][j] for i in range(n)])
-        if image_rows:
-            red, pivots = linalg.rref(F, image_rows)
-            pivot_set = set(pivots)
-        else:
-            pivot_set = set()
-        out[w] = [linalg.unit_vector(F, n, j) for j in range(n) if j not in pivot_set]
+        images = [col for a in quiver.arrows_into(w) for col in cols[a.name]]
+        _rows, pivots = linalg.sparse_rref(F, images)
+        pivot_set = set(pivots)
+        out[w] = [{j: F.one} for j in range(rep.dims[w]) if j not in pivot_set]
     return out
 
 
@@ -259,35 +280,47 @@ def top_dim_vector(rep):
     return tuple(len(tops[v]) for v in rep.algebra.quiver.vertices)
 
 
+def _apply(columns, vec, p):
+    """A matrix given by its sparse columns, applied to a sparse vector."""
+    out = {}
+    for j, x in vec.items():
+        for i, c in columns[j].items():
+            out[i] = out.get(i, 0) + c * x
+    if p:
+        return {i: s % p for i, s in out.items() if s % p}
+    return {i: s for i, s in out.items() if s}
+
+
 class Presentation:
     """Minimal projective cover data for a representation.
 
-    copies: list of (vertex, generator vector in M_vertex);
-    cover_basis[w]: list of (copy index, algebra basis index) spanning the
-    cover at w;  pi[w]: cover -> M matrices, each column a generator pushed
-    along the arrows of a basis path.  A syzygy is one elimination of pi[w]
-    per vertex: its pivots check that the cover surjects, its free columns
-    give the kernel basis and the coordinates of the cover action on it.
-    Holds only what it reads of the module (algebra, field, dims, name), not
-    the module itself, so a module and its memoized presentation form no
-    reference cycle.
+    Vectors are sparse {index: value} dicts.  copies: list of (vertex,
+    generator vector in M_vertex); cover_basis[w]: list of (copy index,
+    algebra basis index) spanning the cover at w;  cover -> M at w: one
+    column per cover basis element, a generator pushed along the arrows of
+    a basis path (`pi` is the same map as dense matrices, built on first
+    use).  A syzygy is one elimination of that map per vertex: its pivots
+    check that the cover surjects, its free columns give the kernel basis
+    and the coordinates of the cover action on it.  Holds only what it
+    reads of the module (algebra, field, dims, name), not the module
+    itself, so a module and its memoized presentation form no reference
+    cycle.
     """
 
     def __init__(self, rep):
         algebra = rep.algebra
         quiver = algebra.quiver
         F = rep.field
+        p = F.char
         self.algebra = algebra
         self.field = F
         self.dims = rep.dims
         self.name = rep.name
+        columns = rep.columns()
         tops = top_complements(rep)
-        self.copies = []
-        for v in quiver.vertices:
-            for g in tops[v]:
-                self.copies.append((v, g))
+        self.copies = [(v, g) for v in quiver.vertices for g in tops[v]]
         self.cover_basis = {w: [] for w in quiver.vertices}
-        cols = {w: [] for w in quiver.vertices}
+        self._pi_cols = {w: [] for w in quiver.vertices}
         for ci, (v, g) in enumerate(self.copies):
             pushed = {(): g}  # arrow prefix -> image of g along it
             for b in algebra.basis_indices_from(v):
@@ -298,47 +331,46 @@ class Presentation:
                     k -= 1
                 vec = pushed[arrows[:k]]
                 for j in range(k, len(arrows)):
-                    vec = linalg.mat_vec(F, rep.mats[arrows[j]], vec)
+                    vec = _apply(columns[arrows[j]], vec, p)
                     pushed[arrows[:j + 1]] = vec
                 self.cover_basis[path.target].append((ci, b))
-                cols[path.target].append(vec)
-        self.pi = {w: [[col[i] for col in cols[w]] for i in range(rep.dims[w])]
-                   for w in quiver.vertices}
+                self._pi_cols[path.target].append(vec)
+        self._pi = None
         self._kernel = None
         self._kernel_top = None
         self._sections = None
 
+    @property
+    def pi(self):
+        """Per vertex, the cover -> M map as a dense dims[w] x cover matrix."""
+        if self._pi is None:
+            zero = self.field.zero
+            self._pi = {w: [[col.get(i, zero) for col in cols] for i in range(self.dims[w])]
+                        for w, cols in self._pi_cols.items()}
+        return self._pi
+
     def cover_images(self, arrow, vectors):
-        """Images under an arrow u -> w of cover-coordinate vectors at u.
+        """Images under an arrow u -> w of sparse cover-coordinate vectors at u.
 
         The cover's action is read off the algebra's structure constants:
         position (ci, b) at u goes to (ci, k) at w with the coefficient of k
-        in arrow * b.  Each vector's nonzero entries are pushed through that
-        sparse map and every image entry is reduced once."""
+        in arrow * b."""
         algebra = self.algebra
         F = self.field
-        p = F.char
         ai = algebra.index_of(algebra.path((arrow.name,)))
         slot = {cb: j for j, cb in enumerate(self.cover_basis[arrow.target])}
-        action = [[(slot[(ci, k)], F.of(c)) for k, c in algebra.product_indices(ai, b)]
+        action = [{slot[(ci, k)]: F.of(c) for k, c in algebra.product_indices(ai, b)}
                   for ci, b in self.cover_basis[arrow.source]]
-        n = len(slot)
-        images = []
-        for vec in vectors:
-            acc = [F.zero] * n
-            for pos, x in enumerate(vec):
-                if x:
-                    for t, c in action[pos]:
-                        acc[t] += c * x
-            images.append([s % p for s in acc] if p else acc)
-        return images
+        return [_apply(action, vec, F.char) for vec in vectors]
 
     def kernel(self):
-        """(kernel representation, embedding matrices kernel -> cover).
+        """(kernel representation, embedding kernel -> cover as sparse
+        cover-coordinate vectors per vertex).
 
-        The kernel basis vector of a free column f of rref(pi[w]) is 1 at f
-        and 0 at the other free columns, so the kernel coordinates of a cover
-        vector are its entries at the free columns."""
+        The kernel basis vector of a free column f of the reduced cover map
+        is 1 at f and 0 at the other free columns, so the kernel coordinates
+        of a cover vector are its entries at the free columns, and the
+        kernel's arrow matrices come out column by column."""
         if self._kernel is not None:
             return self._kernel
         algebra = self.algebra
@@ -348,77 +380,86 @@ class Presentation:
         embed = {}
         reduced = {}
         for w in quiver.vertices:
-            n = len(self.cover_basis[w])
-            r, pivots = linalg.rref(F, self.pi[w])
+            rows = [{} for _ in range(self.dims[w])]
+            for k, col in enumerate(self._pi_cols[w]):
+                for i, x in col.items():
+                    rows[i][k] = x
+            r, pivots = linalg.sparse_rref(F, rows)
             if len(pivots) != self.dims[w]:
                 raise InternalInvariantError(
                     "projective cover of the top fails to surject"
                 )
             pivot_set = set(pivots)
-            free = [c for c in range(n) if c not in pivot_set]
+            free = [c for c in range(len(self.cover_basis[w])) if c not in pivot_set]
             # per free column: its nonzero entries (pivot row, value)
-            free_cols = [[(i, r[i][fc]) for i in range(len(pivots)) if r[i][fc]] for fc in free]
+            free_cols = {fc: [] for fc in free}
+            for i, row in enumerate(r):
+                for j, x in row.items():
+                    if j != pivots[i]:
+                        free_cols[j].append((i, x))
             basis = []
-            for fc, col in zip(free, free_cols):
-                v = linalg.unit_vector(F, n, fc)
-                for i, c in col:
+            for fc in free:
+                v = {fc: F.one}
+                for i, c in free_cols[fc]:
                     v[pivots[i]] = -c % p if p else -c
                 basis.append(v)
-            embed[w] = basis  # list of cover-coordinate vectors
-            reduced[w] = (pivots, free, free_cols)
+            embed[w] = basis
+            row_of = {pc: i for i, pc in enumerate(pivots)}
+            slot = {fc: k for k, fc in enumerate(free)}
+            reduced[w] = (row_of, slot, free_cols)
         dims = {w: len(embed[w]) for w in quiver.vertices}
-        mats = {}
+        mats, columns = {}, {}
         for a in quiver.arrows:
-            pivots, free, free_cols = reduced[a.target]
-            m = [[] for _ in free]
+            row_of, slot, free_cols = reduced[a.target]
+            cols = []
             for t in self.cover_images(a, embed[a.source]):
                 # t is in the kernel iff every reduced row r_i kills it:
                 # t[pivot_i] + sum over free columns f of r_i[f] * t[f] == 0
-                acc = [t[pc] for pc in pivots]
-                for fc, col, mrow in zip(free, free_cols, m):
-                    x = t[fc]
-                    mrow.append(x)
-                    if x:
-                        for i, c in col:
-                            acc[i] += c * x
-                if any([s % p for s in acc]) if p else any(acc):
+                col, acc = {}, {}
+                for j, x in t.items():
+                    if j in slot:
+                        col[slot[j]] = x
+                        for i, c in free_cols[j]:
+                            acc[i] = acc.get(i, 0) + c * x
+                    else:
+                        i = row_of[j]
+                        acc[i] = acc.get(i, 0) + x
+                if any([s % p for s in acc.values()]) if p else any(acc.values()):
                     raise InternalInvariantError("cover action leaves the kernel")
+                cols.append(col)
+            m = linalg.zeros(F, dims[a.target], dims[a.source])
+            for j, col in enumerate(cols):
+                for i, x in col.items():
+                    m[i][j] = x
             mats[a.name] = m
-        ker = Representation(algebra, dims, mats, name=f"syz({self.name})" if self.name else "syz")
+            columns[a.name] = cols
+        ker = Representation._of_field_elements(
+            algebra, dims, mats, f"syz({self.name})" if self.name else "syz", columns)
         self._kernel = (ker, embed)
         return self._kernel
 
     def kernel_top_generators(self):
-        """Kernel-top generators in cover coordinates: (vertex, vector) pairs."""
-        if self._kernel_top is not None:
-            return self._kernel_top
-        ker, embed = self.kernel()
-        tops = top_complements(ker)
-        gens = []
-        F = self.field
-        p = F.char
-        for w in self.algebra.quiver.vertices:
-            for t in tops[w]:
-                vec = [F.zero] * len(self.cover_basis[w])
-                for idx, coeff in enumerate(t):
-                    if coeff:
-                        for i, x in enumerate(embed[w][idx]):
-                            if x:
-                                vec[i] += coeff * x
-                gens.append((w, [x % p for x in vec] if p else vec))
-        self._kernel_top = gens
-        return gens
+        """Kernel-top generators in cover coordinates: (vertex, sparse
+        vector) pairs.  Each kernel-top vector is a unit vector of the
+        kernel, so its generator is the embedding of that basis vector."""
+        if self._kernel_top is None:
+            ker, embed = self.kernel()
+            tops = top_complements(ker)
+            self._kernel_top = [(w, embed[w][j]) for w in self.algebra.quiver.vertices
+                                for t in tops[w] for j in t]
+        return self._kernel_top
 
     def sections(self):
         """Per vertex, cover-coordinate preimages of the standard basis of M."""
         if self._sections is not None:
             return self._sections
         F = self.field
+        pi = self.pi
         out = {}
         for w in self.algebra.quiver.vertices:
             n = self.dims[w]
             eyes = [linalg.unit_vector(F, n, i) for i in range(n)]
-            sols = linalg.solve_many(F, self.pi[w], eyes)
+            sols = linalg.solve_many(F, pi[w], eyes)
             if any(s is None for s in sols):
                 raise InternalInvariantError("cover section missing")
             out[w] = sols
@@ -493,9 +534,7 @@ def _hom_parameter_space(source, target):
         if nw == 0:
             continue
         block = [[F.zero] * total for _ in range(nw)]
-        for pos, coeff in enumerate(kv):
-            if not coeff:
-                continue
+        for pos, coeff in kv.items():
             ci, b = pres.cover_basis[w][pos]
             act = target.evaluate_path(source.algebra.basis[b])
             off = offsets[ci]

@@ -175,6 +175,11 @@ def sampled_phidim_lower(algebra):
     return max((phi_in_lattice(combo) for combo in candidates), default=0)
 
 
+def dense(F, vec, n):
+    """A sparse {index: value} vector as a dense list of length n."""
+    return [vec.get(i, F.zero) for i in range(n)]
+
+
 def cover_rep(pres):
     """A presentation's projective cover as a dense Representation: the
     oracle for `Presentation.cover_images`."""
@@ -194,7 +199,8 @@ def presentation_oracle(rep, pres):
     F = rep.field
     pi, embed = {}, {}
     for w in A.quiver.vertices:
-        cols = [linalg.mat_vec(F, rep.evaluate_path(A.basis[b]), pres.copies[ci][1])
+        cols = [linalg.mat_vec(F, rep.evaluate_path(A.basis[b]),
+                               dense(F, pres.copies[ci][1], rep.dims[pres.copies[ci][0]]))
                 for ci, b in pres.cover_basis[w]]
         pi[w] = [[col[i] for col in cols] for i in range(rep.dims[w])]
         embed[w] = linalg.nullspace(F, pi[w], cols=len(cols))

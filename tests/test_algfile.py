@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from quiverhom import cli, corpus
@@ -96,6 +98,12 @@ class TestErrorLines:
          "J^2 is not contained in the ideal"),
         ("vertices: 1 2\narrow: a 1 2\narrow: b 2 1\nmonomial: a.b\nmonomial: b.a, a\n", 5,
          "monomial generator a has length 1; admissibility needs length >= 2"),
+        # two loops at one vertex: b^n never vanishes, whatever the lines
+        # kill; the last monomial line is named
+        ("vertices: 1\narrow: a 1 1\narrow: b 1 1\nmonomial: a.a\n", 4,
+         "nonzero path of length 5 exceeds the probe bound 4"),
+        ("vertices: 1\narrow: a 1 1\narrow: b 1 1\nmonomial: b.a\n\nmonomial: a.a\n", 6,
+         "nonzero path of length 5 exceeds the probe bound 4"),
         # a huge exponent on a cycle ends at the path cap, not in a hang
         ("vertices: 1\narrow: a 1 1\ntruncated: 99999999999\n", 3,
          "more than 100000 paths of length at most 99999999998"),
@@ -107,6 +115,15 @@ class TestErrorLines:
         path.write_text(text)
         assert cli.main(["info", "--algebra", str(path)]) == 1
         assert f"line {lineno}: {message}" in capsys.readouterr().err
+
+
+def test_infinite_monomial_keeps_its_code(capsys, tmp_path):
+    path = tmp_path / "loops.alg"
+    path.write_text("vertices: 1\narrow: a 1 1\narrow: b 1 1\nmonomial: a.a\n")
+    assert cli.main(["info", "--algebra", str(path), "--json"]) == 1
+    assert json.loads(capsys.readouterr().err)["result"] == {
+        "error": "INFINITE_DIMENSIONAL",
+        "message": "line 4: nonzero path of length 5 exceeds the probe bound 4"}
 
 
 class TestRoundTrip:

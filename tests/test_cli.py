@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -116,6 +118,20 @@ class TestExitCodes:
             capsys, "triangular-check", "--algebra", "corpus:finito",
             "--split", os.path.join(corpus_dir, "finito_bad.split"))
         assert code == 1 and "HYPOTHESIS_VIOLATED" in err
+
+
+    def test_closed_pipe_exits_quietly(self):
+        # the reader is gone before the first write, as with `| head -0`
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "quiverhom.cli", "info", "--algebra", "corpus:infinito"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 0
+        assert err == b""
 
 
 class TestBatch:

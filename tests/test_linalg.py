@@ -120,6 +120,22 @@ def test_rref_matches_reference(fm):
 
 
 @given(field_and_matrix())
+@settings(max_examples=150, deadline=None)
+def test_sparse_rref_matches_reference(fm):
+    F, a = fm
+    cols = len(a[0]) if a else 0
+    rows = [{j: x for j, x in enumerate(row) if x} for row in a]
+    before = [dict(row) for row in rows]
+    red, pivots = linalg.sparse_rref(F, rows)
+    ref_red, ref_pivots = ref_rref(F, a)
+    assert pivots == ref_pivots
+    assert [[row.get(j, F.zero) for j in range(cols)] for row in red] == ref_red[:len(pivots)]
+    assert all(all(row.values()) for row in red)
+    assert rows == before
+    assert_elements(F, [list(row.values()) for row in red])
+
+
+@given(field_and_matrix())
 @settings(max_examples=100, deadline=None)
 def test_rank_and_nullspace(fm):
     F, a = fm

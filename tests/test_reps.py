@@ -13,6 +13,7 @@ from quiverhom.quiver import Quiver
 
 from helpers import (
     cover_rep,
+    dense,
     presentation_oracle,
     random_monomial_algebra,
     random_nonzero_path,
@@ -344,6 +345,30 @@ def _trajectory(rep, steps):
     return out
 
 
+def _chain_text(rep, steps):
+    """The dimension vectors and arrow matrices of rep and its first `steps`
+    syzygies, formatted arrow by arrow."""
+    F = rep.field
+    out = []
+    for _ in range(steps + 1):
+        out.append(repr(rep.dim_vector()) + ";".join(
+            a.name + ":" + "|".join(",".join(F.fmt(x) for x in row) for row in rep.mats[a.name])
+            for a in rep.algebra.quiver.arrows))
+        rep = reps.syzygy_rep(rep)
+    return "\n".join(out)
+
+
+def test_syzygy_chains_are_pinned(finito):
+    """Omega^0..30 I(2) over F_32003 and Omega^0..8 I(v) over Q for every v
+    of finito, pinned by the digest of the dense code that preceded the
+    sparse syzygy step."""
+    A = corpus.algebra("finito_f32003")
+    text = _chain_text(reps.injective(A, "2"), 30) + "\n" + "\n".join(
+        _chain_text(reps.injective(finito, v), 8) for v in finito.quiver.vertices)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "54cc8520b34e5a60e4305048518c38e8c6d7a7f34295d4df30047c366fb7f6ef"
+
+
 class TestCoverAction:
     """The presentation's sparse cover action, read off the structure
     constants, against the dense projective cover as an oracle; its cover
@@ -356,17 +381,19 @@ class TestCoverAction:
         cover = cover_rep(pres)
         ker, embed = pres.kernel()
         pi, oracle_embed, oracle_mats = presentation_oracle(rep, pres)
-        assert pres.pi == pi
-        assert embed == oracle_embed
-        assert ker.mats == oracle_mats
         F = rep.field
+        size = {w: len(pres.cover_basis[w]) for w in rep.algebra.quiver.vertices}
+        assert pres.pi == pi
+        assert {w: [dense(F, k, size[w]) for k in vecs] for w, vecs in embed.items()} == \
+            oracle_embed
+        assert ker.mats == oracle_mats
         checked = 0
         for a in rep.algebra.quiver.arrows:
-            n = len(pres.cover_basis[a.source])
-            units = [linalg.unit_vector(F, n, i) for i in range(n)]
+            n = size[a.source]
+            units = [{i: F.one} for i in range(n)]
             for vecs in (embed[a.source], units):
-                assert pres.cover_images(a, vecs) == \
-                    [linalg.mat_vec(F, cover.mats[a.name], k) for k in vecs]
+                assert [dense(F, t, size[a.target]) for t in pres.cover_images(a, vecs)] == \
+                    [linalg.mat_vec(F, cover.mats[a.name], dense(F, k, n)) for k in vecs]
                 checked += len(vecs)
         return checked
 
@@ -391,6 +418,21 @@ class TestCoverAction:
         A = corpus.algebra("finito_f32003")
         for member in _trajectory(reps.injective(A, "3"), 4) + [reps.injective(A, "1")]:
             self._check(member)
+
+    @pytest.mark.parametrize("name", ["finito", "finito_f32003"])
+    def test_relations_algebra_standard_modules(self, name):
+        """finito's relations (a coefficient -2, differences of paths) over Q
+        and over F_32003: every simple, projective and injective and its
+        first two syzygies, some of them zero at a vertex."""
+        A = corpus.algebra(name)
+        zero_at_a_vertex = 0
+        for v in A.quiver.vertices:
+            for make in (reps.simple, reps.projective, reps.injective):
+                for member in _trajectory(make(A, v), 2):
+                    if not member.is_zero():
+                        self._check(member)
+                        zero_at_a_vertex += 0 in member.dim_vector()
+        assert zero_at_a_vertex == 12
 
     def test_sec3_syzygy_chain(self, sec3):
         m = corpus.make_m_param(sec3, ["1"])
