@@ -24,7 +24,7 @@ from .algebra import (
     build_algebra,
 )
 from .errors import InfiniteDimensional, NotAdmissible, ParseError
-from .fields import QQ, field_from_spec
+from .fields import QQ, field_from_spec, rational
 from .quiver import Path, Quiver
 
 _KEYS = ("vertices", "arrow", "truncated", "monomial", "relations", "nilpotency", "field")
@@ -32,6 +32,12 @@ _KEYS = ("vertices", "arrow", "truncated", "monomial", "relations", "nilpotency"
 # cap on the paths a file's algebra may enumerate; the largest corpus
 # algebra enumerates 340, and a huge exponent ends here instead of hanging
 MAX_PATHS = 10**5
+
+# cap on the total dimension of a rep-context module expression, multiplicities
+# included, checked on declared sizes before any matrix is allocated: it keeps
+# every arrow matrix at or below 10**6 entries, and the largest expression the
+# tests or the benchmark build, M_alpha(1,5) + M_beta(1,5), has dimension 42
+MAX_MODULE_DIM = 1000
 
 
 def _lines(text):
@@ -212,7 +218,7 @@ def _parse_relation(quiver, chunk, lineno):
         if "*" in piece:
             ctext, ptext = piece.split("*", 1)
             try:
-                coeff = Fraction(ctext.strip())
+                coeff = rational(ctext.strip())
             except (ValueError, ZeroDivisionError):
                 raise ParseError(f"bad coefficient {ctext!r}", line=lineno)
         else:

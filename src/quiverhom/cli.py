@@ -49,8 +49,8 @@ def _multiset_arg(args, algebra):
     return value
 
 
-def _rep_arg(args, algebra):
-    kind, value = _module_arg(args, algebra, context="rep")
+def _sum_of(algebra, value):
+    """The direct sum of a rep-context value, (Representation, multiplicity) pairs."""
     parts = []
     for rep, mult in value:
         parts.extend([rep] * mult)
@@ -89,13 +89,13 @@ def cmd_gldim(args, algebra):
 
 
 def cmd_pd(args, algebra):
-    if algebra.is_monomial_like and not _needs_rep_context(args, algebra):
-        m = _multiset_arg(args, algebra)
+    kind, value = _module_arg(args, algebra)
+    if kind == "multiset":
         calc = calculus(algebra)
-        values = {cls.label: pd_value_json(calc.pd(cls)) for cls in m.counts}
-        total = calc.pd_multiset(m)
+        values = {cls.label: pd_value_json(calc.pd(cls)) for cls in value.counts}
+        total = calc.pd_multiset(value)
         return {"pd": pd_value_json(total), "per_class": values}
-    rep = _rep_arg(args, algebra)
+    rep = _sum_of(algebra, value)
     probe = reps.pd_rep(rep, max_steps=args.max_steps, trials=args.trials, seed=args.seed)
     out = {"pd": probe.to_json()}
     if probe.kind == "at_least":
@@ -103,21 +103,13 @@ def cmd_pd(args, algebra):
     return out
 
 
-def _needs_rep_context(args, algebra):
-    from .modexpr import _uses_rep_atom, parse_expression
-
-    if not args.module:
-        raise QuiverHomError("this command needs --module EXPR")
-    return _uses_rep_atom(parse_expression(args.module), corpus.GENERATORS)
-
-
 def cmd_syzygy(args, algebra):
     steps = args.steps
-    if algebra.is_monomial_like and not _needs_rep_context(args, algebra):
-        m = _multiset_arg(args, algebra)
-        result = calculus(algebra).iterate_syzygy(m, steps)
-        return {"module": str(m), "steps": steps, "syzygy": str(result)}
-    rep = _rep_arg(args, algebra)
+    kind, value = _module_arg(args, algebra)
+    if kind == "multiset":
+        result = calculus(algebra).iterate_syzygy(value, steps)
+        return {"module": str(value), "steps": steps, "syzygy": str(result)}
+    rep = _sum_of(algebra, value)
     cur = rep
     for _ in range(steps):
         cur = reps.syzygy_rep(cur)
@@ -211,12 +203,11 @@ def cmd_inj_pd(args, algebra):
 
 
 def cmd_phi(args, algebra):
-    if algebra.is_monomial_like and not _needs_rep_context(args, algebra):
-        m = _multiset_arg(args, algebra)
-        res = phi(algebra, m)
-        return {"module": str(m), **res.to_json(include_lattice=True)}
-    kind, parts = _module_arg(args, algebra, context="rep")
-    summands = [rep for rep, _mult in parts]
+    kind, value = _module_arg(args, algebra)
+    if kind == "multiset":
+        res = phi(algebra, value)
+        return {"module": str(value), **res.to_json(include_lattice=True)}
+    summands = [rep for rep, _mult in value]
     catalog, assume = _auto_catalog(algebra, summands, args)
     res = phi_of_reps(algebra, summands, catalog, assume_infinite_pd=assume,
                       trials=args.trials, seed=args.seed)

@@ -8,8 +8,9 @@ Names resolve through the CLI as --algebra corpus:<name>.
 from fractions import Fraction
 
 from . import reps
-from .algfile import parse_algebra_text
+from .algfile import MAX_MODULE_DIM, parse_algebra_text
 from .errors import ParseError
+from .fields import rational
 
 _SEC3_RELATIONS = """\
 relations: a1.b1 - 2*a2.b2, b1.a1 - b2.a2
@@ -171,15 +172,24 @@ def _sec3_signature(algebra):
     return all(names.get(k) == v for k, v in need.items())
 
 
+def _param(name, args):
+    """The one nonzero rational parameter of M_param or N_param."""
+    if len(args) != 1:
+        raise ParseError(f"{name} takes one rational parameter, got {len(args)} arguments")
+    try:
+        a = rational(args[0])
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"{name} parameter must be a rational number, got {args[0]!r}") from None
+    if a == 0:
+        raise ParseError(f"{name} parameter must be nonzero")
+    return a
+
+
 def make_m_param(algebra, args):
     """M_param(a): one-dimensional at both ends, a1 acts by a, a2 by 1."""
     if not _sec3_signature(algebra):
         raise ParseError("M_param needs the doubled-arrow two-vertex quiver")
-    if len(args) != 1:
-        raise ParseError("M_param takes one rational parameter")
-    a = Fraction(args[0])
-    if a == 0:
-        raise ParseError("M_param parameter must be nonzero")
+    a = _param("M_param", args)
     return reps.Representation(
         algebra, {"1": 1, "2": 1}, {"a1": [[a]], "a2": [[Fraction(1)]]},
         name=f"M_param({a})",
@@ -189,11 +199,7 @@ def make_m_param(algebra, args):
 def make_n_param(algebra, args):
     if not _sec3_signature(algebra):
         raise ParseError("N_param needs the doubled-arrow two-vertex quiver")
-    if len(args) != 1:
-        raise ParseError("N_param takes one rational parameter")
-    a = Fraction(args[0])
-    if a == 0:
-        raise ParseError("N_param parameter must be nonzero")
+    a = _param("N_param", args)
     return reps.Representation(
         algebra, {"1": 1, "2": 1}, {"b1": [[Fraction(1)]], "b2": [[a]]},
         name=f"N_param({a})",
@@ -220,14 +226,29 @@ def _block_inclusion(field, n, shift):
     return m
 
 
+def _family_args(name, args):
+    """(i, n) of M_alpha(i, n) or M_beta(i, n), checked against the vertex
+    range and, through the dimension 4n + 1, against MAX_MODULE_DIM."""
+    if len(args) != 2:
+        raise ParseError(f"{name}(i, n) takes two integers, got {len(args)} arguments")
+    try:
+        i, n = int(args[0]), int(args[1])
+    except ValueError:
+        raise ParseError(f"{name}(i, n) takes two integers, got {', '.join(args)}") from None
+    if not (1 <= i <= 4 and n >= 1):
+        raise ParseError(f"{name}(i, n) needs 1 <= i <= 4 and n >= 1")
+    if 4 * n + 1 > MAX_MODULE_DIM:
+        raise ParseError(f"{name}({i},{n}) has dimension {4 * n + 1}, "
+                         f"above the cap {MAX_MODULE_DIM}")
+    return i, n
+
+
 def make_m_alpha(algebra, args):
     """M_alpha(i, n): k^n at vertex i, k^(3n+1) at i+1, the four block
     inclusions assigned to (b, abar, a, bbar) with shifts (0, n, n+1, 2n+1)."""
     if not _infinito_signature(algebra):
         raise ParseError("M_alpha needs the four-vertex doubled-cycle quiver")
-    i, n = int(args[0]), int(args[1])
-    if not (1 <= i <= 4 and n >= 1):
-        raise ParseError("M_alpha(i, n) needs 1 <= i <= 4 and n >= 1")
+    i, n = _family_args("M_alpha", args)
     j = str(i % 4 + 1)
     F = algebra.field
     mats = {
@@ -243,9 +264,7 @@ def make_m_alpha(algebra, args):
 def make_m_beta(algebra, args):
     if not _infinito_signature(algebra):
         raise ParseError("M_beta needs the four-vertex doubled-cycle quiver")
-    i, n = int(args[0]), int(args[1])
-    if not (1 <= i <= 4 and n >= 1):
-        raise ParseError("M_beta(i, n) needs 1 <= i <= 4 and n >= 1")
+    i, n = _family_args("M_beta", args)
     j = str(i % 4 + 1)
     F = algebra.field
     mats = {

@@ -130,6 +130,15 @@ def _is_prime(n):
 QQ = Rationals()
 
 
+def rational(text):
+    """The Fraction an input writes as an integer, a/b or a decimal;
+    ValueError on exponent notation, whose value is not bounded by its text
+    ('1e999999999' is a billion-digit integer)."""
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent notation in {text!r}")
+    return Fraction(text)
+
+
 def field_from_spec(text):
     """Parse a field spec string: 'Q' or 'Fp <prime>'."""
     parts = text.split()

@@ -101,6 +101,12 @@ def rank_sequence(lattice, generators, upto, whole=False):
     return ranks
 
 
+def _stable_level(ranks):
+    """The first level whose rank equals the last: where a rank sequence
+    computed up to its stabilization becomes constant."""
+    return ranks.index(ranks[-1])
+
+
 class PhiResult:
     def __init__(self, value, ranks, lattice, assumptions=()):
         self.value = value
@@ -132,9 +138,7 @@ def phi(algebra, multiset):
     if not gens:
         return PhiResult(0, [0], lattice)
     ranks = rank_sequence(lattice, gens, lattice.rank)
-    target = ranks[lattice.rank]
-    value = min(l for l, r in enumerate(ranks) if r == target)
-    return PhiResult(value, ranks, lattice)
+    return PhiResult(_stable_level(ranks), ranks, lattice)
 
 
 def phidim_subcat(algebra, seed_classes):
@@ -146,8 +150,7 @@ def phidim_subcat(algebra, seed_classes):
         return PhiResult(0, [0], lattice)
     gens = [[1 if j == i else 0 for j in range(d)] for i in range(d)]
     ranks = rank_sequence(lattice, gens, d, whole=True)
-    value = min(l for l, r in enumerate(ranks) if r == ranks[-1])
-    return PhiResult(value, ranks, lattice)
+    return PhiResult(_stable_level(ranks), ranks, lattice)
 
 
 class PhidimBounds:
@@ -355,8 +358,7 @@ def phi_of_reps(algebra, summands, catalog, assume_infinite_pd=(), trials=20,
         if note:
             assumptions.append(note)
         if stable:
-            value = min(l for l, r in enumerate(ranks) if r == rank_l)
-            return PhiResult(value, ranks, None, sorted(set(assumptions)))
+            return PhiResult(_stable_level(ranks), ranks, None, sorted(set(assumptions)))
         if all(_is_opaque_free(v) for v in vectors):
             closed = _try_close(table, vectors)
             if closed is not None:
@@ -473,30 +475,18 @@ def _try_close(table, vectors):
 
 
 def _finite_lattice_phi(table, vectors, ranks_so_far, closed):
+    """Finish the rank sequence on the lattice spanned by the closed classes:
+    d more levels after those already recorded, d the lattice rank."""
     d = len(closed)
     idx = {n: i for i, n in enumerate(closed)}
+    matrix = [[0] * d for _ in range(d)]
+    for j, name in enumerate(closed):
+        for child, m in table.syzygy_expansion(name).items():
+            matrix[idx[child]][j] += m
+    lattice = K0Lattice(table.algebra, closed, matrix)
     current = [[v.get(n, 0) for n in closed] for v in vectors]
-
-    def step(vs):
-        out = []
-        for v in vs:
-            nv = [0] * d
-            for j, x in enumerate(v):
-                if x:
-                    for child, m in table.syzygy_expansion(closed[j]).items():
-                        nv[idx[child]] += x * m
-            out.append(nv)
-        return out
-
-    ranks = list(ranks_so_far)
-    offset = len(ranks) - 1
-    vs = current
-    for _ in range(d):
-        vs = step(vs)
-        ranks.append(_rank_of_int_rows(vs))
-    target = ranks[offset + d]
-    value = min(l for l, r in enumerate(ranks) if r == target)
-    return PhiResult(value, ranks, None)
+    ranks = ranks_so_far + rank_sequence(lattice, current, d)[1:]
+    return PhiResult(_stable_level(ranks), ranks, None)
 
 
 # -- certified merge lower bounds ---------------------------------------------

@@ -2,9 +2,11 @@
 
 Matrices are lists of row lists; `sparse_rref` alone takes sparse rows,
 {column: value} dicts.  Everything here is fraction-exact; ranks, kernels and
-inverses are certificates, not approximations.  The kernels read
-`field.char` once per call and compute on plain ints: `% p` inline over F_p,
-fraction-free Gauss-Jordan on primitive integer rows over Q.
+inverses are certificates, not approximations.  One Gauss-Jordan kernel,
+`_eliminate`, runs every elimination on sparse rows (`rref` and `rank` hand
+it their dense rows as dicts).  It reads `field.char` once per call and
+computes on plain ints: `% p` inline over F_p, fraction-free on primitive
+integer rows over Q.
 """
 
 from fractions import Fraction
@@ -44,116 +46,151 @@ def mat_vec(field, a, v):
     return [s % field.char for s in out] if field.char else out
 
 
-def _eliminate(field, a, reduced=True):
-    """Gauss-Jordan on plain ints: rows reduced mod p with unit pivots over
-    F_p, primitive integer rows over Q.  With reduced=False only the rows
-    below each pivot are cleared, which is all a rank needs.  Returns (rows,
-    pivot column list)."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
+def _eliminate(field, rows, reduced=True):
+    """Gauss-Jordan on sparse rows, {column: value} dicts, in plain ints:
+    returns (row dicts, pivot column list) in pivot order.
+
+    Rows are taken one at a time.  Each is cleared at the pivots found so far
+    and takes its leftmost column as a new pivot, so every kept row leads at
+    its pivot and the pivots are those of the rref.  reduced=True also clears
+    each new pivot from the earlier rows and returns the rows of the rref, 1
+    at the pivot; reduced=False clears a row only at pivots on its left,
+    which is all a rank needs, and returns the pivots alone (rows None).
+
+    Over F_p rows are kept reduced mod p with 1 at the pivot.  Over Q they
+    are primitive integer rows with a positive pivot, combined as s*x - t*y;
+    the only Fractions built are those of the returned rows."""
+    if not rows:
+        return [], []
     p = field.char
-    if p:
-        m = [[x % p for x in row] for row in a]
-    else:
-        m = []
-        for row in a:
-            den = lcm(*(x.denominator for x in row))
-            m.append([x.numerator * (den // x.denominator) for x in row])
-    pivots = []
-    r = 0
-    for c in range(cols):
-        for pr in range(r, rows):
-            if m[pr][c]:
-                break
-        else:
+    clear = _clear_mod if p else _clear_int
+    basis = {}  # pivot column -> row leading there
+    for row in rows:
+        if not row:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        prow = m[r]
-        pv = prow[c]
+        if p:
+            acc = {j: v for j, x in row.items() if (v := x % p)}
+        else:
+            den = lcm(*[x.denominator for x in row.values()])
+            if den == 1:
+                acc = {j: v for j, x in row.items() if (v := x.numerator)}
+            else:
+                acc = {j: v for j, x in row.items()
+                       if (v := x.numerator * (den // x.denominator))}
+        if reduced:
+            # the basis rows vanish at each other's pivots, so clearing acc
+            # at one of them leaves it zero or nonzero at the others as it was
+            for c in [c for c in acc if c in basis]:
+                clear(acc, basis[c], c, p)
+            if not acc:
+                continue
+            c = min(acc)
+        else:
+            while acc:
+                c = min(acc)
+                lead = basis.get(c)
+                if lead is None:
+                    break
+                clear(acc, lead, c, p)
+            if not acc:
+                continue
+        pv = acc[c]
         if p:
             if pv != 1:
                 inv = pow(pv, p - 2, p)
-                prow = m[r] = [x * inv % p for x in prow]
-            for i in range(0 if reduced else r + 1, rows):
-                f = m[i][c]
-                if f and i != r:
-                    m[i] = [(x - f * y) % p for x, y in zip(m[i], prow)]
-        else:
-            for i in range(0 if reduced else r + 1, rows):
-                f = m[i][c]
-                if f and i != r:
-                    g = gcd(pv, f)
-                    s, t = pv // g, f // g
-                    row = [s * x - t * y for x, y in zip(m[i], prow)]
-                    g = gcd(*row)
-                    m[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
-
-
-def rref(field, a):
-    """Reduced row echelon form (new row lists); returns (matrix, pivot column list)."""
-    m, pivots = _eliminate(field, a)
-    if not field.char:
-        r = len(pivots)
-        for i, row in enumerate(m):
-            pv = row[pivots[i]] if i < r else 1
-            m[i] = [Fraction(x, pv) if x else field.zero for x in row]
-    return m, pivots
-
-
-def sparse_rref(field, rows):
-    """rref of sparse rows, {column: value} dicts of nonzero values: returns
-    (row dicts, pivot column list) in pivot order, each row 1 at its pivot.
-
-    Rows are taken one at a time.  Each is cleared at the pivots found so far
-    and takes its leftmost column as a new pivot, which is then cleared from
-    the earlier rows.  A new pivot leads a vector of the row space, so the
-    pivots are those of the rref, and the rows that are the identity at them
-    are the rows of the rref."""
-    p = field.char
-    basis = {}  # pivot column -> row, 1 there and 0 at the other pivots
-    for row in rows:
-        acc = {j: x % p for j, x in row.items() if x % p} if p else \
-            {j: x for j, x in row.items() if x}
-        for c in [c for c in acc if c in basis]:
-            _sub_multiple(acc, acc[c], basis[c], p)
-        if not acc:
-            continue
-        c = min(acc)
-        pv = acc[c]
-        if pv != 1:
-            inv = pow(pv, p - 2, p) if p else 1 / Fraction(pv)
-            acc = {j: x * inv % p for j, x in acc.items()} if p else \
-                {j: x * inv for j, x in acc.items()}
-        for other in basis.values():
-            f = other.get(c)
-            if f:
-                _sub_multiple(other, f, acc, p)
+                for j, x in acc.items():
+                    acc[j] = x * inv % p
+        elif pv != 1:
+            # a unit pivot leaves the row primitive already
+            g = 1 if pv == -1 else gcd(*acc.values())
+            if pv < 0:
+                g = -g
+            if g != 1:
+                for j, x in acc.items():
+                    acc[j] = x // g
+        if reduced:
+            for other in basis.values():
+                if c in other:
+                    clear(other, acc, c, p)
         basis[c] = acc
     pivots = sorted(basis)
-    return [basis[c] for c in pivots], pivots
+    if not reduced:
+        return None, pivots
+    if p:
+        return [basis[c] for c in pivots], pivots
+    out = []
+    for c in pivots:
+        row = basis[c]
+        pv = row[c]
+        if pv == 1:
+            out.append({j: Fraction(x) for j, x in row.items()})
+        else:
+            out.append({j: Fraction(x, pv) for j, x in row.items()})
+    return out, pivots
 
 
-def _sub_multiple(acc, f, row, p):
-    """acc -= f * row on sparse rows, in place, keeping only nonzero values."""
+def _clear_mod(acc, row, c, p):
+    """acc -= acc[c] * row mod p, in place; row is 1 at c."""
+    f = acc[c]
     for j, y in row.items():
-        x = acc.get(j, 0) - f * y
-        if p:
-            x %= p
+        x = (acc.get(j, 0) - f * y) % p
         if x:
             acc[j] = x
         else:
             del acc[j]
 
 
+def _clear_int(acc, row, c, p):
+    """acc = s * acc - t * row made primitive, in place, with s > 0 the least
+    multiplier that clears column c; row is positive at c."""
+    pv = row[c]
+    f = acc[c]
+    if pv == 1 or f % pv == 0:
+        s, t = 1, f // pv
+    else:
+        g = gcd(pv, f)
+        s, t = pv // g, f // g
+        for j, x in acc.items():
+            acc[j] = s * x
+    for j, y in row.items():
+        x = acc.get(j, 0) - t * y
+        if x:
+            acc[j] = x
+        else:
+            del acc[j]
+    if s != 1:
+        g = gcd(*acc.values())
+        if g > 1:
+            for j, x in acc.items():
+                acc[j] = x // g
+
+
+def rref(field, a):
+    """Reduced row echelon form (new row lists, zero rows last); returns
+    (matrix, pivot column list)."""
+    rows, pivots = _eliminate(field, [{j: x for j, x in enumerate(row) if x} for row in a])
+    z = field.zero
+    cols = len(a[0]) if a else 0
+    m = []
+    for row in rows:
+        dense = [z] * cols
+        for j, x in row.items():
+            dense[j] = x
+        m.append(dense)
+    m += ([z] * cols for _ in range(len(a) - len(rows)))
+    return m, pivots
+
+
+def sparse_rref(field, rows):
+    """rref of sparse rows, {column: value} dicts of nonzero values: returns
+    (row dicts, pivot column list) in pivot order, each row 1 at its pivot."""
+    return _eliminate(field, rows)
+
+
 def rank(field, a):
-    if not a or not a[0]:
-        return 0
-    return len(_eliminate(field, a, reduced=False)[1])
+    """Rank of a matrix of row lists."""
+    return len(_eliminate(field, [{j: x for j, x in enumerate(row) if x} for row in a],
+                           reduced=False)[1])
 
 
 def nullspace(field, a, cols=None):

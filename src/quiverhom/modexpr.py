@@ -20,10 +20,10 @@ classes, monomial/truncated algebras only; path() and simple() atoms) or
 picks multiset when the algebra supports it and no rep-only atom occurs.
 """
 
-from fractions import Fraction
-
 from . import reps
+from .algfile import MAX_MODULE_DIM
 from .errors import ParseError, UnsupportedIdeal
+from .fields import rational
 from .pathmodules import ModuleMultiset, calculus
 
 
@@ -170,19 +170,28 @@ def _eval_multiset(node, algebra):
     if kind == "rep":
         raise ParseError("rep{...} literals are not formal path-module expressions")
     name, args = node[1], node[2]
+    if name in ATOM_ARGUMENT:
+        arg = _atom_arg(algebra, name, args)
     if name == "path":
-        if len(args) != 1:
-            raise ParseError("path() takes one dotted path")
-        return ModuleMultiset([calc.class_of(algebra.path(args[0]))])
+        return ModuleMultiset([calc.class_of(algebra.path(arg))])
     if name == "simple":
-        if len(args) != 1:
-            raise ParseError("simple() takes one vertex")
-        _check_vertex(algebra, args[0])
-        return ModuleMultiset([calc.simple_class(args[0])])
+        return ModuleMultiset([calc.simple_class(arg)])
     if name == "proj":
-        _check_vertex(algebra, args[0])
-        return ModuleMultiset([calc.projective_class(args[0])])
+        return ModuleMultiset([calc.projective_class(arg)])
     raise ParseError(f"{name}() is not a formal path-module atom")
+
+
+# the built-in atoms, each of one argument: what it names
+ATOM_ARGUMENT = {"path": "dotted path", "simple": "vertex", "proj": "vertex", "inj": "vertex"}
+
+
+def _atom_arg(algebra, name, args):
+    """The single argument of a built-in atom, a known vertex where one is due."""
+    if len(args) != 1:
+        raise ParseError(f"{name}() takes one {ATOM_ARGUMENT[name]}, got {len(args)} arguments")
+    if ATOM_ARGUMENT[name] == "vertex":
+        _check_vertex(algebra, args[0])
+    return args[0]
 
 
 def _check_vertex(algebra, v):
@@ -190,31 +199,44 @@ def _check_vertex(algebra, v):
         raise ParseError(f"unknown vertex {v!r}")
 
 
+def _check_dim(total, what):
+    if total > MAX_MODULE_DIM:
+        raise ParseError(f"{what} has total dimension {total}, above the cap {MAX_MODULE_DIM}")
+
+
+def _capped(value):
+    """A rep-context value, refused when its total dimension, multiplicities
+    included, exceeds MAX_MODULE_DIM."""
+    _check_dim(sum(rep.total_dim * mult for rep, mult in value), "module expression")
+    return value
+
+
 def _eval_rep(node, algebra, generators):
     kind = node[0]
+    # each term is capped as soon as it exists, so a sum stops at the first
+    # term that overflows; atoms check their declared size before allocating
     if kind == "sum":
         out = []
         for t in node[1]:
-            out.extend(_eval_rep(t, algebra, generators))
+            out = _capped(out + _eval_rep(t, algebra, generators))
         return out
     if kind == "scale":
         inner = _eval_rep(node[2], algebra, generators)
-        return [(rep, mult * node[1]) for rep, mult in inner]
+        return _capped([(rep, mult * node[1]) for rep, mult in inner])
     if kind == "rep":
         return [(_parse_rep_literal(node[1], algebra), 1)]
     name, args = node[1], node[2]
+    if name in ATOM_ARGUMENT:
+        arg = _atom_arg(algebra, name, args)
     if name == "simple":
-        _check_vertex(algebra, args[0])
-        return [(reps.simple(algebra, args[0]), 1)]
+        return [(reps.simple(algebra, arg), 1)]
     if name == "proj":
-        _check_vertex(algebra, args[0])
-        return [(reps.projective(algebra, args[0]), 1)]
+        return [(reps.projective(algebra, arg), 1)]
     if name == "inj":
-        _check_vertex(algebra, args[0])
-        return [(reps.injective(algebra, args[0]), 1)]
+        return [(reps.injective(algebra, arg), 1)]
     if name == "path":
         calc = calculus(algebra)
-        return [(reps.rep_of_class(calc.class_of(algebra.path(args[0]))), 1)]
+        return [(reps.rep_of_class(calc.class_of(algebra.path(arg))), 1)]
     if name in generators:
         return [(generators[name](algebra, args), 1)]
     raise ParseError(f"unknown module atom {name!r}")
@@ -234,6 +256,7 @@ def _parse_rep_literal(body, algebra):
             dims[v] = int(d)
         except ValueError:
             raise ParseError(f"bad dimension {d!r}")
+    _check_dim(sum(dims.values()), "rep literal")
     mats = {}
     for section in sections[1:]:
         if "=" not in section:
@@ -273,7 +296,7 @@ def _parse_matrix(text):
                     entry = entry.strip()
                     if entry:
                         try:
-                            row.append(Fraction(entry))
+                            row.append(rational(entry))
                         except (ValueError, ZeroDivisionError):
                             raise ParseError(f"bad matrix entry {entry!r}")
                 rows.append(row)

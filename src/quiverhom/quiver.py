@@ -109,7 +109,10 @@ class Path:
     def __init__(self, quiver, arrows=(), vertex=None):
         arrows = tuple(arrows)
         if arrows:
-            seq = [quiver.arrow_by_name[n] for n in arrows]
+            try:
+                seq = [quiver.arrow_by_name[n] for n in arrows]
+            except KeyError as exc:
+                raise ParseError(f"unknown arrow {exc.args[0]!r}") from None
             for prev, nxt in zip(seq, seq[1:]):
                 if prev.target != nxt.source:
                     raise ComposeMismatch(

@@ -21,6 +21,7 @@ from .errors import (
     FieldMismatch,
     InternalInvariantError,
     NoDecomposition,
+    ParseError,
 )
 from .quiver import INFINITE
 
@@ -115,13 +116,14 @@ class Representation:
         return cur
 
     def check_relations(self):
-        """Verify every defining relation acts as zero; raises on failure."""
+        """Verify every defining relation acts as zero; ParseError naming the
+        first relation that does not (a module given as input breaks it)."""
         A = self.algebra
         F = self.field
         if A.kind == "monomial":
             for g in A.ideal.generators:
                 if not linalg.is_zero_matrix(F, self.evaluate_path(g)):
-                    raise InternalInvariantError(f"generator {g} acts nonzero")
+                    raise ParseError(f"relation {g} acts nonzero")
         if A.kind == "relations":
             p = F.char
             for rel in A.ideal.relations:
@@ -132,7 +134,7 @@ class Representation:
                     acc = [[c * x for x in row] for row in m] if acc is None else \
                         [[s + c * x for s, x in zip(ra, rm)] for ra, rm in zip(acc, m)]
                 if any(s % p if p else s for row in acc for s in row):
-                    raise InternalInvariantError(f"relation {rel} acts nonzero")
+                    raise ParseError(f"relation {rel} acts nonzero")
         if A.kind in ("truncated", "relations"):
             self._check_long_paths_vanish(A.nilpotency)
         return True
@@ -148,8 +150,9 @@ class Representation:
                 v, depth, mat = stack.pop()
                 if depth == length:
                     if not linalg.is_zero_matrix(F, mat):
-                        raise InternalInvariantError(
-                            f"a length-{length} path acts nonzero from {start}"
+                        raise ParseError(
+                            f"relation J^{length} acts nonzero: a length-{length} "
+                            f"path from {start}"
                         )
                     continue
                 if linalg.is_zero_matrix(F, mat):

@@ -109,6 +109,9 @@ class TestErrorLines:
          "more than 100000 paths of length at most 99999999998"),
         ("vertices: 1\narrow: a 1 1\nrelations: a.a.a\nnilpotency: 99999999\n", 4,
          "more than 100000 paths of length at most 99999999"),
+        # exponent notation would ask for a billion-digit coefficient
+        ("vertices: 1\narrow: a 1 1\nrelations: 1e999999999*a.a\nnilpotency: 3\n", 3,
+         "bad coefficient '1e999999999'"),
     ])
     def test_cli_names_the_line(self, capsys, tmp_path, text, lineno, message):
         path = tmp_path / "bad.alg"

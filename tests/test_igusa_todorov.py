@@ -2,6 +2,7 @@ import pytest
 
 from quiverhom import corpus, reps
 from quiverhom.algebra import TruncatedIdeal, build_algebra
+from quiverhom.algfile import parse_algebra_text
 from quiverhom.errors import HypothesisViolated, UnsupportedIdeal
 from quiverhom.igusa_todorov import (
     K0Lattice,
@@ -246,6 +247,22 @@ class TestHybridPhi:
         assert res.value == 1
         assert res.ranks == [2, 1, 1]
         assert res.assumptions  # rests on the stated pd assumption
+
+    def test_closed_catalog_finishes_on_the_finite_lattice(self):
+        # the line 1 -> 2 -> 3 -> 4 with radical square zero, given by a
+        # relations ideal: every syzygy of a simple is the next simple, so the
+        # simples close under syzygy and the exact lattice procedure ends it
+        A = parse_algebra_text("vertices: 1 2 3 4\narrow: a 1 2\narrow: b 2 3\n"
+                               "arrow: c 3 4\nrelations: a.b, b.c\nnilpotency: 2\n")
+        simples = {v: reps.simple(A, v) for v in A.quiver.vertices}
+        catalog = [(f"S_{v}", s) for v, s in simples.items()]
+        for summands, value, ranks in [
+            (["1", "2", "3"], 3, [3, 2, 1, 0]),
+            (["1"], 3, [1, 1, 1, 0]),
+            (["2", "4"], 2, [1, 1, 0]),
+        ]:
+            res = phi_of_reps(A, [simples[v] for v in summands], catalog)
+            assert (res.value, res.ranks, res.assumptions) == (value, ranks, [])
 
 
 class TestMergeLowerBound:

@@ -6,6 +6,7 @@ methods, so over Q it is plain `Fraction` arithmetic and over F_p it is
 agree with it entry for entry.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -298,3 +299,92 @@ def test_rational_rref_of_integer_and_fractional_rows():
     assert pivots == [0, 2]
     assert red == [[1, Fraction(1, 3), 0], [0, 0, 1]]
     assert_elements(QQ, red)
+
+
+# -- fixed cases where coefficients grow ------------------------------------
+
+
+def _product_rank_7():
+    """A 12 x 12 product B C of inner dimension 7, entries with denominators
+    up to 30: rank 7 over Q, and fraction-free rows grow well past one word."""
+    rng = random.Random(12)
+
+    def entry():
+        return Fraction(rng.randint(-30, 30), rng.randint(1, 30))
+
+    b = [[entry() for _ in range(7)] for _ in range(12)]
+    c = [[entry() for _ in range(12)] for _ in range(7)]
+    return ref_mul(QQ, b, c, 12)
+
+
+def _hilbert(rows, cols):
+    return [[Fraction(1, i + j + 1) for j in range(cols)] for i in range(rows)]
+
+
+GROWTH_CASES = {
+    "product_rank_7": _product_rank_7(),
+    "hilbert_8x8": _hilbert(8, 8),
+    "hilbert_9x6": _hilbert(9, 6),
+    "hilbert_with_repeated_rows": _hilbert(4, 7) + _hilbert(3, 7),
+}
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+@pytest.mark.parametrize("name", sorted(GROWTH_CASES))
+def test_growth_cases_match_reference(F, name):
+    a = [[F.of(x) for x in row] for row in GROWTH_CASES[name]]
+    n = len(a[0])
+    before = [row[:] for row in a]
+    ref_red, ref_pivots = ref_rref(F, a)
+    if F.char == 0 and name == "product_rank_7":
+        assert len(ref_pivots) == 7
+
+    red, pivots = linalg.rref(F, a)
+    assert (red, pivots) == (ref_red, ref_pivots)
+    assert_elements(F, red)
+
+    rows = [{j: x for j, x in enumerate(row) if x} for row in a]
+    rows_before = [dict(row) for row in rows]
+    sparse, sparse_pivots = linalg.sparse_rref(F, rows)
+    assert sparse_pivots == ref_pivots
+    assert [[row.get(j, F.zero) for j in range(n)] for row in sparse] == \
+        ref_red[:len(ref_pivots)]
+    assert rows == rows_before
+
+    assert linalg.rank(F, a) == len(ref_pivots)
+    basis = linalg.nullspace(F, a)
+    assert len(basis) == n - len(ref_pivots)
+    assert all(not any(linalg.mat_vec(F, a, v)) for v in basis)
+
+    # right-hand sides: two columns of a (consistent) and a unit vector
+    # (inconsistent when a is rank-deficient)
+    bs = [[row[0] for row in a], [row[n - 1] for row in a],
+          linalg.unit_vector(F, len(a), len(a) - 1)]
+    sols = linalg.solve_many(F, a, bs)
+    for b, x in zip(bs, sols):
+        ref_aug, aug_pivots = ref_rref(F, [row + [bi] for row, bi in zip(a, b)])
+        if n in aug_pivots:
+            assert x is None
+            continue
+        expect = [F.zero] * n
+        for i, pc in enumerate(aug_pivots):
+            expect[pc] = ref_aug[i][n]
+        assert x == expect
+        assert linalg.mat_vec(F, a, x) == b
+    assert a == before
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_sparse_rows_empty_and_zero(F):
+    assert linalg.sparse_rref(F, []) == ([], [])
+    assert linalg.sparse_rref(F, [{}, {}, {}]) == ([], [])
+    # a zero row among nonzero ones, and an entry that vanishes in the field
+    rows = [{}, {2: F.of(3)}, {}, {0: F.of(2), 2: F.of(1)}]
+    if F.char:
+        rows.append({1: F.char})
+    before = [dict(row) for row in rows]
+    red, pivots = linalg.sparse_rref(F, rows)
+    assert pivots == [0, 2]
+    assert red == [{0: F.one}, {2: F.one}]
+    assert rows == before
+    assert_elements(F, [list(row.values()) for row in red])

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiverhom import corpus
-from quiverhom.errors import ParseError
+from quiverhom.cli import main
+from quiverhom.errors import InternalInvariantError, ParseError, QuiverHomError
 from quiverhom.modexpr import evaluate
 
 
@@ -46,9 +49,10 @@ class TestRepContext:
         assert rep.dim_vector() == (1, 1)
 
     def test_rep_literal_checks_relations(self, sec3):
-        # b1 must act like b2 scaled; an inconsistent literal is rejected
+        # b1 must act like b2 scaled; an inconsistent literal is rejected,
+        # naming the relation it breaks
         text = "rep{ 1:1 2:1 ; a1 = [[1]] ; b1 = [[1]] }"
-        with pytest.raises(Exception):
+        with pytest.raises(ParseError, match="relation .* acts nonzero"):
             evaluate(text, sec3)
 
     def test_rep_literal_shape_validation(self, sec3):
@@ -70,3 +74,107 @@ class TestRepContext:
     def test_unknown_atom(self, sec4):
         with pytest.raises(ParseError):
             evaluate("mystery(1)", sec4, context="rep")
+
+
+# -- malformed input ends in a QuiverHomError -------------------------------
+
+FUZZ_ALGEBRAS = {name: corpus.algebra(name) for name in ("sec4_example", "sec3_example",
+                                                         "infinito")}
+ATOM_NAMES = ["path", "simple", "proj", "inj", "M_param", "N_param", "M_alpha", "M_beta",
+              "mystery"]
+JUNK = ["", "zz", "x", "-1", "1/0", "0", "1.5", "1e5000", "e_1", "e_9", "a.zz", "()", "..",
+        "99999"]
+
+
+@st.composite
+def arguments(draw, algebra):
+    """One atom argument: a vertex, an arrow, a dotted path, a small number
+    or junk."""
+    arrows = [a.name for a in algebra.quiver.arrows]
+    return draw(st.one_of(
+        st.sampled_from(list(algebra.quiver.vertices) + ["5"]),
+        st.sampled_from(arrows),
+        st.lists(st.sampled_from(arrows), min_size=2, max_size=3).map(".".join),
+        st.integers(-2, 4).map(str),
+        st.sampled_from(JUNK),
+    ))
+
+
+@st.composite
+def rep_literals(draw, algebra):
+    vertices = list(algebra.quiver.vertices)
+    dims = draw(st.dictionaries(st.sampled_from(vertices + ["9"]), st.integers(-1, 2),
+                                max_size=3))
+    sections = [" ".join(f"{v}:{d}" for v, d in dims.items())]
+    entries = st.sampled_from(["0", "1", "-1", "2", "1/2", "x", "1/0", "1e999999999"])
+    for a in draw(st.lists(st.sampled_from(algebra.quiver.arrows), max_size=2)):
+        # mostly the declared shape (target x source), sometimes another
+        rows = draw(st.one_of(st.just(dims.get(a.target, 0)), st.integers(0, 2)))
+        cols = draw(st.one_of(st.just(dims.get(a.source, 0)), st.integers(0, 2)))
+        matrix = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+        sections.append(f"{a.name} = [" + ",".join(f"[{', '.join(r)}]" for r in matrix) + "]")
+    return "rep{ " + " ; ".join(sections) + " }"
+
+
+@st.composite
+def terms(draw, algebra):
+    atom = draw(st.one_of(
+        st.builds(lambda name, args: f"{name}({','.join(args)})",
+                  st.sampled_from(ATOM_NAMES), st.lists(arguments(algebra), max_size=3)),
+        rep_literals(algebra),
+    ))
+    if draw(st.booleans()):
+        atom = f"({atom})"
+    mult = draw(st.sampled_from(["", "0*", "1*", "2*", "3*", "99999999999*"]))
+    return mult + atom
+
+
+@st.composite
+def expressions(draw):
+    name = draw(st.sampled_from(sorted(FUZZ_ALGEBRAS)))
+    algebra = FUZZ_ALGEBRAS[name]
+    text = draw(st.one_of(
+        st.lists(terms(algebra), min_size=1, max_size=3).map(" + ".join),
+        st.text(alphabet="()[]{},;:=+*./-0123456789 abgprsx_", max_size=24),
+    ))
+    return algebra, text
+
+
+@given(expressions())
+@settings(max_examples=300, deadline=None)
+def test_malformed_expressions_raise_user_errors(case):
+    algebra, text = case
+    try:
+        evaluate(text, algebra, generators=corpus.GENERATORS)
+    except InternalInvariantError:
+        raise
+    except QuiverHomError:
+        pass
+
+
+@pytest.mark.parametrize("algebra, module", [
+    ("sec4_example", "simple()"),
+    ("sec4_example", "proj()"),
+    ("sec4_example", "inj()"),
+    ("sec4_example", "path(zz)"),
+    ("sec3_example", "M_param(abc)"),
+    ("sec3_example", "M_param(1/0)"),
+    ("sec3_example", "M_param(1e5000)"),
+    ("sec3_example", "rep{ 1:1 2:1 ; a1 = [[1e999999999]] ; a2 = [[1]] }"),
+    ("sec3_example", "N_param()"),
+    ("infinito", "M_alpha(x,1)"),
+    ("infinito", "M_alpha(1)"),
+    ("infinito", "M_beta(1,y)"),
+    ("sec4_example", "rep{ 1:1 2:1 ; a = [[1]] ; b = [[1]] }"),
+    ("sec3_example", "rep{ 1:1 2:1 ; a1 = [[1]] ; b1 = [[1]] }"),
+    ("infinito", "M_alpha(1,100000)"),
+    ("sec4_example", "rep{ 1:100000000 }"),
+    ("sec3_example", "99999999999*simple(1)"),
+    ("infinito", "M_alpha(1,200) + M_beta(1,200)"),
+])
+def test_cli_refuses_malformed_modules(capsys, algebra, module):
+    code = main(["pd", "--algebra", f"corpus:{algebra}", "--module", module])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.err.startswith("error: PARSE_ERROR")
+    assert "Traceback" not in out.out + out.err
