@@ -15,9 +15,16 @@ import os
 import sys
 
 from . import corpus, gorenstein, reps
-from .algfile import format_algebra, parse_algebra_text, parse_split_text
+from .algfile import MAX_MODULE_DIM, format_algebra, parse_algebra_text, parse_split_text
 from .errors import Indeterminate, InternalInvariantError, QuiverHomError
-from .igusa_todorov import phi, phi_of_reps, phidim_bounds, phidim_subcat, triangular_check
+from .igusa_todorov import (
+    PhiResult,
+    phi,
+    phi_of_reps,
+    phidim_bounds,
+    phidim_subcat,
+    triangular_check,
+)
 from .modexpr import evaluate
 from .pathmodules import calculus, pd_value_json
 from .quiver import INFINITE, analyze
@@ -96,7 +103,8 @@ def cmd_pd(args, algebra):
         total = calc.pd_multiset(value)
         return {"pd": pd_value_json(total), "per_class": values}
     rep = _sum_of(algebra, value)
-    probe = reps.pd_rep(rep, max_steps=args.max_steps, trials=args.trials, seed=args.seed)
+    probe = reps.pd_rep(rep, max_steps=args.max_steps, trials=args.trials, seed=args.seed,
+                        max_dim=args.max_dim)
     out = {"pd": probe.to_json()}
     if probe.kind == "at_least":
         raise _CapReached(out)
@@ -111,7 +119,12 @@ def cmd_syzygy(args, algebra):
         return {"module": str(value), "steps": steps, "syzygy": str(result)}
     rep = _sum_of(algebra, value)
     cur = rep
-    for _ in range(steps):
+    for done in range(steps):
+        over = reps.over_budget(cur, done + 1, args.max_dim)
+        if over is not None:
+            raise _CapReached({"module": rep.name or "module", "steps": done,
+                               "syzygy_dim_vector": list(cur.dim_vector()),
+                               "detail": over.detail})
         cur = reps.syzygy_rep(cur)
     return {"module": rep.name or "module", "steps": steps,
             "syzygy_dim_vector": list(cur.dim_vector())}
@@ -190,11 +203,11 @@ def cmd_inj_pd(args, algebra):
         iv = reps.injective(algebra, v)
         bundle.append(iv)
         probe = reps.pd_rep(iv, max_steps=args.max_steps, trials=args.trials,
-                            seed=args.seed)
+                            seed=args.seed, max_dim=args.max_dim)
         per_vertex[v] = probe.to_json()
         capped = capped or probe.kind == "at_least"
     total = reps.pd_rep(reps.direct_sum(algebra, bundle), max_steps=args.max_steps,
-                        trials=args.trials, seed=args.seed)
+                        trials=args.trials, seed=args.seed, max_dim=args.max_dim)
     capped = capped or total.kind == "at_least"
     out = {"per_vertex": per_vertex, "all_injectives": total.to_json()}
     if capped:
@@ -207,7 +220,9 @@ def cmd_phi(args, algebra):
     if kind == "multiset":
         res = phi(algebra, value)
         return {"module": str(value), **res.to_json(include_lattice=True)}
-    summands = [rep for rep, _mult in value]
+    summands = [rep for rep, mult in value if mult]
+    if not summands:
+        return {"module": "0", **PhiResult(0, [0], None).to_json()}
     catalog, assume = _auto_catalog(algebra, summands, args)
     res = phi_of_reps(algebra, summands, catalog, assume_infinite_pd=assume,
                       trials=args.trials, seed=args.seed)
@@ -340,6 +355,9 @@ def build_parser():
         p.add_argument("--witness-pair", nargs=2, action="append",
                        metavar=("EXPR_A", "EXPR_B"),
                        help="module pair for certified phi lower bounds")
+        if name in ("pd", "inj-pd", "syzygy"):
+            p.add_argument("--max-dim", type=int, default=MAX_MODULE_DIM,
+                           help="stop with exit 2 before a syzygy of larger total dimension")
         if name == "info":
             p.add_argument("--structure-constants", action="store_true",
                            help="include the full structure-constant dump")

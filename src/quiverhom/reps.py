@@ -22,6 +22,7 @@ from .errors import (
     InternalInvariantError,
     NoDecomposition,
     ParseError,
+    PreconditionViolated,
 )
 from .quiver import INFINITE
 
@@ -294,6 +295,53 @@ def _apply(columns, vec, p):
     return {i: s for i, s in out.items() if s}
 
 
+def _push_plan(algebra, v):
+    """How a top generator at v is pushed along the basis paths out of v, in
+    basis order, as one per-algebra table: per path (basis index, target,
+    slot of its longest prefix already pushed, arrows still to apply).  Slot
+    0 holds the generator and each applied arrow fills the next slot."""
+    return algebra.memo(("push_plan", v), lambda: _build_push_plan(algebra, v))
+
+
+def _build_push_plan(algebra, v):
+    slots = {(): 0}
+    plan = []
+    for b in algebra.basis_indices_from(v):
+        path = algebra.basis[b]
+        arrows = path.arrows
+        k = len(arrows)
+        while arrows[:k] not in slots:
+            k -= 1
+        plan.append((b, path.target, slots[arrows[:k]], arrows[k:]))
+        for j in range(k + 1, len(arrows) + 1):
+            slots[arrows[:j]] = len(slots)
+    return plan
+
+
+def _arrow_action(algebra, arrow):
+    """The action of an arrow u -> w on each projective, as one per-algebra
+    table: per vertex v, (images, n_w), where images lists, for each basis
+    path out of v ending at u in basis order, the product arrow * path as
+    (local index, coefficient) pairs, a local index counting the basis paths
+    out of v ending at w, and n_w is their number."""
+    return algebra.memo(("arrow_action", arrow.name),
+                        lambda: _build_arrow_action(algebra, arrow))
+
+
+def _build_arrow_action(algebra, arrow):
+    F = algebra.field
+    ai = algebra.index_of(algebra.path((arrow.name,)))
+    table = {}
+    for v in algebra.quiver.vertices:
+        out_of_v = algebra.basis_indices_from(v)
+        local = {b: k for k, b in enumerate(
+            b for b in out_of_v if algebra.basis[b].target == arrow.target)}
+        images = [tuple((local[k], F.of(c)) for k, c in algebra.product_indices(ai, b))
+                  for b in out_of_v if algebra.basis[b].target == arrow.source]
+        table[v] = (images, len(local))
+    return table
+
+
 class Presentation:
     """Minimal projective cover data for a representation.
 
@@ -301,10 +349,11 @@ class Presentation:
     generator vector in M_vertex); cover_basis[w]: list of (copy index,
     algebra basis index) spanning the cover at w;  cover -> M at w: one
     column per cover basis element, a generator pushed along the arrows of
-    a basis path (`pi` is the same map as dense matrices, built on first
-    use).  A syzygy is one elimination of that map per vertex: its pivots
-    check that the cover surjects, its free columns give the kernel basis
-    and the coordinates of the cover action on it.  Holds only what it
+    a basis path by the algebra's push plan (`pi` is the same map as dense
+    matrices, built on first use).  A syzygy is one elimination of that
+    map per vertex: its pivots check that the cover surjects, its free
+    columns give the kernel basis and the coordinates of the cover action
+    on it.  Holds only what it
     reads of the module (algebra, field, dims, name), not the module
     itself, so a module and its memoized presentation form no reference
     cycle.
@@ -325,19 +374,14 @@ class Presentation:
         self.cover_basis = {w: [] for w in quiver.vertices}
         self._pi_cols = {w: [] for w in quiver.vertices}
         for ci, (v, g) in enumerate(self.copies):
-            pushed = {(): g}  # arrow prefix -> image of g along it
-            for b in algebra.basis_indices_from(v):
-                path = algebra.basis[b]
-                arrows = path.arrows
-                k = len(arrows)
-                while arrows[:k] not in pushed:
-                    k -= 1
-                vec = pushed[arrows[:k]]
-                for j in range(k, len(arrows)):
-                    vec = _apply(columns[arrows[j]], vec, p)
-                    pushed[arrows[:j + 1]] = vec
-                self.cover_basis[path.target].append((ci, b))
-                self._pi_cols[path.target].append(vec)
+            pushed = [g]  # images of g along the plan's prefixes, by slot
+            for b, w, slot, arrows in _push_plan(algebra, v):
+                vec = pushed[slot]
+                for name in arrows:
+                    vec = _apply(columns[name], vec, p)
+                    pushed.append(vec)
+                self.cover_basis[w].append((ci, b))
+                self._pi_cols[w].append(vec)
         self._pi = None
         self._kernel = None
         self._kernel_top = None
@@ -355,16 +399,33 @@ class Presentation:
     def cover_images(self, arrow, vectors):
         """Images under an arrow u -> w of sparse cover-coordinate vectors at u.
 
-        The cover's action is read off the algebra's structure constants:
-        position (ci, b) at u goes to (ci, k) at w with the coefficient of k
-        in arrow * b."""
-        algebra = self.algebra
-        F = self.field
-        ai = algebra.index_of(algebra.path((arrow.name,)))
-        slot = {cb: j for j, cb in enumerate(self.cover_basis[arrow.target])}
-        action = [{slot[(ci, k)]: F.of(c) for k, c in algebra.product_indices(ai, b)}
-                  for ci, b in self.cover_basis[arrow.source]]
-        return [_apply(action, vec, F.char) for vec in vectors]
+        Each copy of a projective P_v occupies one block of the cover at u
+        and one at w, in copy order; the algebra's arrow action table maps a
+        position in P_v at u to positions in P_v at w, shifted here by the
+        block offsets."""
+        p = self.field.char
+        action = _arrow_action(self.algebra, arrow)
+        cover = self.cover_basis[arrow.source]
+        blocks = []  # per copy: (first position at u, images, first position at w)
+        at_u = at_w = 0
+        for v, _g in self.copies:
+            images, n_w = action[v]
+            blocks.append((at_u, images, at_w))
+            at_u += len(images)
+            at_w += n_w
+        out = []
+        for vec in vectors:
+            acc = {}
+            for j, x in vec.items():
+                start, images, offset = blocks[cover[j][0]]
+                for k, c in images[j - start]:
+                    k += offset
+                    acc[k] = acc.get(k, 0) + c * x
+            if p:
+                out.append({k: s % p for k, s in acc.items() if s % p})
+            else:
+                out.append({k: s for k, s in acc.items() if s})
+        return out
 
     def kernel(self):
         """(kernel representation, embedding kernel -> cover as sparse
@@ -474,6 +535,15 @@ def presentation(rep):
     if rep._presentation is None:
         rep._presentation = Presentation(rep)
     return rep._presentation
+
+
+def syzygy_dim(rep):
+    """Total dimension of the next syzygy, read off the memoized presentation
+    as the cover's dimension minus the module's; the kernel is not built."""
+    if rep.is_zero():
+        return 0
+    pres = presentation(rep)
+    return sum(len(basis) for basis in pres.cover_basis.values()) - rep.total_dim
 
 
 def syzygy_rep(rep):
@@ -871,7 +941,7 @@ def _match_projectives_to_injectives(algebra, trials, seed):
     return True
 
 
-def pd_rep(m, max_steps=20, trials=20, seed=0):
+def pd_rep(m, max_steps=20, trials=20, seed=0, max_dim=None):
     """Probe the projective dimension of a representation.
 
     Exact termination when some syzygy vanishes.  Infinite certificates:
@@ -879,7 +949,10 @@ def pd_rep(m, max_steps=20, trials=20, seed=0):
     path-module classes and handed to the combinatorial pd; over a certified
     self-injective algebra any non-projective module has infinite pd; and a
     certified isomorphism between two distinct trajectory members (equal
-    fingerprints) closes a cycle.  Otherwise at_least(max_steps)."""
+    fingerprints) closes a cycle.  Otherwise at_least(max_steps), or
+    at_least(step) when max_dim is given and the step-th syzygy would have
+    a larger total dimension: it is not built, and being nonzero it shows
+    pd >= step."""
     algebra = m.algebra
     if m.is_zero():
         return PdProbe("exact", 0, "zero module")
@@ -887,6 +960,9 @@ def pd_rep(m, max_steps=20, trials=20, seed=0):
     trajectory = [m]
     buckets = {_fingerprint(m): [0]}
     for step in range(1, 3):
+        over = over_budget(current, step, max_dim)
+        if over is not None:
+            return over
         current = syzygy_rep(current)
         if current.is_zero():
             return PdProbe("exact", step - 1, "syzygy vanished")
@@ -913,6 +989,9 @@ def pd_rep(m, max_steps=20, trials=20, seed=0):
         # non-projective over a self-injective algebra: syzygies never vanish
         return PdProbe("infinite", INFINITE, "self-injective algebra, module not projective")
     while len(trajectory) - 1 < max_steps:
+        over = over_budget(current, len(trajectory), max_dim)
+        if over is not None:
+            return over
         current = syzygy_rep(current)
         if current.is_zero():
             return PdProbe("exact", len(trajectory) - 1, "syzygy vanished")
@@ -921,6 +1000,20 @@ def pd_rep(m, max_steps=20, trials=20, seed=0):
         if hit is not None:
             return PdProbe("infinite", INFINITE, hit)
     return PdProbe("at_least", max_steps, "step cap reached")
+
+
+def over_budget(rep, step, max_dim):
+    """at_least(step) when rep's syzygy, the step-th, would have a total
+    dimension above max_dim, else None (always None for max_dim None)."""
+    if max_dim is None:
+        return None
+    if max_dim < 0:
+        raise PreconditionViolated(f"dimension budget must be nonnegative, got {max_dim}")
+    dim = syzygy_dim(rep)
+    if dim <= max_dim:
+        return None
+    return PdProbe("at_least", step,
+                   f"dimension budget {max_dim} reached: syzygy {step} has dimension {dim}")
 
 
 def _fingerprint(rep):

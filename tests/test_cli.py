@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -83,6 +84,27 @@ class TestBasicCommands:
         assert code == 0
         assert doc["result"]["phi"] == 1
 
+    @pytest.mark.parametrize("algebra, module", [
+        ("infinito", "0*M_alpha(1,2)"),
+        ("sec3_example", "0*simple(1)"),
+        ("sec3_example", "0*simple(1) + 0*simple(2)"),
+    ])
+    def test_phi_of_zero_multiplicity_is_the_zero_module(self, capsys, algebra, module):
+        code, doc = run_json(capsys, "phi", "--algebra", f"corpus:{algebra}",
+                             "--module", module)
+        assert code == 0
+        assert doc["result"] == {"module": "0", "phi": 0, "rank_sequence": [0]}
+        code, doc = run_json(capsys, "pd", "--algebra", f"corpus:{algebra}",
+                             "--module", module)
+        assert code == 0
+        assert doc["result"]["pd"] == {"kind": "exact", "value": 0, "detail": "zero module"}
+
+    def test_phi_drops_zero_multiplicity_summands(self, capsys):
+        code, doc = run_json(capsys, "phi", "--algebra", "corpus:infinito",
+                             "--module", "0*M_alpha(1,2) + M_beta(1,2)")
+        assert code == 0
+        assert doc["result"]["module"] == "M_beta(1,2)"
+
     def test_phidim_bounds(self, capsys):
         code, doc = run_json(capsys, "phidim-bounds", "--algebra", "corpus:c3_k2")
         assert code == 0
@@ -112,6 +134,37 @@ class TestExitCodes:
         code, doc = run_json(capsys, "inj-pd", "--algebra", "corpus:finito",
                              "--max-steps", "5")
         assert code == 2
+
+    def test_dimension_budget_is_two(self, capsys):
+        """S_1 over infinito has syzygies of total dimension 14, 46, 404 and
+        1726: the default budget stops pd before the fourth is built."""
+        start = time.monotonic()
+        code, doc = run_json(capsys, "pd", "--algebra", "corpus:infinito",
+                             "--module", "simple(1)")
+        assert time.monotonic() - start < 10
+        assert code == 2
+        assert doc["result"]["pd"] == {
+            "kind": "at_least", "value": 4,
+            "detail": "dimension budget 1000 reached: syzygy 4 has dimension 1726"}
+
+    def test_dimension_budget_ends_syzygy_and_inj_pd(self, capsys):
+        code, doc = run_json(capsys, "syzygy", "--algebra", "corpus:infinito",
+                             "--module", "simple(1)", "--steps", "2", "--max-dim", "40")
+        assert code == 2
+        assert doc["result"]["steps"] == 1
+        assert doc["result"]["syzygy_dim_vector"] == [0, 4, 10, 0]
+        assert doc["result"]["detail"] == \
+            "dimension budget 40 reached: syzygy 2 has dimension 46"
+        code, doc = run_json(capsys, "syzygy", "--algebra", "corpus:infinito",
+                             "--module", "simple(1)", "--steps", "2", "--max-dim", "46")
+        assert code == 0 and doc["result"]["syzygy_dim_vector"] == [0, 0, 6, 40]
+        code, doc = run_json(capsys, "syzygy", "--algebra", "corpus:infinito",
+                             "--module", "simple(1)", "--max-dim", "-1")
+        assert code == 1 and doc["result"]["error"] == "PRECONDITION"
+        code, doc = run_json(capsys, "inj-pd", "--algebra", "corpus:infinito")
+        assert code == 2
+        assert all(probe["kind"] == "at_least" and "dimension budget 1000" in probe["detail"]
+                   for probe in doc["result"]["per_vertex"].values())
 
     def test_hypothesis_violation_is_one(self, capsys, corpus_dir):
         code, out, err = run(

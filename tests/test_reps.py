@@ -1,13 +1,20 @@
 import gc
 import hashlib
+import time
 import weakref
+from fractions import Fraction
 
 import pytest
 
 from quiverhom import corpus, linalg, reps
 from quiverhom.algebra import TruncatedIdeal, build_algebra
 from quiverhom.algfile import parse_algebra_text
-from quiverhom.errors import FieldMismatch, InternalInvariantError, NoDecomposition
+from quiverhom.errors import (
+    FieldMismatch,
+    InternalInvariantError,
+    NoDecomposition,
+    PreconditionViolated,
+)
 from quiverhom.pathmodules import calculus
 from quiverhom.quiver import Quiver
 
@@ -438,6 +445,119 @@ class TestCoverAction:
         m = corpus.make_m_param(sec3, ["1"])
         for member in _trajectory(m, 3) + [reps.injective(sec3, "1")]:
             self._check(member)
+
+
+def _table_algebras():
+    """Truncated, monomial and relations algebras over Q and F_32003."""
+    c4_k3 = corpus.FILES["c4_k3.alg"]
+    return [corpus.algebra(name) for name in
+            ("c3_k2", "c4_k3", "sec4_example", "finito", "finito_f32003", "infinito",
+             "sec3_example")] + \
+        [parse_algebra_text(c4_k3 + "field: Fp 32003\n")] + \
+        [random_monomial_algebra(seeded(seed + 6100)) for seed in range(5)]
+
+
+def _leaves(value):
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _leaves(item)
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield key
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+class TestAlgebraTables:
+    """The per-algebra push plans and arrow actions that every syzygy step
+    reads, against the basis paths and the structure constants."""
+
+    @pytest.mark.parametrize("A", _table_algebras(), ids=repr)
+    def test_push_plan_replays_every_basis_path(self, A):
+        for v in A.quiver.vertices:
+            plan = reps._push_plan(A, v)
+            assert [b for b, _w, _slot, _arrows in plan] == A.basis_indices_from(v)
+            pushed = [()]  # the arrow prefix whose image each slot holds
+            for b, w, slot, arrows in plan:
+                path = A.basis[b].arrows
+                assert w == A.basis[b].target
+                assert pushed[slot] + arrows == path
+                # the slot holds the longest prefix of the path pushed so far
+                assert not any(len(q) > len(pushed[slot]) and path[:len(q)] == q
+                               for q in pushed)
+                done = len(path) - len(arrows)
+                pushed.extend(path[:done + j + 1] for j in range(len(arrows)))
+            assert len(pushed) == len(set(pushed))
+            assert all(type(leaf) in (int, str) for leaf in _leaves(plan))
+
+    @pytest.mark.parametrize("A", _table_algebras(), ids=repr)
+    def test_arrow_action_matches_structure_constants(self, A):
+        F = A.field
+        for a in A.quiver.arrows:
+            ai = A.index_of(A.path((a.name,)))
+            table = reps._arrow_action(A, a)
+            assert list(table) == list(A.quiver.vertices)
+            for v in A.quiver.vertices:
+                out_of_v = A.basis_indices_from(v)
+                at_u = [b for b in out_of_v if A.basis[b].target == a.source]
+                at_w = [b for b in out_of_v if A.basis[b].target == a.target]
+                images, n_w = table[v]
+                assert n_w == len(at_w)
+                assert images == [tuple((at_w.index(k), F.of(c))
+                                        for k, c in A.product_indices(ai, b)) for b in at_u]
+            assert all(type(leaf) in (int, str, Fraction) for leaf in _leaves(table))
+
+    def test_second_step_reads_the_tables(self, monkeypatch):
+        A = corpus.algebra("finito_f32003")
+        first, second = reps.injective(A, "3"), reps.injective(A, "1")
+        calls = []
+        product_indices = A.product_indices
+        monkeypatch.setattr(A, "product_indices",
+                            lambda i, j: calls.append((i, j)) or product_indices(i, j))
+        reps.syzygy_rep(first)
+        assert calls
+        calls.clear()
+        assert not reps.syzygy_rep(second).is_zero()
+        assert calls == []
+        for a in A.quiver.arrows:
+            assert A.memo(("arrow_action", a.name), lambda: pytest.fail("not memoized"))
+        for v, _g in reps.presentation(first).copies + reps.presentation(second).copies:
+            assert A.memo(("push_plan", v), lambda: pytest.fail("not memoized"))
+
+
+class TestDimensionBudget:
+    def test_syzygy_dim_matches_the_syzygy(self, finito, sec3):
+        modules = [make(A, v) for A in (finito, sec3) for v in A.quiver.vertices
+                   for make in (reps.simple, reps.projective, reps.injective)]
+        for m in modules + [reps.Representation(finito, {})]:
+            assert reps.syzygy_dim(m) == reps.syzygy_rep(m).total_dim
+
+    def test_budget_ends_pd_without_building_the_syzygy(self, infinito):
+        s1 = reps.simple(infinito, "1")
+        start = time.monotonic()
+        probe = reps.pd_rep(s1, max_dim=1000)
+        assert time.monotonic() - start < 10
+        assert (probe.kind, probe.value) == ("at_least", 4)
+        assert probe.detail == "dimension budget 1000 reached: syzygy 4 has dimension 1726"
+        omega3 = _trajectory(s1, 3)[-1]
+        assert [m.dim_vector() for m in _trajectory(s1, 3)[1:]] == \
+            [(0, 4, 10, 0), (0, 0, 6, 40), (156, 240, 0, 8)]
+        assert reps.syzygy_dim(omega3) == 1726
+        assert reps.presentation(omega3)._kernel is None
+
+    def test_budget_never_decides(self, finito):
+        """A budget only turns an answer into at_least: at or above the
+        largest syzygy it changes nothing."""
+        for v in finito.quiver.vertices:
+            m = reps.injective(finito, v)
+            free = reps.pd_rep(m, max_steps=6)
+            assert reps.pd_rep(m, max_steps=6, max_dim=1000).to_json() == free.to_json()
+            tight = reps.pd_rep(m, max_steps=6, max_dim=0)
+            assert (tight.kind, tight.value) == ("at_least", 1)
+            assert tight.detail.startswith("dimension budget 0 reached: syzygy 1 has dimension ")
+        with pytest.raises(PreconditionViolated):
+            reps.pd_rep(reps.simple(finito, "1"), max_dim=-1)
 
 
 class TestInvariantErrors:
