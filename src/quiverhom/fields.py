@@ -18,6 +18,8 @@ class Rationals:
 
     zero = Fraction(0)
     one = Fraction(1)
+    # small nonzero integers keep entry growth tame in sampled combinations
+    _SMALL = tuple(x for x in range(-5, 6) if x)
 
     def of(self, x):
         return x if type(x) is Fraction else Fraction(x)
@@ -46,9 +48,13 @@ class Rationals:
     def fmt(self, a):
         return f"{a.numerator}/{a.denominator}" if a.denominator != 1 else str(a.numerator)
 
-    def random(self, rng, spread=5):
-        # small nonzero integers keep fraction growth tame in sampled combinations
-        return Fraction(rng.choice([x for x in range(-spread, spread + 1) if x != 0]))
+    def random(self, rng):
+        return Fraction(self.random_int(rng))
+
+    def random_int(self, rng):
+        """The integer that random(rng) returns as a Fraction: one rng.choice
+        over -5..5 without 0."""
+        return rng.choice(self._SMALL)
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -103,8 +109,10 @@ class PrimeField:
     def fmt(self, a):
         return str(a % self.p)
 
-    def random(self, rng, spread=None):
+    def random(self, rng):
         return rng.randrange(1, self.p)
+
+    random_int = random
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

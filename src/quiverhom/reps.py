@@ -9,12 +9,14 @@ one per cover summand, constrained by the kernel generators), which keeps the
 linear systems small even against large targets.
 
 Isomorphism testing is Las Vegas with a fixed seed: a verdict of
-"isomorphic" always carries an explicit intertwiner, re-verified by
-multiplication and inverted vertexwise; "undetermined" is a distinct outcome
-and is never coerced.
+"isomorphic" always carries an explicit intertwiner, of full rank at every
+vertex and re-verified to commute with every arrow; "undetermined" is a
+distinct outcome and is never coerced.
 """
 
 import random
+from fractions import Fraction
+from math import lcm
 
 from . import linalg, pathmodules
 from .errors import (
@@ -87,15 +89,8 @@ class Representation:
         """Per arrow name, the columns of its matrix as sparse {row: value}
         dicts of the nonzero entries; built once per module."""
         if self._columns is None:
-            quiver = self.algebra.quiver
-            self._columns = {}
-            for a in quiver.arrows:
-                cols = [{} for _ in range(self.dims[a.source])]
-                for i, row in enumerate(self.mats[a.name]):
-                    for j, x in enumerate(row):
-                        if x:
-                            cols[j][i] = x
-                self._columns[a.name] = cols
+            self._columns = {a.name: _sparse_columns(self.mats[a.name], self.dims[a.source])
+                             for a in self.algebra.quiver.arrows}
         return self._columns
 
     def evaluate_path(self, path):
@@ -166,6 +161,17 @@ class Representation:
     def __repr__(self):
         label = self.name or "Rep"
         return f"{label}{self.dim_vector()}"
+
+
+def _sparse_columns(mat, ncols):
+    """The ncols columns of a matrix of row lists as sparse {row: value}
+    dicts of the nonzero entries."""
+    cols = [{} for _ in range(ncols)]
+    for i, row in enumerate(mat):
+        for j, x in enumerate(row):
+            if x:
+                cols[j][i] = x
+    return cols
 
 
 def direct_sum(algebra, parts, name=""):
@@ -566,26 +572,19 @@ class ModuleHom:
         self.matrices = matrices
 
     def verify(self):
-        F = self.source.field
-        quiver = self.source.algebra.quiver
-        for a in quiver.arrows:
-            left = linalg.mat_mul(F, self.matrices[a.target], self.target.dims[a.target],
-                                  self.source.mats[a.name], self.source.dims[a.target],
-                                  self.source.dims[a.source])
-            right = linalg.mat_mul(F, self.target.mats[a.name], self.target.dims[a.target],
-                                   self.matrices[a.source], self.target.dims[a.source],
-                                   self.source.dims[a.source])
-            if left != right:
-                return False
-        return True
-
-    def is_vertexwise_invertible(self):
-        F = self.source.field
-        for v in self.source.algebra.quiver.vertices:
-            if self.source.dims[v] != self.target.dims[v]:
-                return False
-            if not linalg.is_invertible(F, self.matrices[v]):
-                return False
+        """Whether the matrices H commute with every arrow a: u -> w, i.e.
+        H_w M_a = N_a H_u, compared exactly column by column on sparse
+        columns: H_w applied to column j of M_a against N_a applied to
+        column j of H_u."""
+        p = self.source.field.char
+        cols = {v: _sparse_columns(mat, self.source.dims[v])
+                for v, mat in self.matrices.items()}
+        m_cols, n_cols = self.source.columns(), self.target.columns()
+        for a in self.source.algebra.quiver.arrows:
+            h_w, n_a = cols[a.target], n_cols[a.name]
+            for m_col, h_col in zip(m_cols[a.name], cols[a.source]):
+                if _apply(h_w, m_col, p) != _apply(n_a, h_col, p):
+                    return False
         return True
 
 
@@ -680,12 +679,6 @@ class IsoResult:
         return self.status
 
 
-def _try_certificate(hom):
-    if hom.is_vertexwise_invertible() and hom.verify():
-        return hom
-    return None
-
-
 def iso_test(m, n, trials=20, seed=0):
     """Certified module isomorphism test.
 
@@ -708,11 +701,11 @@ def iso_test(m, n, trials=20, seed=0):
     basis = hom_space(m, n)
     if not basis:
         return IsoResult("not_isomorphic", detail="Hom(M,N) = 0")
-    entries = [_nonzero_entries(h) for h in basis]
+    den, entries = _int_entries(m.field, basis)
     line = _shared_zero_line(entries, n.dims, m.dims)
     if line:
         return IsoResult("not_isomorphic", detail=line)
-    found = _sample_invertible(m, n, entries, trials, seed)
+    found = _sample_invertible(m, n, den, entries, trials, seed, unit_first=len(basis) == 1)
     if found is not None:
         return found
     if len(basis) != hom_dim(n, m):
@@ -720,20 +713,54 @@ def iso_test(m, n, trials=20, seed=0):
     return IsoResult("undetermined", detail=f"no invertible combination in {trials} trials")
 
 
-def _sample_invertible(m, n, entries, trials, seed):
-    """Random combinations of the homs given by their nonzero entries."""
-    F = m.field
+def _sample_invertible(source, target, den, entries, trials, seed, unit_first=False):
+    """Random combinations of the homs source -> target given by their
+    nonzero entries (vertex, row, column, den * value) as plain ints: an
+    isomorphic IsoResult for the first one that _certify accepts, or None
+    after the trials.  A trial draws one int coefficient per hom; with
+    unit_first, trial 0 takes the single hom as it is, without a draw."""
+    F = source.field
     rng = random.Random(seed)
     for t in range(trials):
-        if t == 0 and len(entries) == 1:
-            coeffs = [F.one]
+        if unit_first and t == 0:
+            coeffs = [1]
         else:
-            coeffs = [F.random(rng) for _ in entries]
-        cand = ModuleHom(m, n, _combine(F, n.dims, m.dims, coeffs, entries))
-        cert = _try_certificate(cand)
+            coeffs = [F.random_int(rng) for _ in entries]
+        mats = _combine(F.char, target.dims, source.dims, coeffs, entries)
+        cert = _certify(source, target, mats, den)
         if cert is not None:
             return IsoResult("isomorphic", cert, f"random combination, trial {t}")
     return None
+
+
+def _int_entries(F, homs):
+    """(D, per hom the nonzero entries (vertex, row, column, D * value) of
+    its matrices, as plain ints).  Over Q, D is the lcm of the values'
+    denominators; over F_p the values are ints already and D is 1."""
+    entries = [_nonzero_entries(h) for h in homs]
+    if F.char:
+        return 1, entries
+    den = lcm(*{x.denominator for hom_entries in entries for *_vij, x in hom_entries})
+    return den, [[(v, i, j, x.numerator * (den // x.denominator))
+                  for v, i, j, x in hom_entries] for hom_entries in entries]
+
+
+def _certify(source, target, mats, den):
+    """The hom source -> target with per-vertex matrices mats / den, mats
+    given as plain ints, if it is an isomorphism, else None.
+
+    An integer matrix has the rank of its quotient by den, so full rank is
+    tested exactly on the ints; only a candidate of full rank at every vertex
+    is turned into field elements and verified to commute with the arrows."""
+    F = source.field
+    if not all(linalg.is_invertible(F, mat) for mat in mats.values()):
+        return None
+    if not F.char:
+        zero = F.zero
+        mats = {v: [[Fraction(x, den) if x else zero for x in row] for row in mat]
+                for v, mat in mats.items()}
+    hom = ModuleHom(source, target, mats)
+    return hom if hom.verify() else None
 
 
 def _nonzero_entries(hom):
@@ -763,10 +790,10 @@ def _shared_zero_line(entries, rows, cols):
     return ""
 
 
-def _combine(F, rows, cols, coeffs, entries):
-    """Per-vertex rows[v] x cols[v] matrices of sum(coef * hom) from sparse entries."""
-    p = F.char
-    mats = {v: [[F.zero] * cols[v] for _ in range(r)] for v, r in rows.items()}
+def _combine(p, rows, cols, coeffs, entries):
+    """Per-vertex rows[v] x cols[v] int matrices of sum(coef * hom) from the
+    homs' sparse int entries, reduced mod p when p is nonzero."""
+    mats = {v: [[0] * cols[v] for _ in range(r)] for v, r in rows.items()}
     for coef, hom_entries in zip(coeffs, entries):
         for v, i, j, x in hom_entries:
             mats[v][i][j] += coef * x
@@ -808,21 +835,19 @@ def iso_test_against_sum(m, parts, trials=20, seed=0):
     if total_dim_hom == 0:
         return IsoResult("not_isomorphic", detail="Hom(sum, M) = 0"), nsum
     # sample combinations blockwise: each hom's nonzero entries are collected
-    # once, shifted into its copy's columns; one coefficient per hom per trial
-    F = m.field
-    rng = random.Random(seed)
-    block_entries = {key: [_nonzero_entries(h) for h in homs] for key, homs in block_bases.items()}
-    entries = [[(v, i, offs[v] + j, x) for v, i, j, x in hom_entries]
-               for rep, offs in copies for hom_entries in block_entries[id(rep)]]
+    # and scaled to ints once, shifted into its copy's columns; one
+    # coefficient per hom per trial
+    homs = [h for block in block_bases.values() for h in block]
+    den, hom_entries = _int_entries(m.field, homs)
+    block_entries = dict(zip(map(id, homs), hom_entries))
+    entries = [[(v, i, offs[v] + j, x) for v, i, j, x in block_entries[id(h)]]
+               for rep, offs in copies for h in block_bases[id(rep)]]
     line = _shared_zero_line(entries, m.dims, nsum.dims)
     if line:
         return IsoResult("not_isomorphic", detail=line), nsum
-    for t in range(trials):
-        coeffs = [F.random(rng) for _ in entries]
-        cand = ModuleHom(nsum, m, _combine(F, m.dims, nsum.dims, coeffs, entries))
-        cert = _try_certificate(cand)
-        if cert is not None:
-            return IsoResult("isomorphic", cert, f"random combination, trial {t}"), nsum
+    found = _sample_invertible(nsum, m, den, entries, trials, seed)
+    if found is not None:
+        return found, nsum
     return IsoResult("undetermined",
                      detail=f"no invertible combination in {trials} trials"), nsum
 
@@ -849,23 +874,7 @@ def decompose_against_catalog(m, catalog, trials=20, seed=0):
     entries = sorted(((name, rep, rep.dim_vector() + top_dim_vector(rep))
                       for name, rep in catalog if not rep.is_zero()),
                      key=lambda e: (-e[1].total_dim, e[0]))
-
-    def candidates(idx, remaining):
-        # top vectors are nonnegative, so a count that overshoots a top
-        # coordinate cuts only multisets that could not match m's top
-        if not any(remaining):
-            yield []
-            return
-        if idx == len(entries):
-            return
-        vec = entries[idx][2]
-        most = min(r // d for r, d in zip(remaining, vec) if d)
-        for count in range(most, -1, -1):
-            rest = tuple(r - count * d for r, d in zip(remaining, vec))
-            for tail in candidates(idx + 1, rest):
-                yield [(idx, count)] + tail if count else tail
-
-    for cand in candidates(0, m.dim_vector() + top_dim_vector(m)):
+    for cand in _candidates(entries, 0, m.dim_vector() + top_dim_vector(m)):
         parts = [(entries[idx][1], count) for idx, count in cand]
         verdict, _nsum = iso_test_against_sum(m, parts, trials=trials, seed=seed)
         if verdict.isomorphic:
@@ -873,6 +882,26 @@ def decompose_against_catalog(m, catalog, trials=20, seed=0):
     raise NoDecomposition(
         f"no catalog multiset certifies against dim vector {m.dim_vector()}"
     )
+
+
+def _candidates(entries, idx, remaining):
+    """The multisets over entries[idx:] whose (dimension + top) vectors sum
+    to remaining, as lists of (index, count) with count > 0, highest counts
+    first.  A module-level generator, so that no closure ties the catalog
+    into a reference cycle."""
+    # top vectors are nonnegative, so a count that overshoots a top
+    # coordinate cuts only multisets that could not match m's top
+    if not any(remaining):
+        yield []
+        return
+    if idx == len(entries):
+        return
+    vec = entries[idx][2]
+    most = min(r // d for r, d in zip(remaining, vec) if d)
+    for count in range(most, -1, -1):
+        rest = tuple(r - count * d for r, d in zip(remaining, vec))
+        for tail in _candidates(entries, idx + 1, rest):
+            yield [(idx, count)] + tail if count else tail
 
 
 # -- projective dimension probing ---------------------------------------------

@@ -214,3 +214,41 @@ def presentation_oracle(rep, pres):
         assert all(sol is not None for sol in sols), "cover action leaves the kernel"
         mats[a.name] = [[sol[i] for sol in sols] for i in range(len(embed[a.target]))]
     return pi, embed, mats
+
+
+def dense_combine(F, rows, cols, coeffs, entries):
+    """Per-vertex rows[v] x cols[v] matrices of sum(coef * hom), summed in
+    field elements from the homs' nonzero (vertex, row, column, value)
+    entries: the oracle for the integer `reps._combine`."""
+    p = F.char
+    mats = {v: [[F.zero] * cols[v] for _ in range(r)] for v, r in rows.items()}
+    for coef, hom_entries in zip(coeffs, entries):
+        for v, i, j, x in hom_entries:
+            mats[v][i][j] += coef * x
+    if p:
+        mats = {v: [[x % p for x in row] for row in mat] for v, mat in mats.items()}
+    return mats
+
+
+def dense_verify(hom):
+    """Whether hom's matrices commute with every arrow, by whole dense
+    products H_w M_a and N_a H_u: the oracle for `ModuleHom.verify`."""
+    F = hom.source.field
+    src, tgt = hom.source, hom.target
+    for a in src.algebra.quiver.arrows:
+        left = linalg.mat_mul(F, hom.matrices[a.target], tgt.dims[a.target],
+                              src.mats[a.name], src.dims[a.target], src.dims[a.source])
+        right = linalg.mat_mul(F, tgt.mats[a.name], tgt.dims[a.target],
+                               hom.matrices[a.source], tgt.dims[a.source], src.dims[a.source])
+        if left != right:
+            return False
+    return True
+
+
+def dense_is_vertexwise_invertible(hom):
+    """Whether every vertex matrix of hom is square and invertible, on the
+    field elements themselves."""
+    F = hom.source.field
+    return all(hom.source.dims[v] == hom.target.dims[v]
+               and linalg.is_invertible(F, hom.matrices[v])
+               for v in hom.source.algebra.quiver.vertices)

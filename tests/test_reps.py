@@ -21,6 +21,9 @@ from quiverhom.quiver import Quiver
 from helpers import (
     cover_rep,
     dense,
+    dense_combine,
+    dense_is_vertexwise_invertible,
+    dense_verify,
     presentation_oracle,
     random_monomial_algebra,
     random_nonzero_path,
@@ -142,8 +145,8 @@ class TestHomAndIso:
         n = corpus.make_n_param(sec3, ["-1/2"])
         r = reps.iso_test(reps.syzygy_rep(m), n)
         assert r.isomorphic
-        assert r.certificate.verify()
-        assert r.certificate.is_vertexwise_invertible()
+        assert r.certificate.verify() and dense_verify(r.certificate)
+        assert dense_is_vertexwise_invertible(r.certificate)
 
     def test_class_criterion_matches_linear_iso(self):
         """Equal classes are isomorphic, distinct classes are not: the
@@ -240,6 +243,84 @@ class TestCandidateOrder:
         res, _nsum = reps.iso_test_against_sum(reps.projective(A, "1"), parts)
         assert (res.status, res.detail) == ("not_isomorphic", "row 0 at vertex 1 is zero in every hom")
         assert tested == []
+
+
+class TestIntegerCandidates:
+    """Iso candidates are combined from integer entries, rank-tested on the
+    integer matrices and verified on sparse columns; the oracle combines the
+    same draws in field elements and checks them densely."""
+
+    @staticmethod
+    def _pairs(sec3, infinito):
+        # sec3: homs with denominators 4 and 6; infinito: the 321 homs from
+        # Omega M_alpha(1,2) to M_alpha(2,1) + S_3^16; finito over F_32003
+        om_m = reps.syzygy_rep(corpus.make_m_param(sec3, ["1/3"]))
+        om_n = reps.syzygy_rep(corpus.make_n_param(sec3, ["3/4"]))
+        p = reps.projective(sec3, "1")
+        sec3_pair = (reps.direct_sum(sec3, [om_m, om_n, p]),
+                     reps.direct_sum(sec3, [corpus.make_m_param(sec3, ["-3/4"]), p,
+                                            corpus.make_n_param(sec3, ["-1/6"])]))
+        infinito_pair = (
+            reps.syzygy_rep(corpus.make_m_alpha(infinito, ["1", "2"])),
+            reps.direct_sum(infinito, [corpus.make_m_alpha(infinito, ["2", "1"])]
+                            + [reps.simple(infinito, "3")] * 16))
+        A = corpus.algebra("finito_f32003")
+        vs = A.quiver.vertices
+        p, s, i = reps.projective(A, vs[0]), reps.simple(A, vs[0]), reps.injective(A, vs[-1])
+        fp_pair = (reps.direct_sum(A, [p, s, i]), reps.direct_sum(A, [i, s, p]))
+        return {"sec3": sec3_pair, "infinito": infinito_pair, "finito_f32003": fp_pair}
+
+    @staticmethod
+    def _trials(m, n, rng, trials=8):
+        """(int matrices, den, new verdict, oracle hom, oracle verdict) per
+        seeded draw; odd trials zero about half the coefficients, so that
+        some candidates are singular."""
+        F = m.field
+        basis = reps.hom_space(m, n)
+        den, entries = reps._int_entries(F, basis)
+        field_entries = [reps._nonzero_entries(h) for h in basis]
+        out = []
+        for t in range(trials):
+            coeffs = [F.random_int(rng) for _ in entries]
+            if t % 2:
+                coeffs = [c if rng.random() < 0.5 else 0 for c in coeffs]
+            mats = reps._combine(F.char, n.dims, m.dims, coeffs, entries)
+            oracle = reps.ModuleHom(m, n, dense_combine(F, n.dims, m.dims,
+                                                        [F.of(c) for c in coeffs], field_entries))
+            ok = dense_is_vertexwise_invertible(oracle) and dense_verify(oracle)
+            out.append((mats, den, reps._certify(m, n, mats, den), oracle, ok))
+        return out
+
+    def test_same_verdicts_and_certificates_as_dense_oracle(self, sec3, infinito):
+        for name, (m, n) in self._pairs(sec3, infinito).items():
+            results = self._trials(m, n, seeded(11))
+            assert {ok for *_, ok in results} == {True, False}, name
+            for _mats, _den, cert, oracle, ok in results:
+                assert (cert is not None) == ok, name
+                if ok:
+                    assert cert.matrices == oracle.matrices, name
+            if name == "sec3":
+                assert results[0][1] == 12
+
+    def test_corrupted_entry_is_rejected_by_both(self, sec3, infinito):
+        for name, (m, n) in self._pairs(sec3, infinito).items():
+            F = m.field
+            mats, den, cert, _oracle, ok = self._trials(m, n, seeded(12), trials=1)[0]
+            assert ok and cert is not None, name
+            rejected = 0
+            for v in m.algebra.quiver.vertices:
+                size = m.dims[v]
+                for i, j in {(0, 0), (0, size - 1), (size - 1, 0)} if size else ():
+                    bad_int = {w: [list(row) for row in mat] for w, mat in mats.items()}
+                    bad_int[v][i][j] += den
+                    bad = {w: [list(row) for row in mat] for w, mat in cert.matrices.items()}
+                    bad[v][i][j] = F.of(bad[v][i][j] + 1)
+                    hom = reps.ModuleHom(m, n, bad)
+                    assert hom.verify() == dense_verify(hom), (name, v, i, j)
+                    if not dense_verify(hom):
+                        assert reps._certify(m, n, bad_int, den) is None
+                        rejected += 1
+            assert rejected, name
 
 
 class TestDecompose:
@@ -654,5 +735,19 @@ def test_presentation_leaves_no_reference_cycle():
         ref = weakref.ref(m)
         del m
         assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_decomposition_leaves_no_reference_cycle(sec4):
+    gc.disable()
+    try:
+        p1 = reps.projective(sec4, "1")
+        catalog = [(f"P_{v}", reps.projective(sec4, v)) for v in sec4.quiver.vertices]
+        counts, _warn = reps.decompose_against_catalog(p1, catalog)
+        assert dict(counts) == {"P_1": 1}
+        refs = [weakref.ref(p1), weakref.ref(catalog[0][1])]
+        del p1, catalog
+        assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
