@@ -49,11 +49,8 @@ class Rationals:
         return f"{a.numerator}/{a.denominator}" if a.denominator != 1 else str(a.numerator)
 
     def random(self, rng):
-        return Fraction(self.random_int(rng))
-
-    def random_int(self, rng):
-        """The integer that random(rng) returns as a Fraction: one rng.choice
-        over -5..5 without 0."""
+        """A nonzero plain int, one rng.choice over -5..5 without 0; of()
+        turns it into a field element."""
         return rng.choice(self._SMALL)
 
     def __eq__(self, other):
@@ -110,9 +107,8 @@ class PrimeField:
         return str(a % self.p)
 
     def random(self, rng):
+        """A nonzero element, already a plain int."""
         return rng.randrange(1, self.p)
-
-    random_int = random
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -725,7 +725,7 @@ def _sample_invertible(source, target, den, entries, trials, seed, unit_first=Fa
         if unit_first and t == 0:
             coeffs = [1]
         else:
-            coeffs = [F.random_int(rng) for _ in entries]
+            coeffs = [F.random(rng) for _ in entries]
         mats = _combine(F.char, target.dims, source.dims, coeffs, entries)
         cert = _certify(source, target, mats, den)
         if cert is not None:

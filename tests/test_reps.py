@@ -281,7 +281,7 @@ class TestIntegerCandidates:
         field_entries = [reps._nonzero_entries(h) for h in basis]
         out = []
         for t in range(trials):
-            coeffs = [F.random_int(rng) for _ in entries]
+            coeffs = [F.random(rng) for _ in entries]
             if t % 2:
                 coeffs = [c if rng.random() < 0.5 else 0 for c in coeffs]
             mats = reps._combine(F.char, n.dims, m.dims, coeffs, entries)
@@ -680,7 +680,7 @@ class TestRepeatDetection:
 def _rescaled(rep, rng):
     """A random vertexwise rescaling of a thin module: isomorphic to it."""
     F = rep.field
-    scale = {v: F.random(rng) for v in rep.algebra.quiver.vertices}
+    scale = {v: F.of(F.random(rng)) for v in rep.algebra.quiver.vertices}
     mats = {}
     for a in rep.algebra.quiver.arrows:
         m = rep.mats[a.name]
