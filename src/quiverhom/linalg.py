@@ -25,27 +25,6 @@ def identity(field, n):
     return m
 
 
-def mat_mul(field, a, a_rows, b, b_rows, b_cols):
-    """a (a_rows x b_rows) @ b (b_rows x b_cols), safe for zero dimensions."""
-    p = field.char
-    out = []
-    for i in range(a_rows):
-        acc = [field.zero] * b_cols
-        for x, bt in zip(a[i], b):
-            if x:
-                for j, y in enumerate(bt):
-                    if y:
-                        acc[j] += x * y
-        out.append([s % p for s in acc] if p else acc)
-    return out
-
-
-def mat_vec(field, a, v):
-    nonzero = [(j, y) for j, y in enumerate(v) if y]
-    out = [sum([row[j] * y for j, y in nonzero if row[j]], field.zero) for row in a]
-    return [s % field.char for s in out] if field.char else out
-
-
 def _eliminate(field, rows, reduced=True):
     """Gauss-Jordan on sparse rows, {column: value} dicts, in plain ints:
     returns (row dicts, pivot column list) in pivot order.
@@ -262,6 +241,3 @@ def is_invertible(field, a):
         raise ValueError(f"is_invertible needs a square matrix; got {n} rows, not all of length {n}")
     return rank(field, a) == n
 
-
-def is_zero_matrix(field, a):
-    return not any(any(row) for row in a)

@@ -20,6 +20,8 @@ classes, monomial/truncated algebras only; path() and simple() atoms) or
 picks multiset when the algebra supports it and no rep-only atom occurs.
 """
 
+import re
+
 from . import reps
 from .algfile import MAX_MODULE_DIM
 from .errors import ParseError, UnsupportedIdeal
@@ -252,10 +254,11 @@ def _parse_rep_literal(body, algebra):
             raise ParseError(f"bad dimension token {tok!r} (want v:dim)")
         v, d = tok.split(":", 1)
         _check_vertex(algebra, v)
-        try:
-            dims[v] = int(d)
-        except ValueError:
+        if v in dims:
+            raise ParseError(f"vertex {v!r} given twice in rep literal")
+        if not (d.isascii() and d.isdigit()):
             raise ParseError(f"bad dimension {d!r}")
+        dims[v] = int(d)
     _check_dim(sum(dims.values()), "rep literal")
     mats = {}
     for section in sections[1:]:
@@ -265,6 +268,8 @@ def _parse_rep_literal(body, algebra):
         name = name.strip()
         if name not in algebra.quiver.arrow_by_name:
             raise ParseError(f"unknown arrow {name!r} in rep literal")
+        if name in mats:
+            raise ParseError(f"arrow {name!r} given twice in rep literal")
         mats[name] = _parse_matrix(mat_text.strip())
     try:
         rep = reps.Representation(algebra, dims, mats, name="rep-literal")
@@ -274,33 +279,24 @@ def _parse_rep_literal(body, algebra):
     return rep
 
 
+_ROW = r"\[[^\[\]]*\]"
+_MATRIX = re.compile(rf"\[\s*(?:{_ROW}(?:\s*,\s*{_ROW})*)?\s*\]")
+
+
 def _parse_matrix(text):
+    """A matrix literal: rows [e, ...] of rational entries, comma separated,
+    inside one pair of brackets ([] has no rows, [[]] one empty row)."""
     text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
+    if not _MATRIX.fullmatch(text):
         raise ParseError(f"matrix must be [[...],[...]], got {text!r}")
-    inner = text[1:-1].strip()
     rows = []
-    depth = 0
-    buf = ""
-    for ch in inner:
-        if ch == "[":
-            depth += 1
-            if depth == 1:
-                buf = ""
-                continue
-        if ch == "]":
-            depth -= 1
-            if depth == 0:
-                row = []
-                for entry in buf.split(","):
-                    entry = entry.strip()
-                    if entry:
-                        try:
-                            row.append(rational(entry))
-                        except (ValueError, ZeroDivisionError):
-                            raise ParseError(f"bad matrix entry {entry!r}")
-                rows.append(row)
-                continue
-        if depth >= 1:
-            buf += ch
+    for body in re.findall(r"\[([^\[\]]*)\]", text[1:-1]):
+        entries = body.split(",") if body.strip() else []
+        row = []
+        for entry in entries:
+            try:
+                row.append(rational(entry.strip()))
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(f"bad matrix entry {entry.strip()!r}")
+        rows.append(row)
     return rows

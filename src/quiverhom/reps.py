@@ -2,11 +2,16 @@
 
 A Representation assigns to each vertex a space of stated dimension and to
 each arrow u -> w a matrix with rows indexed by the target space and columns
-by the source; a path acts by composing its arrow matrices in traversal
-order, later arrows applied last.  Hom spaces are solved through a projective presentation
-of the source (Yoneda: a hom out of a projective cover is a tuple of vectors,
-one per cover summand, constrained by the kernel generators), which keeps the
-linear systems small even against large targets.
+by the source.  A path acts in one way only: a sparse vector is pushed along
+its arrows, later arrows applied last, through the arrows' sparse columns;
+the basis paths out of a vertex share their prefixes through the algebra's
+push plan.  A module memoizes the pushes of its unit vectors, which give
+both the cover map of its presentation and, as a target, the columns of
+the hom constraints.  Hom spaces are solved through a projective
+presentation of the source (Yoneda: a hom out of a projective cover is a
+tuple of vectors, one per cover summand, constrained by the kernel
+generators), which keeps the linear systems small even against large
+targets.
 
 Isomorphism testing is Las Vegas with a fixed seed: a verdict of
 "isomorphic" always carries an explicit intertwiner, of full rank at every
@@ -70,7 +75,7 @@ class Representation:
         self.mats = mats
         self.name = name
         self._columns = columns
-        self._eval_cache = {}
+        self._pushes = {}
         self._presentation = None
 
     # -- basics -----------------------------------------------------------
@@ -93,23 +98,15 @@ class Representation:
                              for a in self.algebra.quiver.arrows}
         return self._columns
 
-    def evaluate_path(self, path):
-        """Matrix of the path action (dim target x dim source); memoized."""
-        key = (path.arrows, path.vertex)
-        cached = self._eval_cache.get(key)
-        if cached is not None:
-            return cached
-        quiver = self.algebra.quiver
-        src = path.source
-        cur = linalg.identity(self.field, self.dims[src])
-        cur_rows = self.dims[src]
+    def _path_images(self, path):
+        """The images of the unit vectors at path's source under path, as
+        sparse vectors: the columns of the path's action."""
+        columns = self.columns()
+        p = self.field.char
+        vecs = [{j: self.field.one} for j in range(self.dims[path.source])]
         for name in path.arrows:
-            a = quiver.arrow_by_name[name]
-            cur = linalg.mat_mul(self.field, self.mats[name], self.dims[a.target],
-                                 cur, cur_rows, self.dims[src])
-            cur_rows = self.dims[a.target]
-        self._eval_cache[key] = cur
-        return cur
+            vecs = [_apply(columns[name], x, p) for x in vecs]
+        return vecs
 
     def check_relations(self):
         """Verify every defining relation acts as zero; ParseError naming the
@@ -118,7 +115,7 @@ class Representation:
         F = self.field
         if A.kind == "monomial":
             for g in A.ideal.generators:
-                if not linalg.is_zero_matrix(F, self.evaluate_path(g)):
+                if any(self._path_images(g)):
                     raise ParseError(f"relation {g} acts nonzero")
         if A.kind == "relations":
             p = F.char
@@ -126,37 +123,39 @@ class Representation:
                 acc = None
                 for c, term in rel.terms:
                     c = F.of(c)
-                    m = self.evaluate_path(term)
-                    acc = [[c * x for x in row] for row in m] if acc is None else \
-                        [[s + c * x for s, x in zip(ra, rm)] for ra, rm in zip(acc, m)]
-                if any(s % p if p else s for row in acc for s in row):
+                    images = self._path_images(term)
+                    if acc is None:
+                        acc = [{} for _ in images]
+                    for out, vec in zip(acc, images):
+                        for i, x in vec.items():
+                            out[i] = out.get(i, 0) + c * x
+                if any(s % p if p else s for out in acc for s in out.values()):
                     raise ParseError(f"relation {rel} acts nonzero")
         if A.kind in ("truncated", "relations"):
             self._check_long_paths_vanish(A.nilpotency)
         return True
 
     def _check_long_paths_vanish(self, length):
+        """Push the unit vectors at each vertex along every path of the given
+        length, dropping those that vanish on the way."""
         quiver = self.algebra.quiver
-        F = self.field
+        columns = self.columns()
+        p = self.field.char
         for start in quiver.vertices:
-            if self.dims[start] == 0:
-                continue
-            stack = [(start, 0, linalg.identity(F, self.dims[start]))]
+            stack = [(start, 0, [{j: self.field.one} for j in range(self.dims[start])])]
             while stack:
-                v, depth, mat = stack.pop()
+                v, depth, vecs = stack.pop()
+                vecs = [x for x in vecs if x]
+                if not vecs:
+                    continue
                 if depth == length:
-                    if not linalg.is_zero_matrix(F, mat):
-                        raise ParseError(
-                            f"relation J^{length} acts nonzero: a length-{length} "
-                            f"path from {start}"
-                        )
-                    continue
-                if linalg.is_zero_matrix(F, mat):
-                    continue
+                    raise ParseError(
+                        f"relation J^{length} acts nonzero: a length-{length} "
+                        f"path from {start}"
+                    )
                 for a in quiver.arrows_from(v):
-                    nm = linalg.mat_mul(F, self.mats[a.name], self.dims[a.target], mat,
-                                        self.dims[v], self.dims[start])
-                    stack.append((a.target, depth + 1, nm))
+                    stack.append((a.target, depth + 1,
+                                  [_apply(columns[a.name], x, p) for x in vecs]))
 
     def __repr__(self):
         label = self.name or "Rep"
@@ -204,23 +203,21 @@ def simple(algebra, v):
 
 
 def projective(algebra, v):
-    """Realize the left projective at v on the basis paths/cosets out of v."""
-    quiver = algebra.quiver
+    """Realize the left projective at v on the basis paths/cosets out of v:
+    its arrow matrices are the per-algebra arrow action tables at v."""
     F = algebra.field
-    idx = algebra.basis_indices_from(v)
-    slot = {b: j for j, b in enumerate(idx)}
-    by_vertex = {w: [b for b in idx if algebra.basis[b].target == w] for w in quiver.vertices}
-    pos = {w: {b: j for j, b in enumerate(by_vertex[w])} for w in quiver.vertices}
-    dims = {w: len(by_vertex[w]) for w in quiver.vertices}
+    dims = {w: 0 for w in algebra.quiver.vertices}
+    for b in algebra.basis_indices_from(v):
+        dims[algebra.basis[b].target] += 1
     mats = {}
-    for a in quiver.arrows:
-        m = linalg.zeros(F, dims[a.target], dims[a.source])
-        for b in by_vertex[a.source]:
-            ai = algebra.index_of(algebra.path((a.name,)))
-            for k, coeff in algebra.product_indices(ai, b):
-                m[pos[a.target][k]][pos[a.source][b]] = F.of(coeff)
+    for a in algebra.quiver.arrows:
+        images, n_w = _arrow_action(algebra, a)[v]
+        m = linalg.zeros(F, n_w, len(images))
+        for j, image in enumerate(images):
+            for k, c in image:
+                m[k][j] = c
         mats[a.name] = m
-    return Representation(algebra, dims, mats, name=f"P_{v}")
+    return Representation._of_field_elements(algebra, dims, mats, f"P_{v}")
 
 
 def injective(algebra, v):
@@ -324,6 +321,33 @@ def _build_push_plan(algebra, v):
     return plan
 
 
+def _push(rep, v, vec):
+    """The images of a sparse vector at v under the basis paths out of v, as
+    a dict basis index -> sparse vector in basis order, pushed along the
+    algebra's push plan."""
+    columns = rep.columns()
+    p = rep.field.char
+    pushed = [vec]  # images of vec along the plan's prefixes, by slot
+    out = {}
+    for b, _w, slot, arrows in _push_plan(rep.algebra, v):
+        x = pushed[slot]
+        for name in arrows:
+            x = _apply(columns[name], x, p)
+            pushed.append(x)
+        out[b] = x
+    return out
+
+
+def _unit_push(rep, v, j):
+    """_push of the j-th unit vector at v, memoized per module: the j-th
+    columns of the actions of the basis paths out of v."""
+    key = (v, j)
+    out = rep._pushes.get(key)
+    if out is None:
+        out = rep._pushes[key] = _push(rep, v, {j: rep.field.one})
+    return out
+
+
 def _arrow_action(algebra, arrow):
     """The action of an arrow u -> w on each projective, as one per-algebra
     table: per vertex v, (images, n_w), where images lists, for each basis
@@ -354,53 +378,35 @@ class Presentation:
     Vectors are sparse {index: value} dicts.  copies: list of (vertex,
     generator vector in M_vertex); cover_basis[w]: list of (copy index,
     algebra basis index) spanning the cover at w;  cover -> M at w: one
-    column per cover basis element, a generator pushed along the arrows of
-    a basis path by the algebra's push plan (`pi` is the same map as dense
-    matrices, built on first use).  A syzygy is one elimination of that
-    map per vertex: its pivots check that the cover surjects, its free
-    columns give the kernel basis and the coordinates of the cover action
-    on it.  Holds only what it
-    reads of the module (algebra, field, dims, name), not the module
-    itself, so a module and its memoized presentation form no reference
-    cycle.
+    column per cover basis element, the image of a generator (a unit
+    vector) under a basis path, read off the module's memoized pushes.  A
+    syzygy is one elimination of that map per vertex: its pivots check that
+    the cover surjects, its free columns give the kernel basis and the
+    coordinates of the cover action on it.  Holds only what it reads of the
+    module (algebra, field, dims, name), not the module itself, so a module
+    and its memoized presentation form no reference cycle.
     """
 
     def __init__(self, rep):
         algebra = rep.algebra
         quiver = algebra.quiver
-        F = rep.field
-        p = F.char
         self.algebra = algebra
-        self.field = F
+        self.field = rep.field
         self.dims = rep.dims
         self.name = rep.name
-        columns = rep.columns()
         tops = top_complements(rep)
         self.copies = [(v, g) for v in quiver.vertices for g in tops[v]]
         self.cover_basis = {w: [] for w in quiver.vertices}
         self._pi_cols = {w: [] for w in quiver.vertices}
         for ci, (v, g) in enumerate(self.copies):
-            pushed = [g]  # images of g along the plan's prefixes, by slot
-            for b, w, slot, arrows in _push_plan(algebra, v):
-                vec = pushed[slot]
-                for name in arrows:
-                    vec = _apply(columns[name], vec, p)
-                    pushed.append(vec)
+            (j,) = g
+            for b, vec in _unit_push(rep, v, j).items():
+                w = algebra.basis[b].target
                 self.cover_basis[w].append((ci, b))
                 self._pi_cols[w].append(vec)
-        self._pi = None
         self._kernel = None
         self._kernel_top = None
         self._sections = None
-
-    @property
-    def pi(self):
-        """Per vertex, the cover -> M map as a dense dims[w] x cover matrix."""
-        if self._pi is None:
-            zero = self.field.zero
-            self._pi = {w: [[col.get(i, zero) for col in cols] for i in range(self.dims[w])]
-                        for w, cols in self._pi_cols.items()}
-        return self._pi
 
     def cover_images(self, arrow, vectors):
         """Images under an arrow u -> w of sparse cover-coordinate vectors at u.
@@ -524,12 +530,12 @@ class Presentation:
         if self._sections is not None:
             return self._sections
         F = self.field
-        pi = self.pi
         out = {}
-        for w in self.algebra.quiver.vertices:
+        for w, cols in self._pi_cols.items():
             n = self.dims[w]
+            pi = [[col.get(i, F.zero) for col in cols] for i in range(n)]
             eyes = [linalg.unit_vector(F, n, i) for i in range(n)]
-            sols = linalg.solve_many(F, pi[w], eyes)
+            sols = linalg.solve_many(F, pi, eyes)
             if any(s is None for s in sols):
                 raise InternalInvariantError("cover section missing")
             out[w] = sols
@@ -590,7 +596,10 @@ class ModuleHom:
 
 def _hom_parameter_space(source, target):
     """Solve for homs source -> target through the source's presentation.
-    Returns (presentation, list of parameter vectors u)."""
+    A hom is a parameter vector u, one block u_ci in target_v per cover copy
+    of P_v; each kernel-top generator sum coeff * (ci, b) constrains it by
+    sum coeff * b.u_ci = 0, whose columns are the target's unit pushes.
+    Returns (presentation, block offsets, parameter count, list of u)."""
     if source.field != target.field:
         raise FieldMismatch(f"{source.field.name} vs {target.field.name}")
     F = source.field
@@ -608,12 +617,11 @@ def _hom_parameter_space(source, target):
         block = [[F.zero] * total for _ in range(nw)]
         for pos, coeff in kv.items():
             ci, b = pres.cover_basis[w][pos]
-            act = target.evaluate_path(source.algebra.basis[b])
-            off = offsets[ci]
-            for brow, arow in zip(block, act):
-                for j, x in enumerate(arow, off):
-                    if x:
-                        brow[j] += coeff * x
+            v = pres.copies[ci][0]
+            for k in range(target.dims[v]):
+                col = offsets[ci] + k
+                for i, x in _unit_push(target, v, k)[b].items():
+                    block[i][col] += coeff * x
         if F.char:
             block = [[x % F.char for x in brow] for brow in block]
         rows.extend(block)
@@ -624,28 +632,28 @@ def _hom_parameter_space(source, target):
 
 
 def _materialize_hom(source, target, pres, offsets, u):
+    """The hom of parameter vector u: column j at w is sum coeff * b.u_ci
+    over the section of the j-th unit vector of source_w, coeff at cover
+    position (ci, b); each block u_ci is pushed once along the plan."""
     F = source.field
-    quiver = source.algebra.quiver
+    p = F.char
     secs = pres.sections()
-    mats = {}
-    uparts = []
+    images = []
     for ci, (v, _g) in enumerate(pres.copies):
-        uparts.append(u[offsets[ci]: offsets[ci] + target.dims[v]])
-    for w in quiver.vertices:
-        n, m = target.dims[w], source.dims[w]
-        mat = linalg.zeros(F, n, m)
-        for j in range(m):
-            cover_vec = secs[w][j]
-            for pos, coeff in enumerate(cover_vec):
-                if not coeff:
-                    continue
-                ci, b = pres.cover_basis[w][pos]
-                act = target.evaluate_path(source.algebra.basis[b])
-                for i, x in enumerate(linalg.mat_vec(F, act, uparts[ci])):
-                    if x:
-                        mat[i][j] += coeff * x
-        if F.char:
-            mat = [[x % F.char for x in row] for row in mat]
+        block = u[offsets[ci]: offsets[ci] + target.dims[v]]
+        images.append(_push(target, v, {k: x for k, x in enumerate(block) if x}))
+    mats = {}
+    for w in source.algebra.quiver.vertices:
+        mat = linalg.zeros(F, target.dims[w], source.dims[w])
+        for j, sec in enumerate(secs[w]):
+            acc = {}
+            for pos, coeff in enumerate(sec):
+                if coeff:
+                    ci, b = pres.cover_basis[w][pos]
+                    for i, x in images[ci][b].items():
+                        acc[i] = acc.get(i, 0) + coeff * x
+            for i, s in acc.items():
+                mat[i][j] = s % p if p else s
         mats[w] = mat
     return ModuleHom(source, target, mats)
 

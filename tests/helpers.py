@@ -180,10 +180,69 @@ def dense(F, vec, n):
     return [vec.get(i, F.zero) for i in range(n)]
 
 
+def mat_mul(F, a, a_rows, b, b_rows, b_cols):
+    """a (a_rows x b_rows) @ b (b_rows x b_cols) on dense row lists, safe
+    for zero dimensions."""
+    p = F.char
+    out = []
+    for i in range(a_rows):
+        acc = [F.zero] * b_cols
+        for x, bt in zip(a[i], b):
+            if x:
+                for j, y in enumerate(bt):
+                    if y:
+                        acc[j] += x * y
+        out.append([s % p for s in acc] if p else acc)
+    return out
+
+
+def mat_vec(F, a, v):
+    """a @ v on a dense matrix and a dense vector."""
+    nonzero = [(j, y) for j, y in enumerate(v) if y]
+    out = [sum([row[j] * y for j, y in nonzero if row[j]], F.zero) for row in a]
+    return [s % F.char for s in out] if F.char else out
+
+
+def path_matrix(rep, path):
+    """The dense matrix (dim target x dim source) of a path's action on rep,
+    the product of its arrow matrices, later arrows applied last."""
+    F = rep.field
+    quiver = rep.algebra.quiver
+    src = path.source
+    cur = linalg.identity(F, rep.dims[src])
+    cur_rows = rep.dims[src]
+    for name in path.arrows:
+        a = quiver.arrow_by_name[name]
+        cur = mat_mul(F, rep.mats[name], rep.dims[a.target], cur, cur_rows, rep.dims[src])
+        cur_rows = rep.dims[a.target]
+    return cur
+
+
+def projective_oracle(algebra, v):
+    """The left projective at v on the basis paths out of v, its arrow
+    matrices read off `product_indices` one basis path at a time: the
+    oracle for `reps.projective` and the arrow action tables."""
+    quiver = algebra.quiver
+    F = algebra.field
+    idx = algebra.basis_indices_from(v)
+    by_vertex = {w: [b for b in idx if algebra.basis[b].target == w] for w in quiver.vertices}
+    pos = {w: {b: j for j, b in enumerate(by_vertex[w])} for w in quiver.vertices}
+    dims = {w: len(by_vertex[w]) for w in quiver.vertices}
+    mats = {}
+    for a in quiver.arrows:
+        m = linalg.zeros(F, dims[a.target], dims[a.source])
+        for b in by_vertex[a.source]:
+            ai = algebra.index_of(algebra.path((a.name,)))
+            for k, coeff in algebra.product_indices(ai, b):
+                m[pos[a.target][k]][pos[a.source][b]] = F.of(coeff)
+        mats[a.name] = m
+    return reps.Representation(algebra, dims, mats, name=f"P_{v}")
+
+
 def cover_rep(pres):
     """A presentation's projective cover as a dense Representation: the
     oracle for `Presentation.cover_images`."""
-    parts = [reps.projective(pres.algebra, v) for v, _ in pres.copies]
+    parts = [projective_oracle(pres.algebra, v) for v, _ in pres.copies]
     if not parts:
         return reps.Representation(pres.algebra, {}, name="0")
     return reps.direct_sum(pres.algebra, parts)
@@ -192,28 +251,89 @@ def cover_rep(pres):
 def presentation_oracle(rep, pres):
     """The cover map, kernel embedding and kernel arrow matrices of a
     presentation, built the direct way: pi columns from whole path matrices
-    (`evaluate_path` + `mat_vec`), `linalg.nullspace` per vertex, and one
+    (`path_matrix` + `mat_vec`), `linalg.nullspace` per vertex, and one
     `linalg.solve_many` per arrow against the dense cover's action.  The
-    oracle for `Presentation.pi` and `Presentation.kernel`."""
+    oracle for the presentation's cover map and `Presentation.kernel`."""
     A = rep.algebra
     F = rep.field
     pi, embed = {}, {}
     for w in A.quiver.vertices:
-        cols = [linalg.mat_vec(F, rep.evaluate_path(A.basis[b]),
-                               dense(F, pres.copies[ci][1], rep.dims[pres.copies[ci][0]]))
+        cols = [mat_vec(F, path_matrix(rep, A.basis[b]),
+                        dense(F, pres.copies[ci][1], rep.dims[pres.copies[ci][0]]))
                 for ci, b in pres.cover_basis[w]]
         pi[w] = [[col[i] for col in cols] for i in range(rep.dims[w])]
         embed[w] = linalg.nullspace(F, pi[w], cols=len(cols))
     cover = cover_rep(pres)
     mats = {}
     for a in A.quiver.arrows:
-        targets = [linalg.mat_vec(F, cover.mats[a.name], k) for k in embed[a.source]]
+        targets = [mat_vec(F, cover.mats[a.name], k) for k in embed[a.source]]
         basis_mat = [[k[i] for k in embed[a.target]]
                      for i in range(len(pres.cover_basis[a.target]))]
         sols = linalg.solve_many(F, basis_mat, targets)
         assert all(sol is not None for sol in sols), "cover action leaves the kernel"
         mats[a.name] = [[sol[i] for sol in sols] for i in range(len(embed[a.target]))]
     return pi, embed, mats
+
+
+def dense_hom_space(source, target):
+    """A basis of Hom(source, target) built on dense path matrices: the
+    constraint blocks and the homs from whole path matrices of the target
+    (`path_matrix` + `mat_vec`), the sections from the dense cover map, all
+    over the source's presentation.  The oracle for `reps.hom_space`."""
+    if source.is_zero():
+        return []
+    F = source.field
+    A = source.algebra
+    pres = reps.presentation(source)
+    acts = {}  # basis index -> its dense path matrix on the target
+
+    def act(b):
+        if b not in acts:
+            acts[b] = path_matrix(target, A.basis[b])
+        return acts[b]
+
+    offsets, total = [], 0
+    for v, _g in pres.copies:
+        offsets.append(total)
+        total += target.dims[v]
+    rows = []
+    for w, kv in pres.kernel_top_generators():
+        block = [[F.zero] * total for _ in range(target.dims[w])]
+        for pos, coeff in kv.items():
+            ci, b = pres.cover_basis[w][pos]
+            for brow, arow in zip(block, act(b)):
+                for j, x in enumerate(arow, offsets[ci]):
+                    brow[j] += coeff * x
+        rows.extend([[x % F.char for x in brow] for brow in block] if F.char else block)
+    params = linalg.nullspace(F, rows, cols=total) if rows else [
+        linalg.unit_vector(F, total, i) for i in range(total)]
+    pi = {}
+    for w in A.quiver.vertices:
+        cols = [mat_vec(F, path_matrix(source, A.basis[b]),
+                        dense(F, pres.copies[ci][1], source.dims[pres.copies[ci][0]]))
+                for ci, b in pres.cover_basis[w]]
+        pi[w] = [[col[i] for col in cols] for i in range(source.dims[w])]
+    secs = {w: linalg.solve_many(F, pi[w], [linalg.unit_vector(F, source.dims[w], i)
+                                            for i in range(source.dims[w])])
+            for w in A.quiver.vertices}
+    homs = []
+    for u in params:
+        parts = [u[offsets[ci]: offsets[ci] + target.dims[v]]
+                 for ci, (v, _g) in enumerate(pres.copies)]
+        mats = {}
+        for w in A.quiver.vertices:
+            mat = linalg.zeros(F, target.dims[w], source.dims[w])
+            for j, sec in enumerate(secs[w]):
+                for pos, coeff in enumerate(sec):
+                    if not coeff:
+                        continue
+                    ci, b = pres.cover_basis[w][pos]
+                    image = mat_vec(F, act(b), parts[ci])
+                    for i, x in enumerate(image):
+                        mat[i][j] += coeff * x
+            mats[w] = [[x % F.char for x in row] for row in mat] if F.char else mat
+        homs.append(reps.ModuleHom(source, target, mats))
+    return homs
 
 
 def dense_combine(F, rows, cols, coeffs, entries):
@@ -236,10 +356,10 @@ def dense_verify(hom):
     F = hom.source.field
     src, tgt = hom.source, hom.target
     for a in src.algebra.quiver.arrows:
-        left = linalg.mat_mul(F, hom.matrices[a.target], tgt.dims[a.target],
-                              src.mats[a.name], src.dims[a.target], src.dims[a.source])
-        right = linalg.mat_mul(F, tgt.mats[a.name], tgt.dims[a.target],
-                               hom.matrices[a.source], tgt.dims[a.source], src.dims[a.source])
+        left = mat_mul(F, hom.matrices[a.target], tgt.dims[a.target],
+                       src.mats[a.name], src.dims[a.target], src.dims[a.source])
+        right = mat_mul(F, tgt.mats[a.name], tgt.dims[a.target],
+                        hom.matrices[a.source], tgt.dims[a.source], src.dims[a.source])
         if left != right:
             return False
     return True

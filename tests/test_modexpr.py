@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from quiverhom import corpus
 from quiverhom.cli import main
 from quiverhom.errors import InternalInvariantError, ParseError, QuiverHomError
-from quiverhom.modexpr import evaluate
+from quiverhom.modexpr import _parse_matrix, evaluate
 
 
 class TestMultisetContext:
@@ -48,12 +48,27 @@ class TestRepContext:
         rep = parts[0][0]
         assert rep.dim_vector() == (1, 1)
 
-    def test_rep_literal_checks_relations(self, sec3):
-        # b1 must act like b2 scaled; an inconsistent literal is rejected,
-        # naming the relation it breaks
-        text = "rep{ 1:1 2:1 ; a1 = [[1]] ; b1 = [[1]] }"
-        with pytest.raises(ParseError, match="relation .* acts nonzero"):
-            evaluate(text, sec3)
+    @pytest.mark.parametrize("algebra, text, message", [
+        # a1.b1 must equal 2 a2.b2 (a relations ideal)
+        ("sec3_example", "rep{ 1:1 2:1 ; a1 = [[1]] ; b1 = [[1]] }",
+         "relation 1*a1.b1 + -2*a2.b2 acts nonzero"),
+        # a truncated ideal: every path of length 2 acts as zero
+        ("a3_k2", "rep{ 1:1 2:1 3:1 ; a = [[1]] ; b = [[1]] }",
+         "relation J^2 acts nonzero: a length-2 path from 1"),
+        # a monomial ideal
+        ("sec4_example", "rep{ 1:1 2:1 ; a = [[1]] ; b = [[1]] }",
+         "relation b.a acts nonzero"),
+    ])
+    def test_rep_literal_checks_relations(self, algebra, text, message):
+        """An inconsistent literal is rejected, naming the relation it breaks."""
+        with pytest.raises(ParseError) as err:
+            evaluate(text, corpus.algebra(algebra))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("text", ["[[1] x [2]]", "[[1]]]", "[junk]", "[[1,,2]]", "[[1],]"])
+    def test_matrix_literal_is_read_strictly(self, text):
+        with pytest.raises(ParseError):
+            _parse_matrix(text)
 
     def test_rep_literal_shape_validation(self, sec3):
         with pytest.raises(ParseError):
@@ -167,6 +182,11 @@ def test_malformed_expressions_raise_user_errors(case):
     ("infinito", "M_beta(1,y)"),
     ("sec4_example", "rep{ 1:1 2:1 ; a = [[1]] ; b = [[1]] }"),
     ("sec3_example", "rep{ 1:1 2:1 ; a1 = [[1]] ; b1 = [[1]] }"),
+    ("sec3_example", "rep{ 1:1 2:2 ; a1 = [[1] x [2]] }"),
+    ("sec3_example", "rep{ 1:1 ; a1 = [junk] }"),
+    ("sec3_example", "rep{ 1:1 1:2 }"),
+    ("sec3_example", "rep{ 1:1 2:1 ; a1 = [[1]] ; a1 = [[2]] }"),
+    ("sec3_example", "rep{ 1:1_0 }"),
     ("infinito", "M_alpha(1,100000)"),
     ("sec4_example", "rep{ 1:100000000 }"),
     ("sec3_example", "99999999999*simple(1)"),

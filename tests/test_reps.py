@@ -22,9 +22,12 @@ from helpers import (
     cover_rep,
     dense,
     dense_combine,
+    dense_hom_space,
     dense_is_vertexwise_invertible,
     dense_verify,
+    mat_vec,
     presentation_oracle,
+    projective_oracle,
     random_monomial_algebra,
     random_nonzero_path,
     seeded,
@@ -471,7 +474,9 @@ class TestCoverAction:
         pi, oracle_embed, oracle_mats = presentation_oracle(rep, pres)
         F = rep.field
         size = {w: len(pres.cover_basis[w]) for w in rep.algebra.quiver.vertices}
-        assert pres.pi == pi
+        assert {w: [dense(F, col, rep.dims[w]) for col in cols]
+                for w, cols in pres._pi_cols.items()} == \
+            {w: [[row[k] for row in pi[w]] for k in range(size[w])] for w in pi}
         assert {w: [dense(F, k, size[w]) for k in vecs] for w, vecs in embed.items()} == \
             oracle_embed
         assert ker.mats == oracle_mats
@@ -481,7 +486,7 @@ class TestCoverAction:
             units = [{i: F.one} for i in range(n)]
             for vecs in (embed[a.source], units):
                 assert [dense(F, t, size[a.target]) for t in pres.cover_images(a, vecs)] == \
-                    [linalg.mat_vec(F, cover.mats[a.name], dense(F, k, n)) for k in vecs]
+                    [mat_vec(F, cover.mats[a.name], dense(F, k, n)) for k in vecs]
                 checked += len(vecs)
         return checked
 
@@ -526,6 +531,62 @@ class TestCoverAction:
         m = corpus.make_m_param(sec3, ["1"])
         for member in _trajectory(m, 3) + [reps.injective(sec3, "1")]:
             self._check(member)
+
+
+class TestHomSpaceOracle:
+    """`reps.hom_space`, built on the pushes of the target's unit vectors,
+    against the dense path-matrix construction: the same homs, exactly and
+    in the same order."""
+
+    @staticmethod
+    def _check(modules):
+        checked = 0
+        for m in modules:
+            for n in modules:
+                homs = reps.hom_space(m, n)
+                assert [h.matrices for h in homs] == \
+                    [h.matrices for h in dense_hom_space(m, n)]
+                checked += len(homs)
+        for m in modules:
+            assert all(type(leaf) in (int, Fraction) for leaf in _leaves(list(m._pushes.values())))
+        return checked
+
+    def test_presentation_pushes_only_the_top_generators(self, infinito):
+        m = reps.syzygy_rep(corpus.make_m_alpha(infinito, ["1", "2"]))
+        pres = reps.presentation(m)
+        assert sorted(m._pushes) == sorted((v, j) for v, g in pres.copies for j in g)
+        assert len(m._pushes) < m.total_dim
+
+    def test_sec3_param_modules(self, sec3):
+        modules = [make(sec3, [a]) for make in (corpus.make_m_param, corpus.make_n_param)
+                   for a in ("1", "2", "-1/3")]
+        assert self._check(modules) > 0
+
+    def test_infinito_m_alpha_and_syzygies(self, infinito):
+        m = corpus.make_m_alpha(infinito, ["1", "2"])
+        assert self._check(_trajectory(m, 1)) > 0
+
+    def test_finito_f32003_trajectory(self):
+        A = corpus.algebra("finito_f32003")
+        assert self._check([m for v in A.quiver.vertices
+                            for m in _trajectory(reps.injective(A, v), 4)]) > 0
+
+    def test_class_reps_of_random_monomial_algebras(self):
+        checked = 0
+        for seed in range(10):
+            A = random_monomial_algebra(seeded(seed + 6200))
+            catalog, _classes = reps.class_catalog(A)
+            checked += self._check([rep for _label, rep in catalog])
+        assert checked > 0
+
+
+@pytest.mark.parametrize("A", [corpus.algebra(name[:-len(".alg")]) for name in corpus.FILES] +
+                         [random_monomial_algebra(seeded(seed + 6300)) for seed in range(10)],
+                         ids=repr)
+def test_projective_reads_the_arrow_action_tables(A):
+    for v in A.quiver.vertices:
+        p, oracle = reps.projective(A, v), projective_oracle(A, v)
+        assert (p.dims, p.mats, p.name) == (oracle.dims, oracle.mats, oracle.name)
 
 
 def _table_algebras():
