@@ -400,10 +400,10 @@ class Presentation:
         self._pi_cols = {w: [] for w in quiver.vertices}
         for ci, (v, g) in enumerate(self.copies):
             (j,) = g
-            for b, vec in _unit_push(rep, v, j).items():
-                w = algebra.basis[b].target
+            pushed = _unit_push(rep, v, j)
+            for b, w, _slot, _arrows in _push_plan(algebra, v):
                 self.cover_basis[w].append((ci, b))
-                self._pi_cols[w].append(vec)
+                self._pi_cols[w].append(pushed[b])
         self._kernel = None
         self._kernel_top = None
         self._sections = None
