@@ -279,7 +279,7 @@ def _parse_rep_literal(body, algebra):
     return rep
 
 
-_ROW = r"\[[^\[\]]*\]"
+_ROW = r"\[([^\[\]]*)\]"  # one row; the group is its entries
 _MATRIX = re.compile(rf"\[\s*(?:{_ROW}(?:\s*,\s*{_ROW})*)?\s*\]")
 
 
@@ -290,7 +290,7 @@ def _parse_matrix(text):
     if not _MATRIX.fullmatch(text):
         raise ParseError(f"matrix must be [[...],[...]], got {text!r}")
     rows = []
-    for body in re.findall(r"\[([^\[\]]*)\]", text[1:-1]):
+    for body in re.findall(_ROW, text[1:-1]):
         entries = body.split(",") if body.strip() else []
         row = []
         for entry in entries:

@@ -278,8 +278,9 @@ def presentation_oracle(rep, pres):
 def dense_hom_space(source, target):
     """A basis of Hom(source, target) built on dense path matrices: the
     constraint blocks and the homs from whole path matrices of the target
-    (`path_matrix` + `mat_vec`), the sections from the dense cover map, all
-    over the source's presentation.  The oracle for `reps.hom_space`."""
+    (`path_matrix` + `mat_vec`), the sections from the dense cover map of
+    `presentation_oracle`, all over the source's presentation.  The oracle
+    for `reps.hom_space`."""
     if source.is_zero():
         return []
     F = source.field
@@ -307,12 +308,7 @@ def dense_hom_space(source, target):
         rows.extend([[x % F.char for x in brow] for brow in block] if F.char else block)
     params = linalg.nullspace(F, rows, cols=total) if rows else [
         linalg.unit_vector(F, total, i) for i in range(total)]
-    pi = {}
-    for w in A.quiver.vertices:
-        cols = [mat_vec(F, path_matrix(source, A.basis[b]),
-                        dense(F, pres.copies[ci][1], source.dims[pres.copies[ci][0]]))
-                for ci, b in pres.cover_basis[w]]
-        pi[w] = [[col[i] for col in cols] for i in range(source.dims[w])]
+    pi, _embed, _mats = presentation_oracle(source, pres)
     secs = {w: linalg.solve_many(F, pi[w], [linalg.unit_vector(F, source.dims[w], i)
                                             for i in range(source.dims[w])])
             for w in A.quiver.vertices}

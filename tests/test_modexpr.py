@@ -48,22 +48,22 @@ class TestRepContext:
         rep = parts[0][0]
         assert rep.dim_vector() == (1, 1)
 
-    @pytest.mark.parametrize("algebra, text, message", [
-        # a1.b1 must equal 2 a2.b2 (a relations ideal)
-        ("sec3_example", "rep{ 1:1 2:1 ; a1 = [[1]] ; b1 = [[1]] }",
-         "relation 1*a1.b1 + -2*a2.b2 acts nonzero"),
-        # a truncated ideal: every path of length 2 acts as zero
-        ("a3_k2", "rep{ 1:1 2:1 3:1 ; a = [[1]] ; b = [[1]] }",
-         "relation J^2 acts nonzero: a length-2 path from 1"),
-        # a monomial ideal
-        ("sec4_example", "rep{ 1:1 2:1 ; a = [[1]] ; b = [[1]] }",
-         "relation b.a acts nonzero"),
-    ])
-    def test_rep_literal_checks_relations(self, algebra, text, message):
+    def test_rep_literal_checks_relations(self):
         """An inconsistent literal is rejected, naming the relation it breaks."""
-        with pytest.raises(ParseError) as err:
-            evaluate(text, corpus.algebra(algebra))
-        assert str(err.value) == message
+        for algebra, text, message in [
+            # a1.b1 must equal 2 a2.b2 (a relations ideal)
+            ("sec3_example", "rep{ 1:1 2:1 ; a1 = [[1]] ; b1 = [[1]] }",
+             "relation 1*a1.b1 + -2*a2.b2 acts nonzero"),
+            # a truncated ideal: every path of length 2 acts as zero
+            ("a3_k2", "rep{ 1:1 2:1 3:1 ; a = [[1]] ; b = [[1]] }",
+             "relation J^2 acts nonzero: a length-2 path from 1"),
+            # a monomial ideal
+            ("sec4_example", "rep{ 1:1 2:1 ; a = [[1]] ; b = [[1]] }",
+             "relation b.a acts nonzero"),
+        ]:
+            with pytest.raises(ParseError) as err:
+                evaluate(text, corpus.algebra(algebra))
+            assert str(err.value) == message
 
     @pytest.mark.parametrize("text", ["[[1] x [2]]", "[[1]]]", "[junk]", "[[1,,2]]", "[[1],]"])
     def test_matrix_literal_is_read_strictly(self, text):
