@@ -54,11 +54,11 @@ def parse_algebra_text(text):
     arrows = []
     truncated = None
     monomial_line = None  # the last monomial line
-    relations_seen = False
     monomial_paths = []  # (lineno, token)
     relation_chunks = []  # (lineno, chunk)
     nilpotency = None
     field_spec = None
+    ideal_kinds = {}  # truncated/monomial/relations -> its first line
     for lineno, line in _lines(text):
         if ":" not in line:
             raise ParseError(f"expected 'key: value', got {line!r}", line=lineno)
@@ -67,6 +67,8 @@ def parse_algebra_text(text):
         value = value.strip()
         if key not in _KEYS:
             raise ParseError(f"unknown key {key!r}", line=lineno)
+        if key in ("truncated", "monomial", "relations"):
+            ideal_kinds.setdefault(key, lineno)
         if key == "vertices":
             if vertices is not None:
                 raise ParseError("duplicate vertices line", line=lineno)
@@ -91,7 +93,6 @@ def parse_algebra_text(text):
                 if tok:
                     monomial_paths.append((lineno, tok))
         elif key == "relations":
-            relations_seen = True
             for tok in _split_relations(value):
                 relation_chunks.append((lineno, tok))
         elif key == "nilpotency":
@@ -101,18 +102,21 @@ def parse_algebra_text(text):
                 raise ParseError(f"bad nilpotency {value!r}", line=lineno)
         elif key == "field":
             field_spec = (lineno, value)
+    # a whole-file error names the line where the file ends
+    last_line = max(1, len(text.splitlines()))
     if vertices is None:
-        raise ParseError("missing vertices line")
+        raise ParseError("missing vertices line", line=last_line)
     if not arrows:
-        raise ParseError("no arrows declared")
+        raise ParseError("no arrows declared", line=last_line)
     quiver = _build_quiver(vertices, vertices_line, arrows)
     field = QQ
     if field_spec is not None:
         field = _on_line(field_spec[0], field_from_spec, field_spec[1])
 
-    ideal_kinds = (truncated is not None) + (monomial_line is not None) + relations_seen
-    if ideal_kinds != 1:
-        raise ParseError("exactly one of truncated/monomial/relations must appear")
+    if len(ideal_kinds) != 1:
+        # a second ideal kind is named where it first appears
+        line = list(ideal_kinds.values())[1] if ideal_kinds else last_line
+        raise ParseError("exactly one of truncated/monomial/relations must appear", line=line)
     if truncated is not None:
         ideal = _on_line(truncated[0], TruncatedIdeal, truncated[1])
         build_line = truncated[0]

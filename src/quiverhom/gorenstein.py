@@ -236,7 +236,7 @@ def _counterexample(algebra, cap):
     return None
 
 
-# -- the two membership tests ---------------------------------------------------
+# -- membership in the stable infinite-syzygy category -------------------------
 
 
 def omega_infinity_member(algebra, multiset, cap=1000):
@@ -245,11 +245,6 @@ def omega_infinity_member(algebra, multiset, cap=1000):
     if any(c.projective for c in multiset.counts):
         raise PreconditionViolated("membership test expects a projective-free module")
     return calculus(algebra).is_periodic(multiset, cap=cap)
-
-
-def omega_infinity_trivial(algebra, cap=1000):
-    """True when only projectives admit right-infinite projective coresolutions."""
-    return find_periodic_module(algebra, cap=cap) is None
 
 
 # -- Co-Gorenstein decisions ------------------------------------------------------

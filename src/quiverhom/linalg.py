@@ -18,13 +18,6 @@ def zeros(field, rows, cols):
     return [[z] * cols for _ in range(rows)]
 
 
-def identity(field, n):
-    m = zeros(field, n, n)
-    for i in range(n):
-        m[i][i] = field.one
-    return m
-
-
 def _eliminate(field, rows, reduced=True):
     """Gauss-Jordan on sparse rows, {column: value} dicts, in plain ints:
     returns (row dicts, pivot column list) in pivot order.

@@ -121,8 +121,11 @@ def _parse_atom(toks):
         body = toks.until("}")
         return ("rep", body)
     toks.expect("(")
-    args = toks.until(")")
-    return ("call", name, [a.strip() for a in args.split(",") if a.strip()])
+    text = toks.until(")")
+    args = [a.strip() for a in text.split(",")] if text.strip() else []
+    if "" in args:
+        raise ParseError(f"empty argument in {name}({text})")
+    return ("call", name, args)
 
 
 REP_ONLY = {"proj", "inj", "rep"}

@@ -1,17 +1,19 @@
 """Quiver representations over exact fields: the linear-algebra engine.
 
 A Representation assigns to each vertex a space of stated dimension and to
-each arrow u -> w a matrix with rows indexed by the target space and columns
-by the source.  A path acts in one way only: a sparse vector is pushed along
-its arrows, later arrows applied last, through the arrows' sparse columns;
-the basis paths out of a vertex share their prefixes through the algebra's
-push plan.  A module memoizes the pushes of its unit vectors, which give
-both the cover map of its presentation and, as a target, the columns of
-the hom constraints.  Hom spaces are solved through a projective
-presentation of the source (Yoneda: a hom out of a projective cover is a
-tuple of vectors, one per cover summand, constrained by the kernel
-generators), which keeps the linear systems small even against large
-targets.
+each arrow u -> w a linear map, stored as its sparse columns: per basis
+vector of the source, a {row: value} dict of the nonzero entries, rows
+indexed by the target space.  A ModuleHom stores its vertex maps the same
+way.  Their dense matrices are views, built only when read.  A path acts
+in one way only: a sparse vector is pushed along its arrows, later arrows
+applied last, through the arrows' sparse columns; the basis paths out of a
+vertex share their prefixes through the algebra's push plan.  A
+presentation pushes the top generators of its module; a module that is a
+hom target memoizes the pushes of its unit vectors, the columns of the hom
+constraints.  Hom spaces are solved through a projective presentation of
+the source (Yoneda: a hom out of a projective cover is a tuple of vectors,
+one per cover summand, constrained by the kernel generators), which keeps
+the linear systems small even against large targets.
 
 Isomorphism testing is Las Vegas with a fixed seed: a verdict of
 "isomorphic" always carries an explicit intertwiner, of full rank at every
@@ -36,7 +38,10 @@ from .quiver import INFINITE
 
 class Representation:
     """A finitely generated left module presented by vertex spaces and arrow
-    matrices.  Immutable after construction."""
+    maps, stored per arrow as its sparse columns, {row: value} dicts of the
+    nonzero entries, one per basis vector of the source space.  `mats`, the
+    dense matrices (rows indexed by the target space, columns by the source),
+    is a view built on first read.  Immutable after construction."""
 
     def __init__(self, algebra, dims, mats=None, name=""):
         F = algebra.field
@@ -44,39 +49,44 @@ class Representation:
         if any(d < 0 for d in dims.values()):
             raise ValueError("negative dimension")
         given = mats or {}
-        mats = {}
+        columns = {}
         for a in algebra.quiver.arrows:
             r, c = dims[a.target], dims[a.source]
             m = given.get(a.name)
-            if m is None:
-                m = linalg.zeros(F, r, c)
-            else:
-                if len(m) != r or any(len(row) != c for row in m):
-                    raise ValueError(
-                        f"matrix for arrow {a.name} must be {r}x{c} (target x source)"
-                    )
-                m = [[F.of(x) for x in row] for row in m]
-            mats[a.name] = m
-        self._set(algebra, dims, mats, name, None)
+            if m is not None and (len(m) != r or any(len(row) != c for row in m)):
+                raise ValueError(
+                    f"matrix for arrow {a.name} must be {r}x{c} (target x source)"
+                )
+            columns[a.name] = [{} for _ in range(c)] if m is None else _sparse_columns(F.of, m, c)
+        self._set(algebra, dims, columns, name)
 
     @classmethod
-    def _of_field_elements(cls, algebra, dims, mats, name, columns=None):
-        """A module whose dims name every vertex and whose matrices, one per
-        arrow, are already field elements of the right shapes (a kernel, a
-        direct sum): taken as they are, with no per-entry copy."""
+    def _of_field_elements(cls, algebra, dims, columns, name):
+        """A module whose dims name every vertex and whose sparse columns, per
+        arrow, hold nonzero field elements only (a kernel, a direct sum):
+        taken as they are, with no per-entry copy."""
         rep = cls.__new__(cls)
-        rep._set(algebra, dims, mats, name, columns)
+        rep._set(algebra, dims, columns, name)
         return rep
 
-    def _set(self, algebra, dims, mats, name, columns):
+    def _set(self, algebra, dims, columns, name):
         self.algebra = algebra
         self.field = algebra.field
         self.dims = dims
-        self.mats = mats
+        self.columns = columns
         self.name = name
-        self._columns = columns
+        self._mats = None
         self._pushes = {}
         self._presentation = None
+
+    @property
+    def mats(self):
+        """Per arrow name, its dense matrix: a view of the sparse columns,
+        built on first read."""
+        if self._mats is None:
+            self._mats = {a.name: _dense(self.field, self.columns[a.name], self.dims[a.target])
+                          for a in self.algebra.quiver.arrows}
+        return self._mats
 
     # -- basics -----------------------------------------------------------
 
@@ -90,18 +100,10 @@ class Representation:
     def is_zero(self):
         return self.total_dim == 0
 
-    def columns(self):
-        """Per arrow name, the columns of its matrix as sparse {row: value}
-        dicts of the nonzero entries; built once per module."""
-        if self._columns is None:
-            self._columns = {a.name: _sparse_columns(self.mats[a.name], self.dims[a.source])
-                             for a in self.algebra.quiver.arrows}
-        return self._columns
-
     def _path_images(self, path):
         """The images of the unit vectors at path's source under path, as
         sparse vectors: the columns of the path's action."""
-        columns = self.columns()
+        columns = self.columns
         p = self.field.char
         vecs = [{j: self.field.one} for j in range(self.dims[path.source])]
         for name in path.arrows:
@@ -139,7 +141,7 @@ class Representation:
         """Push the unit vectors at each vertex along every path of the given
         length, dropping those that vanish on the way."""
         quiver = self.algebra.quiver
-        columns = self.columns()
+        columns = self.columns
         p = self.field.char
         for start in quiver.vertices:
             stack = [(start, 0, [{j: self.field.one} for j in range(self.dims[start])])]
@@ -162,37 +164,40 @@ class Representation:
         return f"{label}{self.dim_vector()}"
 
 
-def _sparse_columns(mat, ncols):
-    """The ncols columns of a matrix of row lists as sparse {row: value}
-    dicts of the nonzero entries."""
+def _sparse_columns(of, mat, ncols):
+    """The ncols columns of a matrix of row lists, each entry x taken as the
+    field element of(x), as sparse {row: value} dicts of the nonzero ones."""
     cols = [{} for _ in range(ncols)]
     for i, row in enumerate(mat):
         for j, x in enumerate(row):
-            if x:
+            if x := of(x):
                 cols[j][i] = x
     return cols
 
 
+def _dense(F, columns, nrows):
+    """The dense row lists of a matrix of nrows rows given by its sparse
+    columns: the view behind `Representation.mats` and `ModuleHom.matrices`."""
+    mat = linalg.zeros(F, nrows, len(columns))
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            mat[i][j] = x
+    return mat
+
+
 def direct_sum(algebra, parts, name=""):
-    """Block-diagonal direct sum; parts is a list of Representations."""
+    """Block-diagonal direct sum; parts is a list of Representations.  Each
+    part's columns are shifted by the rows of the parts before it."""
     quiver = algebra.quiver
-    F = algebra.field
     dims = {v: sum(p.dims[v] for p in parts) for v in quiver.vertices}
-    mats = {}
+    columns = {}
     for a in quiver.arrows:
-        r, c = dims[a.target], dims[a.source]
-        m = linalg.zeros(F, r, c)
-        ro = co = 0
+        cols = columns[a.name] = []
+        ro = 0
         for p in parts:
-            pr, pc = p.dims[a.target], p.dims[a.source]
-            block = p.mats[a.name]
-            for i in range(pr):
-                for j in range(pc):
-                    m[ro + i][co + j] = block[i][j]
-            ro += pr
-            co += pc
-        mats[a.name] = m
-    return Representation._of_field_elements(algebra, dims, mats, name)
+            cols.extend({ro + i: x for i, x in col.items()} for col in p.columns[a.name])
+            ro += p.dims[a.target]
+    return Representation._of_field_elements(algebra, dims, columns, name)
 
 
 # -- standard modules --------------------------------------------------------
@@ -204,20 +209,14 @@ def simple(algebra, v):
 
 def projective(algebra, v):
     """Realize the left projective at v on the basis paths/cosets out of v:
-    its arrow matrices are the per-algebra arrow action tables at v."""
-    F = algebra.field
+    its arrow columns are the per-algebra arrow action tables at v."""
     dims = {w: 0 for w in algebra.quiver.vertices}
     for b in algebra.basis_indices_from(v):
         dims[algebra.basis[b].target] += 1
-    mats = {}
-    for a in algebra.quiver.arrows:
-        images, n_w = _arrow_action(algebra, a)[v]
-        m = linalg.zeros(F, n_w, len(images))
-        for j, image in enumerate(images):
-            for k, c in image:
-                m[k][j] = c
-        mats[a.name] = m
-    return Representation._of_field_elements(algebra, dims, mats, f"P_{v}")
+    columns = {a.name: [{k: c for k, c in image if c}
+                        for image in _arrow_action(algebra, a)[v][0]]
+               for a in algebra.quiver.arrows}
+    return Representation._of_field_elements(algebra, dims, columns, f"P_{v}")
 
 
 def injective(algebra, v):
@@ -228,39 +227,33 @@ def injective(algebra, v):
     by_vertex = {w: [b for b in idx if algebra.basis[b].source == w] for w in quiver.vertices}
     pos = {w: {b: j for j, b in enumerate(by_vertex[w])} for w in quiver.vertices}
     dims = {w: len(by_vertex[w]) for w in quiver.vertices}
-    mats = {}
+    columns = {}
     for a in quiver.arrows:
         # (a.f)(y) = f(y*a): column x in the u-layer, row y in the w-layer
-        m = linalg.zeros(F, dims[a.target], dims[a.source])
+        cols = columns[a.name] = [{} for _ in range(dims[a.source])]
         ai = algebra.index_of(algebra.path((a.name,)))
         for y in by_vertex[a.target]:
             for k, coeff in algebra.product_indices(y, ai):
-                if k in pos[a.source]:
-                    m[pos[a.target][y]][pos[a.source][k]] = F.of(coeff)
-        mats[a.name] = m
-    return Representation(algebra, dims, mats, name=f"I_{v}")
+                if k in pos[a.source] and (c := F.of(coeff)):
+                    cols[pos[a.source][k]][pos[a.target][y]] = c
+    return Representation._of_field_elements(algebra, dims, columns, f"I_{v}")
 
 
 def rep_of_class(cls):
     """Concrete representation of a path module class from its continuations."""
     algebra = cls.algebra
     quiver = algebra.quiver
-    F = algebra.field
+    one = algebra.field.one
     by_vertex = {w: [] for w in quiver.vertices}
     for arrows in sorted(cls.continuations, key=lambda a: (len(a), a)):
         by_vertex[cls.continuation_target(arrows)].append(arrows)
     pos = {w: {a: j for j, a in enumerate(by_vertex[w])} for w in quiver.vertices}
     dims = {w: len(by_vertex[w]) for w in quiver.vertices}
-    mats = {}
-    cont = cls.continuations
-    for a in quiver.arrows:
-        m = linalg.zeros(F, dims[a.target], dims[a.source])
-        for arrows in by_vertex[a.source]:
-            ext = arrows + (a.name,)
-            if ext in cont:
-                m[pos[a.target][ext]][pos[a.source][arrows]] = F.one
-        mats[a.name] = m
-    return Representation(algebra, dims, mats, name=cls.label)
+    columns = {a.name: [{pos[a.target][arrows + (a.name,)]: one}
+                        if arrows + (a.name,) in cls.continuations else {}
+                        for arrows in by_vertex[a.source]]
+               for a in quiver.arrows}
+    return Representation._of_field_elements(algebra, dims, columns, cls.label)
 
 
 # -- tops, covers, presentations ---------------------------------------------
@@ -272,7 +265,7 @@ def top_complements(rep):
     top dimension vector."""
     quiver = rep.algebra.quiver
     F = rep.field
-    cols = rep.columns()
+    cols = rep.columns
     out = {}
     for w in quiver.vertices:
         images = [col for a in quiver.arrows_into(w) for col in cols[a.name]]
@@ -322,29 +315,28 @@ def _build_push_plan(algebra, v):
 
 
 def _push(rep, v, vec):
-    """The images of a sparse vector at v under the basis paths out of v, as
-    a dict basis index -> sparse vector in basis order, pushed along the
-    algebra's push plan."""
-    columns = rep.columns()
+    """The images of a sparse vector at v under the basis paths out of v,
+    pushed along the algebra's push plan: yields (basis index, target,
+    sparse image) in basis order."""
+    columns = rep.columns
     p = rep.field.char
     pushed = [vec]  # images of vec along the plan's prefixes, by slot
-    out = {}
-    for b, _w, slot, arrows in _push_plan(rep.algebra, v):
+    for b, w, slot, arrows in _push_plan(rep.algebra, v):
         x = pushed[slot]
         for name in arrows:
             x = _apply(columns[name], x, p)
             pushed.append(x)
-        out[b] = x
-    return out
+        yield b, w, x
 
 
 def _unit_push(rep, v, j):
-    """_push of the j-th unit vector at v, memoized per module: the j-th
-    columns of the actions of the basis paths out of v."""
+    """The images of the j-th unit vector at v, as a dict basis index ->
+    sparse vector: the j-th columns of the actions of the basis paths out
+    of v.  Memoized per module, for a module that is a hom target."""
     key = (v, j)
     out = rep._pushes.get(key)
     if out is None:
-        out = rep._pushes[key] = _push(rep, v, {j: rep.field.one})
+        out = rep._pushes[key] = {b: x for b, _w, x in _push(rep, v, {j: rep.field.one})}
     return out
 
 
@@ -379,7 +371,7 @@ class Presentation:
     generator vector in M_vertex); cover_basis[w]: list of (copy index,
     algebra basis index) spanning the cover at w;  cover -> M at w: one
     column per cover basis element, the image of a generator (a unit
-    vector) under a basis path, read off the module's memoized pushes.  A
+    vector) under a basis path, pushed along the algebra's push plan.  A
     syzygy is one elimination of that map per vertex: its pivots check that
     the cover surjects, its free columns give the kernel basis and the
     coordinates of the cover action on it.  Holds only what it reads of the
@@ -399,11 +391,9 @@ class Presentation:
         self.cover_basis = {w: [] for w in quiver.vertices}
         self._pi_cols = {w: [] for w in quiver.vertices}
         for ci, (v, g) in enumerate(self.copies):
-            (j,) = g
-            pushed = _unit_push(rep, v, j)
-            for b, w, _slot, _arrows in _push_plan(algebra, v):
+            for b, w, x in _push(rep, v, g):
                 self.cover_basis[w].append((ci, b))
-                self._pi_cols[w].append(pushed[b])
+                self._pi_cols[w].append(x)
         self._kernel = None
         self._kernel_top = None
         self._sections = None
@@ -465,26 +455,12 @@ class Presentation:
                 raise InternalInvariantError(
                     "projective cover of the top fails to surject"
                 )
-            pivot_set = set(pivots)
-            free = [c for c in range(len(self.cover_basis[w])) if c not in pivot_set]
-            # per free column: its nonzero entries (pivot row, value)
-            free_cols = {fc: [] for fc in free}
-            for i, row in enumerate(r):
-                for j, x in row.items():
-                    if j != pivots[i]:
-                        free_cols[j].append((i, x))
-            basis = []
-            for fc in free:
-                v = {fc: F.one}
-                for i, c in free_cols[fc]:
-                    v[pivots[i]] = -c % p if p else -c
-                basis.append(v)
-            embed[w] = basis
+            free, free_cols, embed[w] = _null_basis(F, r, pivots, len(self.cover_basis[w]))
             row_of = {pc: i for i, pc in enumerate(pivots)}
             slot = {fc: k for k, fc in enumerate(free)}
             reduced[w] = (row_of, slot, free_cols)
         dims = {w: len(embed[w]) for w in quiver.vertices}
-        mats, columns = {}, {}
+        columns = {}
         for a in quiver.arrows:
             row_of, slot, free_cols = reduced[a.target]
             cols = []
@@ -503,14 +479,9 @@ class Presentation:
                 if any([s % p for s in acc.values()]) if p else any(acc.values()):
                     raise InternalInvariantError("cover action leaves the kernel")
                 cols.append(col)
-            m = linalg.zeros(F, dims[a.target], dims[a.source])
-            for j, col in enumerate(cols):
-                for i, x in col.items():
-                    m[i][j] = x
-            mats[a.name] = m
             columns[a.name] = cols
         ker = Representation._of_field_elements(
-            algebra, dims, mats, f"syz({self.name})" if self.name else "syz", columns)
+            algebra, dims, columns, f"syz({self.name})" if self.name else "syz")
         self._kernel = (ker, embed)
         return self._kernel
 
@@ -526,21 +497,50 @@ class Presentation:
         return self._kernel_top
 
     def sections(self):
-        """Per vertex, cover-coordinate preimages of the standard basis of M."""
+        """Per vertex, sparse cover-coordinate preimages of the standard basis
+        of M: the rref [R | E] of [pi | I] gives the preimage of e_i that is
+        E[k][i] at the k-th pivot and 0 at the free columns."""
         if self._sections is not None:
             return self._sections
         F = self.field
         out = {}
         for w, cols in self._pi_cols.items():
-            n = self.dims[w]
-            pi = [[col.get(i, F.zero) for col in cols] for i in range(n)]
-            eyes = [linalg.unit_vector(F, n, i) for i in range(n)]
-            sols = linalg.solve_many(F, pi, eyes)
-            if any(s is None for s in sols):
+            size = len(cols)
+            rows = [{size + i: F.one} for i in range(self.dims[w])]
+            for k, col in enumerate(cols):
+                for i, x in col.items():
+                    rows[i][k] = x
+            r, pivots = linalg.sparse_rref(F, rows)
+            if pivots and pivots[-1] >= size:
                 raise InternalInvariantError("cover section missing")
-            out[w] = sols
+            secs = out[w] = [{} for _ in rows]
+            for row, pc in zip(r, pivots):
+                for j, x in row.items():
+                    if j >= size:
+                        secs[j - size][pc] = x
         self._sections = out
         return out
+
+
+def _null_basis(F, rows, pivots, ncols):
+    """(free columns, per free column its nonzero (row, value) entries, kernel
+    basis) of a matrix on ncols columns from its rref rows and pivots; the
+    basis vector of free column f is 1 at f and -r_i[f] at the i-th pivot."""
+    p = F.char
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    free_cols = {fc: [] for fc in free}
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            if j != pivots[i]:
+                free_cols[j].append((i, x))
+    basis = []
+    for fc in free:
+        v = {fc: F.one}
+        for i, c in free_cols[fc]:
+            v[pivots[i]] = -c % p if p else -c
+        basis.append(v)
+    return free, free_cols, basis
 
 
 def presentation(rep):
@@ -570,22 +570,31 @@ def syzygy_rep(rep):
 
 
 class ModuleHom:
-    """An intertwiner: per-vertex matrices M_v -> N_v commuting with arrows."""
+    """An intertwiner: per-vertex maps M_v -> N_v commuting with the arrows,
+    stored per vertex as sparse columns {row: value} of the nonzero entries.
+    `matrices`, the dense matrices, is a view built on first read."""
 
-    def __init__(self, source, target, matrices):
+    def __init__(self, source, target, columns):
         self.source = source
         self.target = target
-        self.matrices = matrices
+        self.columns = columns
+        self._matrices = None
+
+    @property
+    def matrices(self):
+        if self._matrices is None:
+            F, dims = self.source.field, self.target.dims
+            self._matrices = {v: _dense(F, cols, dims[v]) for v, cols in self.columns.items()}
+        return self._matrices
 
     def verify(self):
-        """Whether the matrices H commute with every arrow a: u -> w, i.e.
+        """Whether the maps H commute with every arrow a: u -> w, i.e.
         H_w M_a = N_a H_u, compared exactly column by column on sparse
         columns: H_w applied to column j of M_a against N_a applied to
         column j of H_u."""
         p = self.source.field.char
-        cols = {v: _sparse_columns(mat, self.source.dims[v])
-                for v, mat in self.matrices.items()}
-        m_cols, n_cols = self.source.columns(), self.target.columns()
+        cols = self.columns
+        m_cols, n_cols = self.source.columns, self.target.columns
         for a in self.source.algebra.quiver.arrows:
             h_w, n_a = cols[a.target], n_cols[a.name]
             for m_col, h_col in zip(m_cols[a.name], cols[a.source]):
@@ -599,78 +608,71 @@ def _hom_parameter_space(source, target):
     A hom is a parameter vector u, one block u_ci in target_v per cover copy
     of P_v; each kernel-top generator sum coeff * (ci, b) constrains it by
     sum coeff * b.u_ci = 0, whose columns are the target's unit pushes.
-    Returns (presentation, block offsets, parameter count, list of u)."""
+    Returns (presentation, per parameter its (copy, index in u_ci), list of
+    u as sparse vectors)."""
     if source.field != target.field:
         raise FieldMismatch(f"{source.field.name} vs {target.field.name}")
     F = source.field
     pres = presentation(source)
-    offsets = []
-    total = 0
-    for v, _g in pres.copies:
-        offsets.append(total)
-        total += target.dims[v]
+    offsets, owner = [], []
+    for ci, (v, _g) in enumerate(pres.copies):
+        offsets.append(len(owner))
+        owner.extend((ci, k) for k in range(target.dims[v]))
     rows = []
     for w, kv in pres.kernel_top_generators():
-        nw = target.dims[w]
-        if nw == 0:
+        if not target.dims[w]:
             continue
-        block = [[F.zero] * total for _ in range(nw)]
+        block = [{} for _ in range(target.dims[w])]
         for pos, coeff in kv.items():
             ci, b = pres.cover_basis[w][pos]
             v = pres.copies[ci][0]
             for k in range(target.dims[v]):
                 col = offsets[ci] + k
                 for i, x in _unit_push(target, v, k)[b].items():
-                    block[i][col] += coeff * x
-        if F.char:
-            block = [[x % F.char for x in brow] for brow in block]
+                    block[i][col] = block[i].get(col, 0) + coeff * x
         rows.extend(block)
-    params = linalg.nullspace(F, rows, cols=total) if rows else [
-        linalg.unit_vector(F, total, i) for i in range(total)
-    ]
-    return pres, offsets, total, params
+    r, pivots = linalg.sparse_rref(F, rows)
+    return pres, owner, _null_basis(F, r, pivots, len(owner))[2]
 
 
-def _materialize_hom(source, target, pres, offsets, u):
+def _materialize_hom(source, target, pres, owner, u):
     """The hom of parameter vector u: column j at w is sum coeff * b.u_ci
     over the section of the j-th unit vector of source_w, coeff at cover
     position (ci, b); each block u_ci is pushed once along the plan."""
-    F = source.field
-    p = F.char
+    p = source.field.char
     secs = pres.sections()
-    images = []
-    for ci, (v, _g) in enumerate(pres.copies):
-        block = u[offsets[ci]: offsets[ci] + target.dims[v]]
-        images.append(_push(target, v, {k: x for k, x in enumerate(block) if x}))
-    mats = {}
+    blocks = [{} for _ in pres.copies]
+    for pos, x in u.items():
+        ci, k = owner[pos]
+        blocks[ci][k] = x
+    images = [{b: y for b, _w, y in _push(target, v, block)}
+              for (v, _g), block in zip(pres.copies, blocks)]
+    columns = {}
     for w in source.algebra.quiver.vertices:
-        mat = linalg.zeros(F, target.dims[w], source.dims[w])
-        for j, sec in enumerate(secs[w]):
+        cols = columns[w] = []
+        for sec in secs[w]:
             acc = {}
-            for pos, coeff in enumerate(sec):
-                if coeff:
-                    ci, b = pres.cover_basis[w][pos]
-                    for i, x in images[ci][b].items():
-                        acc[i] = acc.get(i, 0) + coeff * x
-            for i, s in acc.items():
-                mat[i][j] = s % p if p else s
-        mats[w] = mat
-    return ModuleHom(source, target, mats)
+            for pos, coeff in sec.items():
+                ci, b = pres.cover_basis[w][pos]
+                for i, x in images[ci][b].items():
+                    acc[i] = acc.get(i, 0) + coeff * x
+            cols.append({i: r for i, s in acc.items() if (r := s % p)} if p
+                        else {i: s for i, s in acc.items() if s})
+    return ModuleHom(source, target, columns)
 
 
 def hom_space(source, target):
     """A basis of Hom(source, target) as ModuleHom objects (exact)."""
     if source.is_zero():
         return []
-    pres, offsets, total, params = _hom_parameter_space(source, target)
-    return [_materialize_hom(source, target, pres, offsets, u) for u in params]
+    pres, owner, params = _hom_parameter_space(source, target)
+    return [_materialize_hom(source, target, pres, owner, u) for u in params]
 
 
 def hom_dim(source, target):
     if source.is_zero():
         return 0
-    _pres, _off, _total, params = _hom_parameter_space(source, target)
-    return len(params)
+    return len(_hom_parameter_space(source, target)[2])
 
 
 class IsoResult:
@@ -699,11 +701,11 @@ def iso_test(m, n, trials=20, seed=0):
     if m.dim_vector() != n.dim_vector():
         return IsoResult("not_isomorphic", detail="dimension vectors differ")
     if m.is_zero():
-        return IsoResult("isomorphic", ModuleHom(m, n, {v: [] for v in m.algebra.quiver.vertices}),
+        return IsoResult("isomorphic", ModuleHom(m, n, {v: [] for v in m.dims}),
                          "both zero")
     # deterministic identity-first check
-    ident = ModuleHom(m, n, {v: linalg.identity(m.field, m.dims[v])
-                             for v in m.algebra.quiver.vertices})
+    one = m.field.one
+    ident = ModuleHom(m, n, {v: [{j: one} for j in range(d)] for v, d in m.dims.items()})
     if ident.verify():
         return IsoResult("isomorphic", ident, "identity")
     basis = hom_space(m, n)
@@ -763,20 +765,20 @@ def _certify(source, target, mats, den):
     F = source.field
     if not all(linalg.is_invertible(F, mat) for mat in mats.values()):
         return None
-    if not F.char:
-        zero = F.zero
-        mats = {v: [[Fraction(x, den) if x else zero for x in row] for row in mat]
-                for v, mat in mats.items()}
-    hom = ModuleHom(source, target, mats)
+    # over F_p the ints are reduced already; over Q an entry x stands for x / den
+    of = F.of if F.char else lambda x: Fraction(x, den)
+    hom = ModuleHom(source, target, {v: _sparse_columns(of, mat, source.dims[v])
+                                     for v, mat in mats.items()})
     return hom if hom.verify() else None
 
 
 def _nonzero_entries(hom):
-    """The nonzero (vertex, row, column, value) entries of hom's matrices."""
+    """The nonzero (vertex, row, column, value) entries of hom's maps, read
+    off its sparse columns."""
     return [(v, i, j, x)
-            for v, mat in hom.matrices.items()
-            for i, row in enumerate(mat)
-            for j, x in enumerate(row) if x]
+            for v, cols in hom.columns.items()
+            for j, col in enumerate(cols)
+            for i, x in col.items()]
 
 
 def _shared_zero_line(entries, rows, cols):
@@ -1068,8 +1070,8 @@ def _fingerprint(rep):
         return dv
     F = rep.field
     quiver = rep.algebra.quiver
-    nonzero = [(a, rep.mats[a.name][0][0]) for a in quiver.arrows
-               if rep.dims[a.source] and rep.dims[a.target] and rep.mats[a.name][0][0]]
+    nonzero = [(a, col[0]) for a in quiver.arrows
+               for col in rep.columns[a.name][:1] if col]
     # the new basis vector at v is scale[v] times the old one, so an arrow
     # u -> w acting by s acts by s * scale[u] / scale[w] afterwards
     scale = {}

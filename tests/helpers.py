@@ -5,7 +5,7 @@ brute-force oracles for the combinatorial layer."""
 import random
 from itertools import combinations, combinations_with_replacement, permutations
 
-from quiverhom import linalg, reps
+from quiverhom import gorenstein, linalg, reps
 from quiverhom.algebra import MonomialIdeal, TruncatedIdeal, build_algebra
 from quiverhom.errors import InfiniteDimensional, NotAdmissible, ParseError, ZeroPath
 from quiverhom.igusa_todorov import build_lattice, rank_sequence
@@ -149,6 +149,12 @@ def perfect_pair_successors(algebra):
     return succ
 
 
+def omega_infinity_trivial(algebra, cap=1000):
+    """True when only projectives admit right-infinite projective
+    coresolutions, i.e. when the periodic-module search finds nothing."""
+    return gorenstein.find_periodic_module(algebra, cap=cap) is None
+
+
 def sampled_phidim_lower(algebra):
     """The sampled lower bound on phidim: the largest phi, inside the syzygy
     hull of the path classes and the simples, over every single hull class,
@@ -180,6 +186,14 @@ def dense(F, vec, n):
     return [vec.get(i, F.zero) for i in range(n)]
 
 
+def identity(F, n):
+    """The n x n identity matrix as row lists."""
+    m = linalg.zeros(F, n, n)
+    for i in range(n):
+        m[i][i] = F.one
+    return m
+
+
 def mat_mul(F, a, a_rows, b, b_rows, b_cols):
     """a (a_rows x b_rows) @ b (b_rows x b_cols) on dense row lists, safe
     for zero dimensions."""
@@ -209,7 +223,7 @@ def path_matrix(rep, path):
     F = rep.field
     quiver = rep.algebra.quiver
     src = path.source
-    cur = linalg.identity(F, rep.dims[src])
+    cur = identity(F, rep.dims[src])
     cur_rows = rep.dims[src]
     for name in path.arrows:
         a = quiver.arrow_by_name[name]
@@ -237,6 +251,68 @@ def projective_oracle(algebra, v):
                 m[pos[a.target][k]][pos[a.source][b]] = F.of(coeff)
         mats[a.name] = m
     return reps.Representation(algebra, dims, mats, name=f"P_{v}")
+
+
+def injective_oracle(algebra, v):
+    """The dense arrow matrices of the injective at v, on the basis paths
+    into v, filled entry by entry by (a.f)(y) = f(y*a): the oracle for
+    `reps.injective`."""
+    quiver = algebra.quiver
+    F = algebra.field
+    idx = algebra.basis_indices_into(v)
+    by_vertex = {w: [b for b in idx if algebra.basis[b].source == w] for w in quiver.vertices}
+    pos = {w: {b: j for j, b in enumerate(by_vertex[w])} for w in quiver.vertices}
+    mats = {}
+    for a in quiver.arrows:
+        m = linalg.zeros(F, len(by_vertex[a.target]), len(by_vertex[a.source]))
+        ai = algebra.index_of(algebra.path((a.name,)))
+        for y in by_vertex[a.target]:
+            for k, coeff in algebra.product_indices(y, ai):
+                if k in pos[a.source]:
+                    m[pos[a.target][y]][pos[a.source][k]] = F.of(coeff)
+        mats[a.name] = m
+    return mats
+
+
+def class_rep_oracle(cls):
+    """The dense arrow matrices of a path module class on its continuations,
+    1 where an arrow extends a continuation: the oracle for
+    `reps.rep_of_class`."""
+    algebra = cls.algebra
+    quiver = algebra.quiver
+    F = algebra.field
+    by_vertex = {w: [] for w in quiver.vertices}
+    for arrows in sorted(cls.continuations, key=lambda a: (len(a), a)):
+        by_vertex[cls.continuation_target(arrows)].append(arrows)
+    pos = {w: {a: j for j, a in enumerate(by_vertex[w])} for w in quiver.vertices}
+    mats = {}
+    for a in quiver.arrows:
+        m = linalg.zeros(F, len(by_vertex[a.target]), len(by_vertex[a.source]))
+        for arrows in by_vertex[a.source]:
+            ext = arrows + (a.name,)
+            if ext in cls.continuations:
+                m[pos[a.target][ext]][pos[a.source][arrows]] = F.one
+        mats[a.name] = m
+    return mats
+
+
+def dense_direct_sum(algebra, parts):
+    """The block-diagonal dense arrow matrices of a direct sum, copied block
+    by block from the parts' dense matrices: the oracle for
+    `reps.direct_sum`."""
+    F = algebra.field
+    mats = {}
+    for a in algebra.quiver.arrows:
+        m = linalg.zeros(F, sum(p.dims[a.target] for p in parts),
+                         sum(p.dims[a.source] for p in parts))
+        ro = co = 0
+        for p in parts:
+            for i, row in enumerate(p.mats[a.name]):
+                m[ro + i][co: co + len(row)] = row
+            ro += p.dims[a.target]
+            co += p.dims[a.source]
+        mats[a.name] = m
+    return mats
 
 
 def cover_rep(pres):
@@ -328,8 +404,19 @@ def dense_hom_space(source, target):
                     for i, x in enumerate(image):
                         mat[i][j] += coeff * x
             mats[w] = [[x % F.char for x in row] for row in mat] if F.char else mat
-        homs.append(reps.ModuleHom(source, target, mats))
+        homs.append(dense_hom(source, target, mats))
     return homs
+
+
+def dense_hom(source, target, mats):
+    """A ModuleHom from dense per-vertex matrices of field elements, read
+    into sparse columns here; its `matrices` are the given ones, so that a
+    comparison with an oracle hom reads the oracle's own entries."""
+    hom = reps.ModuleHom(source, target, {
+        v: [{i: row[j] for i, row in enumerate(mat) if row[j]} for j in range(source.dims[v])]
+        for v, mat in mats.items()})
+    hom._matrices = mats
+    return hom
 
 
 def dense_combine(F, rows, cols, coeffs, entries):

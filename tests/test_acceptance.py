@@ -34,6 +34,7 @@ from quiverhom.quiver import INFINITE
 
 from helpers import (
     exhaustive_truncated_family,
+    omega_infinity_trivial,
     random_acyclic_truncated,
     random_monomial_algebra,
     random_nonzero_path,
@@ -272,7 +273,7 @@ def exhaustive_results():
                 break
         if singleton:
             assert found is not None
-        assert (found is not None) == (not gorenstein.omega_infinity_trivial(A))
+        assert (found is not None) == (not omega_infinity_trivial(A))
         for pp in gorenstein.perfect_paths(A):
             stats["perfect_paths"] += 1
             r = calc.is_periodic(ModuleMultiset([calc.class_of(pp.path)]))

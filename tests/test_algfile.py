@@ -34,6 +34,20 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_algebra_text(GOOD + "monomial: a.b\n")
 
+    @pytest.mark.parametrize("text, lineno", [
+        ("arrow: a 1 1\ntruncated: 2\n", 2),
+        ("vertices: 1\ntruncated: 2\n# no arrows\n", 3),
+        ("vertices: 1\narrow: a 1 1\n\n", 3),
+        ("", 1),
+        # the second ideal kind is named, not a repeat of the first
+        (GOOD + "truncated: 3\nmonomial: a.b\nrelations: a.b\n", 7),
+        ("vertices: 1\narrow: a 1 1\nrelations: a.a\nnilpotency: 2\ntruncated: 2\n", 5),
+    ])
+    def test_whole_file_errors_name_a_line(self, text, lineno):
+        with pytest.raises(ParseError) as err:
+            parse_algebra_text(text)
+        assert err.value.line == lineno
+
     def test_bad_arrow_line(self):
         with pytest.raises(ParseError) as err:
             parse_algebra_text("vertices: 1\narrow: a 1\ntruncated: 2\n")
@@ -109,6 +123,13 @@ class TestErrorLines:
          "more than 100000 paths of length at most 99999999998"),
         ("vertices: 1\narrow: a 1 1\nrelations: a.a.a\nnilpotency: 99999999\n", 4,
          "more than 100000 paths of length at most 99999999"),
+        # whole-file errors: the file's last line, or the second ideal kind
+        ("arrow: a 1 1\ntruncated: 2\n", 2, "missing vertices line"),
+        ("vertices: 1\ntruncated: 2\n# no arrows\n", 3, "no arrows declared"),
+        ("vertices: 1\narrow: a 1 1\n", 2,
+         "exactly one of truncated/monomial/relations must appear"),
+        ("vertices: 1 2\narrow: a 1 2\narrow: b 2 1\nmonomial: a.b\ntruncated: 2\n", 5,
+         "exactly one of truncated/monomial/relations must appear"),
         # exponent notation would ask for a billion-digit coefficient
         ("vertices: 1\narrow: a 1 1\nrelations: 1e999999999*a.a\nnilpotency: 3\n", 3,
          "bad coefficient '1e999999999'"),

@@ -117,10 +117,10 @@ class TestPeriodicSearch:
 
     def test_acyclic_none(self):
         assert gorenstein.find_periodic_module(truncated_line(4, 2)) is None
-        assert gorenstein.omega_infinity_trivial(truncated_line(4, 2))
+        assert helpers.omega_infinity_trivial(truncated_line(4, 2))
 
     def test_c3_k2_not_trivial(self):
-        assert not gorenstein.omega_infinity_trivial(truncated_cycle(3, 2))
+        assert not helpers.omega_infinity_trivial(truncated_cycle(3, 2))
 
     def test_junky_cycle_bundle(self):
         # loop plus exit arrow at k=2: the cycle class needs projective junk

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from quiverhom import linalg
 from quiverhom.fields import QQ, PrimeField
 
-from helpers import mat_mul, mat_vec
+from helpers import identity, mat_mul, mat_vec
 
 FIELDS = [QQ, PrimeField(32003)]
 
@@ -205,8 +205,8 @@ def test_invert(fm):
     if len(ref_pivots) < n:
         assert inv is None
         return
-    assert ref_mul(F, inv, a, n) == linalg.identity(F, n)
-    assert ref_mul(F, a, inv, n) == linalg.identity(F, n)
+    assert ref_mul(F, inv, a, n) == identity(F, n)
+    assert ref_mul(F, a, inv, n) == identity(F, n)
     assert_elements(F, inv)
     assert_fresh_rows(inv, a)
 
@@ -272,7 +272,7 @@ def test_invert_rejects_non_square(F):
 @pytest.mark.parametrize("F", FIELDS, ids=str)
 def test_is_invertible_fixed_cases(F):
     assert linalg.is_invertible(F, [])
-    assert linalg.is_invertible(F, linalg.identity(F, 3))
+    assert linalg.is_invertible(F, identity(F, 3))
     assert not linalg.is_invertible(F, linalg.zeros(F, 2, 2))
     with pytest.raises(ValueError):
         linalg.is_invertible(F, linalg.zeros(F, 2, 3))

@@ -30,6 +30,13 @@ class TestMultisetContext:
         with pytest.raises(ParseError):
             evaluate("simple(9)", sec4)
 
+    @pytest.mark.parametrize("text", ["simple(1,)", "simple(,1)", "proj( 1 , )"])
+    @pytest.mark.parametrize("context", ["multiset", "rep"])
+    def test_empty_argument(self, sec4, text, context):
+        with pytest.raises(ParseError) as err:
+            evaluate(text, sec4, context=context)
+        assert str(err.value) == f"empty argument in {text}"
+
 
 class TestRepContext:
     def test_projective_sum(self, sec4):
@@ -172,6 +179,9 @@ def test_malformed_expressions_raise_user_errors(case):
     ("sec4_example", "proj()"),
     ("sec4_example", "inj()"),
     ("sec4_example", "path(zz)"),
+    ("sec4_example", "simple(1,)"),
+    ("sec4_example", "simple(,1)"),
+    ("sec4_example", "proj( 1 , )"),
     ("sec3_example", "M_param(abc)"),
     ("sec3_example", "M_param(1/0)"),
     ("sec3_example", "M_param(1e5000)"),

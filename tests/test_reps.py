@@ -19,12 +19,16 @@ from quiverhom.pathmodules import calculus
 from quiverhom.quiver import Quiver
 
 from helpers import (
+    class_rep_oracle,
     cover_rep,
     dense,
     dense_combine,
+    dense_direct_sum,
+    dense_hom,
     dense_hom_space,
     dense_is_vertexwise_invertible,
     dense_verify,
+    injective_oracle,
     mat_vec,
     presentation_oracle,
     projective_oracle,
@@ -288,8 +292,8 @@ class TestIntegerCandidates:
             if t % 2:
                 coeffs = [c if rng.random() < 0.5 else 0 for c in coeffs]
             mats = reps._combine(F.char, n.dims, m.dims, coeffs, entries)
-            oracle = reps.ModuleHom(m, n, dense_combine(F, n.dims, m.dims,
-                                                        [F.of(c) for c in coeffs], field_entries))
+            oracle = dense_hom(m, n, dense_combine(F, n.dims, m.dims,
+                                                   [F.of(c) for c in coeffs], field_entries))
             ok = dense_is_vertexwise_invertible(oracle) and dense_verify(oracle)
             out.append((mats, den, reps._certify(m, n, mats, den), oracle, ok))
         return out
@@ -318,7 +322,7 @@ class TestIntegerCandidates:
                     bad_int[v][i][j] += den
                     bad = {w: [list(row) for row in mat] for w, mat in cert.matrices.items()}
                     bad[v][i][j] = F.of(bad[v][i][j] + 1)
-                    hom = reps.ModuleHom(m, n, bad)
+                    hom = dense_hom(m, n, bad)
                     assert hom.verify() == dense_verify(hom), (name, v, i, j)
                     if not dense_verify(hom):
                         assert reps._certify(m, n, bad_int, den) is None
@@ -551,11 +555,13 @@ class TestHomSpaceOracle:
             assert all(type(leaf) in (int, Fraction) for leaf in _leaves(list(m._pushes.values())))
         return checked
 
-    def test_presentation_pushes_only_the_top_generators(self, infinito):
+    def test_only_a_hom_target_memoizes_pushes(self, infinito):
         m = reps.syzygy_rep(corpus.make_m_alpha(infinito, ["1", "2"]))
-        pres = reps.presentation(m)
-        assert sorted(m._pushes) == sorted((v, j) for v, g in pres.copies for j in g)
-        assert len(m._pushes) < m.total_dim
+        reps.presentation(m).kernel()
+        assert m._pushes == {}
+        # S_2 has a kernel-top generator at 2, where m is nonzero
+        reps.hom_space(reps.simple(infinito, "2"), m)
+        assert m._pushes
 
     def test_sec3_param_modules(self, sec3):
         modules = [make(sec3, [a]) for make in (corpus.make_m_param, corpus.make_n_param)
@@ -587,6 +593,59 @@ def test_projective_reads_the_arrow_action_tables(A):
     for v in A.quiver.vertices:
         p, oracle = reps.projective(A, v), projective_oracle(A, v)
         assert (p.dims, p.mats, p.name) == (oracle.dims, oracle.mats, oracle.name)
+
+
+# three paths 1 -> 3 with one relation: an arrow times a basis path is a
+# sum of two basis paths, which no corpus algebra has
+THREE_PATHS = ("vertices: 1 2 3 4 5\narrow: a 1 2\narrow: b 2 3\narrow: c 1 4\n"
+               "arrow: d 4 3\narrow: e 1 5\narrow: f 5 3\nrelations: a.b - c.d - e.f\n"
+               "nilpotency: 3\n")
+
+
+class TestDenseViews:
+    """Sparse columns are the stored form of modules and homs: no builder
+    makes a dense matrix until `mats` or `matrices` is read, and the dense
+    views then equal the dense oracles."""
+
+    def test_nothing_dense_until_read(self, sec4, monkeypatch):
+        made = []
+        dense_view = reps._dense
+        monkeypatch.setattr(reps, "_dense", lambda *args: made.append(args) or dense_view(*args))
+        p, i = reps.projective(sec4, "1"), reps.injective(sec4, "2")
+        x, y = reps.direct_sum(sec4, [p, i]), reps.direct_sum(sec4, [i, p])
+        modules = [p, i, x, y, reps.syzygy_rep(i)] + \
+            [reps.rep_of_class(c) for c in calculus(sec4).all_path_classes()]
+        homs = reps.hom_space(x, y) + reps.hom_space(i, p)
+        homs += [reps.iso_test(x, y).certificate, reps.iso_test(x, x).certificate]
+        assert made == [] and len(homs) > 2
+        assert all(m._mats is None for m in modules) and all(h._matrices is None for h in homs)
+        views = [m.mats for m in modules] + [h.matrices for h in homs]
+        built = len(made)
+        assert built == len(modules) * len(sec4.quiver.arrows) + \
+            len(homs) * len(sec4.quiver.vertices)
+        assert [m.mats for m in modules] + [h.matrices for h in homs] == views
+        assert len(made) == built
+
+    @pytest.mark.parametrize("A", [corpus.algebra(name) for name in (
+        "sec4_example", "sec3_example", "c4_k3", "finito_f32003", "infinito")] +
+        [parse_algebra_text(THREE_PATHS + field) for field in ("", "field: Fp 7\n")], ids=repr)
+    def test_views_equal_the_dense_oracles(self, A):
+        vs = A.quiver.vertices
+        for v in vs:
+            inj, oracle = reps.injective(A, v), injective_oracle(A, v)
+            assert inj.mats == oracle
+            assert reps.Representation(A, inj.dims, oracle).mats == oracle
+            assert reps.projective(A, v).mats == projective_oracle(A, v).mats
+        parts = [reps.projective(A, vs[0]), reps.simple(A, vs[-1]), reps.injective(A, vs[-1])]
+        x, y = reps.direct_sum(A, parts), reps.direct_sum(A, parts[::-1])
+        assert x.mats == dense_direct_sum(A, parts)
+        assert reps.syzygy_rep(parts[2]).mats == \
+            presentation_oracle(parts[2], reps.presentation(parts[2]))[2]
+        assert [h.matrices for h in reps.hom_space(x, y)] == \
+            [h.matrices for h in dense_hom_space(x, y)]
+        if A.is_monomial_like:
+            for c in calculus(A).all_path_classes():
+                assert reps.rep_of_class(c).mats == class_rep_oracle(c)
 
 
 def _table_algebras():
