@@ -27,7 +27,7 @@ from .igusa_todorov import (
 )
 from .modexpr import evaluate
 from .pathmodules import calculus, pd_value_json
-from .quiver import INFINITE, analyze
+from .quiver import analyze
 
 
 class _CapReached(Exception):
@@ -64,10 +64,6 @@ def _sum_of(algebra, value):
     return reps.direct_sum(algebra, parts) if len(parts) != 1 else parts[0]
 
 
-def _infinite_json(x):
-    return "infinite" if x == INFINITE else x
-
-
 # -- command implementations ------------------------------------------------
 
 
@@ -89,9 +85,9 @@ def cmd_info(args, algebra):
 
 def cmd_gldim(args, algebra):
     g = calculus(algebra).gldim()
-    out = {"gldim": _infinite_json(g.value)}
+    out = {"gldim": pd_value_json(g.value)}
     if g.formula is not None:
-        out["formula_value"] = _infinite_json(g.formula)
+        out["formula_value"] = pd_value_json(g.formula)
     return out
 
 

@@ -78,12 +78,6 @@ def build_lattice(algebra, seed_classes):
     return K0Lattice(algebra, basis, matrix)
 
 
-def _rank_of_int_rows(rows):
-    if not rows:
-        return 0
-    return linalg.rank(QQ, rows)
-
-
 def rank_sequence(lattice, generators, upto, whole=False):
     """Ranks of the span of T^l applied to the generators, l = 0..upto.
 
@@ -92,10 +86,10 @@ def rank_sequence(lattice, generators, upto, whole=False):
     stops at the first repeat.  A proper subspace may repeat and then drop
     (e1 -> e2 -> 0 with V = <e1> has ranks 1, 1, 0), so it runs to upto."""
     vectors = [list(g) for g in generators]
-    ranks = [_rank_of_int_rows(vectors)]
+    ranks = [linalg.rank(QQ, vectors)]
     for _ in range(upto):
         vectors = [lattice.apply(v) for v in vectors]
-        ranks.append(_rank_of_int_rows(vectors))
+        ranks.append(linalg.rank(QQ, vectors))
         if whole and ranks[-1] == ranks[-2]:
             break
     return ranks
@@ -297,7 +291,7 @@ def _vector_rank(vectors):
     names = sorted({n for v in vectors for n in v})
     for v in vectors:
         rows.append([v.get(n, 0) for n in names])
-    return _rank_of_int_rows(rows)
+    return linalg.rank(QQ, rows)
 
 
 def phi_of_reps(algebra, summands, catalog, assume_infinite_pd=(), trials=20,

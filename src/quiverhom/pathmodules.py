@@ -267,7 +267,7 @@ class PathModuleCalculus:
 
     def _left_annihilators(self, p):
         A = self.algebra
-        zero, a = A._path_is_zero_monomial_like, p.arrows
+        zero, a = A.tuple_is_zero, p.arrows
         out = []
         for i in A.basis_indices_from(p.target):
             q = A.basis[i]
@@ -277,7 +277,7 @@ class PathModuleCalculus:
 
     def _right_annihilators(self, p):
         A = self.algebra
-        zero, a = A._path_is_zero_monomial_like, p.arrows
+        zero, a = A.tuple_is_zero, p.arrows
         out = []
         for i in A.basis_indices_into(p.source):
             q = A.basis[i]

@@ -998,7 +998,28 @@ def pd_rep(m, max_steps=20, trials=20, seed=0, max_dim=None):
     current = m
     trajectory = [m]
     buckets = {_fingerprint(m): [0]}
-    for step in range(1, 3):
+    step = 1
+    while True:
+        if step == 3 and algebra.is_monomial_like:
+            catalog, classes = class_catalog(algebra)
+            calc = pathmodules.calculus(algebra)
+            counts, _warnings = decompose_against_catalog(
+                trajectory[2], catalog, trials=trials, seed=seed
+            )
+            worst = 0
+            for label in counts:
+                value = calc.pd(classes[label])
+                if value == INFINITE:
+                    return PdProbe("infinite", INFINITE,
+                                   "second syzygy contains an infinite-pd path class "
+                                   f"({label})")
+                worst = max(worst, value)
+            return PdProbe("exact", 2 + worst, "path-class handoff")
+        if step == 3 and certified_self_injective(algebra) is True:
+            # non-projective over a self-injective algebra: syzygies never vanish
+            return PdProbe("infinite", INFINITE, "self-injective algebra, module not projective")
+        if step > max(2, max_steps):
+            return PdProbe("at_least", max_steps, "step cap reached")
         over = over_budget(current, step, max_dim)
         if over is not None:
             return over
@@ -1009,36 +1030,7 @@ def pd_rep(m, max_steps=20, trials=20, seed=0, max_dim=None):
         hit = _trajectory_repeat(trajectory, buckets, trials, seed)
         if hit is not None:
             return PdProbe("infinite", INFINITE, hit)
-    if algebra.is_monomial_like:
-        catalog, classes = class_catalog(algebra)
-        calc = pathmodules.calculus(algebra)
-        counts, _warnings = decompose_against_catalog(
-            trajectory[2], catalog, trials=trials, seed=seed
-        )
-        worst = 0
-        for label, mult in counts.items():
-            value = calc.pd(classes[label])
-            if value == INFINITE:
-                return PdProbe("infinite", INFINITE,
-                               "second syzygy contains an infinite-pd path class "
-                               f"({label})")
-            worst = max(worst, value)
-        return PdProbe("exact", 2 + worst, "path-class handoff")
-    if certified_self_injective(algebra) is True:
-        # non-projective over a self-injective algebra: syzygies never vanish
-        return PdProbe("infinite", INFINITE, "self-injective algebra, module not projective")
-    while len(trajectory) - 1 < max_steps:
-        over = over_budget(current, len(trajectory), max_dim)
-        if over is not None:
-            return over
-        current = syzygy_rep(current)
-        if current.is_zero():
-            return PdProbe("exact", len(trajectory) - 1, "syzygy vanished")
-        trajectory.append(current)
-        hit = _trajectory_repeat(trajectory, buckets, trials, seed)
-        if hit is not None:
-            return PdProbe("infinite", INFINITE, hit)
-    return PdProbe("at_least", max_steps, "step cap reached")
+        step += 1
 
 
 def over_budget(rep, step, max_dim):

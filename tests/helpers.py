@@ -3,6 +3,7 @@ exhaustive small-quiver enumeration used by the acceptance suite, and
 brute-force oracles for the combinatorial layer."""
 
 import random
+from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations
 
 from quiverhom import gorenstein, linalg, reps
@@ -76,7 +77,17 @@ def exhaustive_truncated_family(max_vertices=4, max_arrows=6, ks=(2, 3)):
     """All connected quivers with <= max_vertices vertices and <= max_arrows
     arrows, one representative per vertex-relabeling orbit, paired with each
     truncation exponent.  The verdicts under test are invariant under
-    renaming, so orbit representatives are exhaustive for the property."""
+    renaming, so orbit representatives are exhaustive for the property.
+    Each call builds fresh algebras; the quivers are enumerated once."""
+    for quiver in _orbit_representatives(max_vertices, max_arrows):
+        for k in ks:
+            yield build_algebra(quiver, TruncatedIdeal(k))
+
+
+@cache
+def _orbit_representatives(max_vertices, max_arrows):
+    """The quivers of exhaustive_truncated_family, in its order."""
+    quivers = []
     for nv in range(1, max_vertices + 1):
         pairs = [(i, j) for i in range(nv) for j in range(nv)]
         perms = list(permutations(range(nv)))
@@ -105,9 +116,8 @@ def exhaustive_truncated_family(max_vertices=4, max_arrows=6, ks=(2, 3)):
                     (f"x{idx}", str(i + 1), str(j + 1))
                     for idx, (i, j) in enumerate(combo)
                 ]
-                quiver = Quiver(verts, arrows)
-                for k in ks:
-                    yield build_algebra(quiver, TruncatedIdeal(k))
+                quivers.append(Quiver(verts, arrows))
+    return tuple(quivers)
 
 
 def seeded(seed):
@@ -179,6 +189,19 @@ def sampled_phidim_lower(algebra):
     for size in (2, 3, 4):
         candidates += [list(combo) for combo in combinations(simples, size)]
     return max((phi_in_lattice(combo) for combo in candidates), default=0)
+
+
+def multiply(algebra, x, y):
+    """The product x * y of sparse {index: coeff} vectors, in function
+    order (y first), summed from the structure constants of every pair of
+    basis elements: the oracle for associativity and for the relations."""
+    F = algebra.field
+    out = {}
+    for i, ci in x.items():
+        for j, cj in y.items():
+            for k, ck in algebra.product_indices(i, j):
+                out[k] = F.add(out.get(k, F.zero), F.mul(F.mul(ci, cj), ck))
+    return {k: v for k, v in out.items() if not F.is_zero(v)}
 
 
 def dense(F, vec, n):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from quiverhom import corpus
 from quiverhom.algebra import (
     MonomialIdeal,
     Relation,
@@ -20,7 +21,7 @@ from quiverhom.fields import PrimeField
 from quiverhom.pathmodules import calculus
 from quiverhom.quiver import Path, Quiver
 
-from helpers import random_monomial_algebra, seeded
+from helpers import multiply, random_monomial_algebra, seeded
 
 
 def cycle_quiver(n):
@@ -184,30 +185,40 @@ class TestMultiply:
         a = sec4.index_of(sec4.path("a"))
         b = sec4.index_of(sec4.path("b"))
         F = sec4.field
-        out = sec4.multiply({b: F.of(2)}, {a: F.of(3)})
+        out = multiply(sec4, {b: F.of(2)}, {a: F.of(3)})
         ab = sec4.index_of(sec4.path("a.b"))
         assert out == {ab: F.of(6)}
 
 
 def test_monomial_like_products_are_associative():
-    """Truncated and monomial builds run no associativity self-check, so
-    check every basis triple here, on random monomial algebras and on
-    truncated cycles and a truncated loop quiver."""
+    """No build runs an associativity self-check, so check every basis
+    triple here, on random monomial algebras, truncated cycles, a truncated
+    loop quiver and the relations algebras sec3_example, finito and
+    finito_f32003; on infinito, the 500 triples that seeded(0) draws."""
     algebras = [random_monomial_algebra(seeded(seed + 1300), max_dim=30)
                 for seed in range(20)]
     algebras += [build_algebra(cycle_quiver(n), TruncatedIdeal(k))
                  for n in (1, 2, 3) for k in (2, 3, 4)]
     loop = Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1"), ("g", "2", "2")])
     algebras.append(build_algebra(loop, TruncatedIdeal(3)))
+    algebras += [corpus.algebra(name) for name in ("sec3_example", "finito", "finito_f32003")]
     for A in algebras:
         one = A.field.one
         units = [{i: one} for i in range(A.dimension)]
         for x in units:
             for y in units:
-                xy = A.multiply(x, y)
+                xy = multiply(A, x, y)
                 for z in units:
-                    assert A.multiply(xy, z) == A.multiply(x, A.multiply(y, z)), (
+                    assert multiply(A, xy, z) == multiply(A, x, multiply(A, y, z)), (
                         A, x, y, z)
+    A = corpus.algebra("infinito")
+    one = A.field.one
+    rng = seeded(0)
+    for _ in range(500):
+        i, j, k = (rng.randrange(A.dimension) for _ in range(3))
+        x, y, z = {i: one}, {j: one}, {k: one}
+        assert multiply(A, multiply(A, x, y), z) == multiply(A, x, multiply(A, y, z)), (
+            A, i, j, k)
 
 
 class TestRelationsEngine:
@@ -217,14 +228,21 @@ class TestRelationsEngine:
         deg2 = [p for p in sec3.basis if p.length == 2]
         assert len(deg2) == 2
 
-    def test_relations_vanish_under_multiply(self, sec3):
-        F = sec3.field
-        for rel in sec3.ideal.relations:
+    @pytest.mark.parametrize("name", ["sec3_example", "finito", "finito_f32003", "infinito"])
+    def test_relations_vanish_under_multiply(self, name):
+        """Each relation, its terms multiplied out arrow by arrow, is 0."""
+        A = corpus.algebra(name)
+        F = A.field
+        arrow = {a.name: {A.index_of(A.path((a.name,))): F.one} for a in A.quiver.arrows}
+        for rel in A.ideal.relations:
             acc = {}
             for c, term in rel.terms:
-                for i, coeff in sec3.reduce_path(term):
+                value = arrow[term.arrows[0]]
+                for a in term.arrows[1:]:
+                    value = multiply(A, arrow[a], value)
+                for i, coeff in value.items():
                     acc[i] = F.add(acc.get(i, F.zero), F.mul(F.of(c), coeff))
-            assert all(F.is_zero(v) for v in acc.values())
+            assert all(F.is_zero(v) for v in acc.values()), rel
 
     def test_infinito_dim_p1_oracle(self, infinito):
         """Independent row reduction: 16 degree-2 paths out of vertex 1, six
