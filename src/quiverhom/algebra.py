@@ -15,9 +15,10 @@ complete criterion because the relations are length-homogeneous.
 
 Products are always function-order: product_indices(i, j) traverses basis
 path j first, then basis path i.  Algebras are immutable after build; the
-values derived from a whole algebra (its path-module calculus, class lists,
-perfect pairs, global dimension) are built on first use and kept in its one
-memo table, see `memo`.
+values derived from a whole algebra (its path-module calculus tables, class
+lists, perfect pairs, global dimension) are built on first use and kept in
+its one memo table, see `memo`.  No memo value holds the algebra, so an
+algebra is freed by reference counting, never only by the cyclic collector.
 
 No build runs a self-check, because each construction guarantees the algebra
 axioms.  For truncated and monomial ideals the product is path concatenation

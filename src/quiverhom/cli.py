@@ -10,6 +10,7 @@ Exit codes: 0 success; 1 user/parse error; 2 a computational cap was reached
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -330,7 +331,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: parse_args leaves it
+    unchanged, so every main call and batch line reuses it."""
     parser = argparse.ArgumentParser(
         prog="quiverhom",
         description="Homological invariants of bound quiver algebras",

@@ -10,9 +10,21 @@ engine cross-checks this criterion on random instances.
 Syzygies are computed type-theoretically: the syzygy of a class is the sum of
 the classes of the minimal non-continuations, which for a truncated algebra
 reproduces the closed formula (paths of complementary length out of v).
+
+Ownership: nothing the algebra holds points back to it, so an algebra and
+everything derived from it are freed by reference counting alone.
+
+* A `PathModuleCalculus` is a view: it holds its algebra strongly, and
+  `calculus(algebra)` makes a fresh one on each call.
+* The calculus tables (interned classes, syzygies, projective dimensions and
+  the paths out of each vertex) live under one key of the algebra's memo.
+* A `PathModuleClass` refers to its algebra weakly and holds its quiver,
+  label and hash outright; reading `cls.algebra` after the algebra is gone
+  raises `ReferenceError`.
 """
 
 import hashlib
+import weakref
 from collections import Counter
 
 from .errors import Indeterminate, InternalInvariantError, UnsupportedIdeal, ZeroPath
@@ -20,24 +32,29 @@ from .quiver import INFINITE, Path, analyze, graph_sccs
 
 
 def calculus(algebra):
-    """The algebra's path-module calculus, built once and kept in its memo."""
-    return algebra.memo("calculus", lambda: PathModuleCalculus(algebra))
+    """A path-module calculus view of the algebra.  The view holds the
+    algebra; its tables live in the algebra's memo, so every view of one
+    algebra shares the same classes, syzygies and projective dimensions."""
+    return PathModuleCalculus(algebra)
 
 
 class PathModuleClass:
-    """Iso class of a cyclic path module, keyed by (vertex, continuation set)."""
+    """Iso class of a cyclic path module, keyed by (vertex, continuation set).
 
-    __slots__ = ("algebra", "vertex", "continuations", "representative", "label",
-                 "projective", "dim_vector", "sort_key", "_targets")
+    Holds its algebra through a weak reference, so the algebra's memo can
+    keep classes without a reference cycle."""
+
+    __slots__ = ("_algebra", "quiver", "vertex", "continuations", "representative",
+                 "label", "projective", "dim_vector", "sort_key", "_targets", "_hash")
 
     def __init__(self, algebra, vertex, continuations, representative, all_from_v):
-        self.algebra = algebra
+        self._algebra = weakref.ref(algebra)
+        self.quiver = quiver = algebra.quiver
         self.vertex = vertex
         self.continuations = continuations
         self.representative = representative
         self.projective = continuations == all_from_v
         targets = {}
-        quiver = algebra.quiver
         for arrows in continuations:
             t = quiver.arrow_by_name[arrows[-1]].target if arrows else vertex
             targets[arrows] = t
@@ -47,39 +64,49 @@ class PathModuleClass:
             dim[t] = dim.get(t, 0) + 1
         self.dim_vector = dim
         self.sort_key = (vertex, tuple(sorted(continuations)))
-        self.label = self._make_label()
+        self._hash = hash((id(algebra), self.sort_key))
+        self.label = self._make_label(algebra)
 
-    def _make_label(self):
+    def _make_label(self, algebra):
         if self.projective:
             return f"P_{self.vertex}"
         if self.continuations == frozenset({()}):
             return f"S_{self.vertex}"
-        if self.algebra.kind == "truncated":
-            k = self.algebra.ideal.k
+        if algebra.kind == "truncated":
+            k = algebra.ideal.k
             l = k - 1 - max(len(a) for a in self.continuations)
             return f"M[{self.vertex},{l}]"
         digest = hashlib.md5(repr(self.sort_key).encode()).hexdigest()[:6]
         return f"Ap@{self.vertex}#{digest}"
 
     @property
+    def algebra(self):
+        algebra = self._algebra()
+        if algebra is None:
+            raise ReferenceError(f"the algebra of path module class {self.label} "
+                                 "has been freed")
+        return algebra
+
+    @property
     def total_dim(self):
         return len(self.continuations)
 
     def dim_vector_tuple(self):
-        return tuple(self.dim_vector.get(v, 0) for v in self.algebra.quiver.vertices)
+        return tuple(self.dim_vector.get(v, 0) for v in self.quiver.vertices)
 
     def continuation_target(self, arrows):
         return self._targets[arrows]
 
     def __eq__(self, other):
+        # live referents compare by identity; a dead one only to its own ref
         return (
             isinstance(other, PathModuleClass)
-            and self.algebra is other.algebra
+            and self._algebra == other._algebra
             and self.sort_key == other.sort_key
         )
 
     def __hash__(self):
-        return hash((id(self.algebra), self.sort_key))
+        return self._hash
 
     def __repr__(self):
         return self.label
@@ -143,7 +170,8 @@ class ModuleMultiset:
 
 
 class PathModuleCalculus:
-    """Per-algebra cache of classes, syzygies and projective dimensions."""
+    """Classes, syzygies and projective dimensions of one algebra: a view
+    that holds the algebra, over tables kept in the algebra's memo."""
 
     def __init__(self, algebra):
         if not algebra.is_monomial_like:
@@ -151,15 +179,8 @@ class PathModuleCalculus:
                 "path module calculus needs a monomial or truncated ideal"
             )
         self.algebra = algebra
-        self._classes = {}
-        self._syzygy = {}
-        self._pd = {}
-        self._all_from = {
-            v: frozenset(
-                algebra.basis[i].arrows for i in algebra.basis_indices_from(v)
-            )
-            for v in algebra.quiver.vertices
-        }
+        self._classes, self._syzygy, self._pd, self._all_from = algebra.memo(
+            "calculus", lambda: _tables(algebra))
 
     # -- class construction ------------------------------------------------
 
@@ -407,6 +428,17 @@ class PathModuleCalculus:
                 return PeriodicityResult(False, None, step, "entered a cycle missing the start")
             seen.add(key)
         raise Indeterminate(f"periodicity undecided after {cap} syzygy steps")
+
+
+def _tables(algebra):
+    """The calculus tables of an algebra: interned classes, syzygies and
+    projective dimensions (filled on use), and the basis paths out of each
+    vertex.  None of them holds the algebra."""
+    all_from = {
+        v: frozenset(algebra.basis[i].arrows for i in algebra.basis_indices_from(v))
+        for v in algebra.quiver.vertices
+    }
+    return {}, {}, {}, all_from
 
 
 class GlobalDimension:

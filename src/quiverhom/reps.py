@@ -166,11 +166,12 @@ class Representation:
 
 def _sparse_columns(of, mat, ncols):
     """The ncols columns of a matrix of row lists, each entry x taken as the
-    field element of(x), as sparse {row: value} dicts of the nonzero ones."""
+    field element of(x), as sparse {row: value} dicts of the nonzero ones.
+    An entry that is already zero is skipped without a call of of."""
     cols = [{} for _ in range(ncols)]
     for i, row in enumerate(mat):
         for j, x in enumerate(row):
-            if x := of(x):
+            if x and (x := of(x)):
                 cols[j][i] = x
     return cols
 
@@ -765,8 +766,9 @@ def _certify(source, target, mats, den):
     F = source.field
     if not all(linalg.is_invertible(F, mat) for mat in mats.values()):
         return None
-    # over F_p the ints are reduced already; over Q an entry x stands for x / den
-    of = F.of if F.char else lambda x: Fraction(x, den)
+    # over F_p the ints are reduced already; over Q an entry x stands for
+    # x / den, and Fraction(x) skips the gcd when den is 1
+    of = F.of if F.char else Fraction if den == 1 else lambda x: Fraction(x, den)
     hom = ModuleHom(source, target, {v: _sparse_columns(of, mat, source.dims[v])
                                      for v, mat in mats.items()})
     return hom if hom.verify() else None
@@ -988,7 +990,8 @@ def pd_rep(m, max_steps=20, trials=20, seed=0, max_dim=None):
     path-module classes and handed to the combinatorial pd; over a certified
     self-injective algebra any non-projective module has infinite pd; and a
     certified isomorphism between two distinct trajectory members (equal
-    fingerprints) closes a cycle.  Otherwise at_least(max_steps), or
+    fingerprints) closes a cycle.  Otherwise at_least(max(2, max_steps)):
+    steps 1 and 2 always run, and every syzygy built was nonzero.  Or
     at_least(step) when max_dim is given and the step-th syzygy would have
     a larger total dimension: it is not built, and being nonzero it shows
     pd >= step."""
@@ -1019,7 +1022,7 @@ def pd_rep(m, max_steps=20, trials=20, seed=0, max_dim=None):
             # non-projective over a self-injective algebra: syzygies never vanish
             return PdProbe("infinite", INFINITE, "self-injective algebra, module not projective")
         if step > max(2, max_steps):
-            return PdProbe("at_least", max_steps, "step cap reached")
+            return PdProbe("at_least", step - 1, "step cap reached")
         over = over_budget(current, step, max_dim)
         if over is not None:
             return over

@@ -130,6 +130,13 @@ class TestExitCodes:
         assert code == 2
         assert doc["result"]["pd"]["kind"] == "at_least"
 
+    def test_cap_below_two_steps_reports_two(self, capsys):
+        code, doc = run_json(capsys, "pd", "--algebra", "corpus:finito",
+                             "--module", "inj(3)", "--max-steps", "0")
+        assert code == 2
+        assert doc["result"]["pd"] == {"kind": "at_least", "value": 2,
+                                       "detail": "step cap reached"}
+
     def test_inj_pd_cap_is_two(self, capsys):
         code, doc = run_json(capsys, "inj-pd", "--algebra", "corpus:finito",
                              "--max-steps", "5")

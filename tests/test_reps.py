@@ -420,6 +420,12 @@ class TestPdRep:
         probe = reps.pd_rep(reps.injective(finito, "3"), max_steps=20)
         assert probe.kind == "at_least" and probe.value == 20
 
+    @pytest.mark.parametrize("max_steps", [0, 1, 2])
+    def test_step_cap_below_two_reports_two(self, finito, max_steps):
+        # steps 1 and 2 always run, and a nonzero second syzygy shows pd >= 2
+        probe = reps.pd_rep(reps.injective(finito, "3"), max_steps=max_steps)
+        assert (probe.kind, probe.value, probe.detail) == ("at_least", 2, "step cap reached")
+
 
 class TestSelfInjectivity:
     def test_sec3_certified(self, sec3):
