@@ -9,9 +9,13 @@ Three ideal shapes are supported:
 
 For the first two, the basis is the set of nonzero paths.  For the third the
 basis is a set of path cosets selected degree by degree by exact row
-reduction of the ideal's span; J^N <= I is verified (not assumed) by checking
-that the degree-N layer of the span covers every degree-N path, which is a
-complete criterion because the relations are length-homogeneous.
+reduction of the ideal's span: per degree and per (source, target) block,
+one sparse {column: value} row per product prefix * relation * suffix,
+reduced by `linalg.sparse_rref`; a non-pivot path is kept as a coset and a
+pivot path expands into the kept ones, read off its rref row in column
+order.  J^N <= I is verified (not assumed) by checking that the degree-N
+layer of the span covers every degree-N path, which is a complete criterion
+because the relations are length-homogeneous.
 
 Products are always function-order: product_indices(i, j) traverses basis
 path j first, then basis path i.  Algebras are immutable after build; the
@@ -223,40 +227,42 @@ class BoundQuiverAlgebra:
         basis = [p for paths in by_len[:2] for p in paths]
         for p in basis:
             self._reduction[(p.arrows, p.vertex)] = [(p, F.one)]
+        ending, starting = {}, {}  # (length, vertex) -> paths into / out of it
+        for length, paths in enumerate(by_len):
+            for p in paths:
+                ending.setdefault((length, p.target), []).append(p)
+                starting.setdefault((length, p.source), []).append(p)
+        relations = [(rel, [(F.of(c), term.arrows) for c, term in rel.terms])
+                     for rel in self.ideal.relations]
 
         # no path is longer than len(by_len) - 1: J^N = 0 when that is below N
         for degree in range(2, len(by_len)):
-            # group the degree-d paths by (source, target)
+            # group the degree-d paths by (source, target); the paths of a
+            # block are its columns, found through one position map per block
             blocks = {}
             for p in by_len[degree]:
                 blocks.setdefault((p.source, p.target), []).append(p)
+            position = {key: {q.arrows: j for j, q in enumerate(cols)}
+                        for key, cols in blocks.items()}
             spans = {key: [] for key in blocks}
-            for rel in self.ideal.relations:
+            for rel, terms in relations:
                 pad = degree - rel.degree
                 if pad < 0:
                     continue
                 for lpre in range(pad + 1):
-                    lsuf = pad - lpre
-                    prefixes = [p for p in by_len[lpre] if p.target == rel.source]
-                    suffixes = [p for p in by_len[lsuf] if p.source == rel.target]
-                    for pre in prefixes:
-                        for suf in suffixes:
+                    for pre in ending.get((lpre, rel.source), ()):
+                        for suf in starting.get((pad - lpre, rel.target), ()):
                             key = (pre.source, suf.target)
-                            cols = blocks.get(key)
-                            if cols is None:
+                            pos = position.get(key)
+                            if pos is None:
                                 continue
-                            pos = {q.arrows: j for j, q in enumerate(cols)}
-                            vec = [F.zero] * len(cols)
-                            for c, term in rel.terms:
-                                comp = pre.arrows + term.arrows + suf.arrows
-                                vec[pos[comp]] = F.add(vec[pos[comp]], F.of(c))
-                            spans[key].append(vec)
+                            row = {}
+                            for c, arrows in terms:
+                                j = pos[pre.arrows + arrows + suf.arrows]
+                                row[j] = F.add(row.get(j, F.zero), c)
+                            spans[key].append({j: x for j, x in row.items() if x})
             for key, cols in sorted(blocks.items()):
-                rows = spans.get(key, [])
-                if rows:
-                    red, pivots = linalg.rref(F, rows)
-                else:
-                    red, pivots = [], []
+                red, pivots = linalg.sparse_rref(F, spans[key])
                 pivot_set = set(pivots)
                 if degree == N:
                     if self.ideal.radical_power_included:
@@ -271,15 +277,10 @@ class BoundQuiverAlgebra:
                 kept = [cols[j] for j in range(len(cols)) if j not in pivot_set]
                 for q in kept:
                     self._reduction[(q.arrows, q.vertex)] = [(q, F.one)]
-                for i, pc in enumerate(pivots):
-                    expansion = []
-                    for j in range(len(cols)):
-                        if j in pivot_set:
-                            continue
-                        coeff = red[i][j]
-                        if not F.is_zero(coeff):
-                            expansion.append((cols[j], F.neg(coeff)))
-                    self._reduction[(cols[pc].arrows, cols[pc].vertex)] = expansion
+                for row, pc in zip(red, pivots):
+                    # the rref row is 1 at its pivot and 0 at the others
+                    self._reduction[(cols[pc].arrows, cols[pc].vertex)] = [
+                        (cols[j], F.neg(x)) for j, x in sorted(row.items()) if j != pc]
                 if degree < N:
                     basis.extend(kept)
         self.basis = basis

@@ -9,11 +9,13 @@
 
 Paths are written in TRAVERSAL order with '.' separators: "a.b" traverses a
 then b and requires t(a) = s(b); as a function-order product that is "b*a".
-Relation terms are 'c*path' with c rational ("n" or "n/d"); the special term
-J^k adds the full radical power to the ideal.  Unknown keys are rejected with
-the offending line number.
+Relation terms are 'c*path' with c rational ("n" or "n/d"), joined by one
+sign each, and the first term may carry one; the special term J^k adds the
+full radical power to the ideal.  Unknown keys, doubled or trailing signs and
+empty relations between commas are rejected with the offending line number.
 """
 
+import re
 from fractions import Fraction
 
 from .algebra import (
@@ -93,7 +95,7 @@ def parse_algebra_text(text):
                 if tok:
                     monomial_paths.append((lineno, tok))
         elif key == "relations":
-            for tok in _split_relations(value):
+            for tok in _split_relations(value, lineno):
                 relation_chunks.append((lineno, tok))
         elif key == "nilpotency":
             try:
@@ -184,9 +186,16 @@ def _build_quiver(vertices, vertices_line, arrows):
         raise
 
 
-def _split_relations(value):
-    """Split a relations line on commas (terms never contain commas)."""
-    return [tok.strip() for tok in value.split(",") if tok.strip()]
+def _split_relations(value, lineno):
+    """Split a relations line on commas (terms never contain commas).  An
+    empty line states no relation; an empty chunk, as in 'a.a, , b.b' or
+    after a trailing comma, is refused."""
+    if not value:
+        return []
+    chunks = [tok.strip() for tok in value.split(",")]
+    if not all(chunks):
+        raise ParseError(f"empty relation in {value!r}", line=lineno)
+    return chunks
 
 
 def _parse_path(quiver, token, lineno):
@@ -201,24 +210,22 @@ def _parse_path(quiver, token, lineno):
 
 
 def _parse_relation(quiver, chunk, lineno):
-    """'c1*p1 - c2*p2 + ...' into a Relation."""
+    """'c1*p1 - c2*p2 + ...' into a Relation: one sign between two terms,
+    at most one before the first, none after the last."""
+    texts = [t.strip() for t in re.split(r"[+-]", chunk)]
+    signs = [-1 if ch == "-" else 1 for ch in chunk if ch in "+-"]
+    if not texts[0]:
+        # a leading sign, as format_algebra writes a negative first term
+        texts.pop(0)
+    else:
+        signs.insert(0, 1)
+    for k, text in enumerate(texts):
+        if not text:
+            if k == len(texts) - 1:
+                raise ParseError(f"relation {chunk!r} ends in a sign", line=lineno)
+            raise ParseError(f"two signs in a row in relation {chunk!r}", line=lineno)
     terms = []
-    sign = 1
-    buf = ""
-    pieces = []
-    for ch in chunk:
-        if ch in "+-":
-            if buf.strip():
-                pieces.append((sign, buf.strip()))
-            sign = 1 if ch == "+" else -1
-            buf = ""
-        else:
-            buf += ch
-    if buf.strip():
-        pieces.append((sign, buf.strip()))
-    if not pieces:
-        raise ParseError("empty relation", line=lineno)
-    for sgn, piece in pieces:
+    for sgn, piece in zip(signs, texts):
         if "*" in piece:
             ctext, ptext = piece.split("*", 1)
             try:

@@ -219,11 +219,21 @@ def _infinito_signature(algebra):
 
 
 def _block_inclusion(field, n, shift):
-    """The inclusion k^n -> k^(3n+1) hitting rows shift..shift+n-1."""
-    m = [[field.of(0)] * n for _ in range(3 * n + 1)]
-    for j in range(n):
-        m[shift + j][j] = field.one
-    return m
+    """The inclusion k^n -> k^(3n+1) hitting rows shift..shift+n-1, as its
+    sparse columns."""
+    return [{shift + j: field.one} for j in range(n)]
+
+
+def _doubled_cycle_module(algebra, i, n, shifts, name):
+    """k^n at vertex i, k^(3n+1) at i+1, and the arrows out of i acting by
+    the block inclusions of the given shifts; built on sparse columns."""
+    j = str(i % 4 + 1)
+    dims = {v: 0 for v in algebra.quiver.vertices}
+    dims[str(i)], dims[j] = n, 3 * n + 1
+    columns = {a.name: [{} for _ in range(dims[a.source])] for a in algebra.quiver.arrows}
+    for arrow, shift in shifts.items():
+        columns[f"{arrow}{i}"] = _block_inclusion(algebra.field, n, shift)
+    return reps.Representation._of_field_elements(algebra, dims, columns, name)
 
 
 def _family_args(name, args):
@@ -249,32 +259,20 @@ def make_m_alpha(algebra, args):
     if not _infinito_signature(algebra):
         raise ParseError("M_alpha needs the four-vertex doubled-cycle quiver")
     i, n = _family_args("M_alpha", args)
-    j = str(i % 4 + 1)
-    F = algebra.field
-    mats = {
-        f"b{i}": _block_inclusion(F, n, 0),
-        f"abar{i}": _block_inclusion(F, n, n),
-        f"a{i}": _block_inclusion(F, n, n + 1),
-        f"bbar{i}": _block_inclusion(F, n, 2 * n + 1),
-    }
-    return reps.Representation(algebra, {str(i): n, j: 3 * n + 1}, mats,
-                               name=f"M_alpha({i},{n})")
+    return _doubled_cycle_module(
+        algebra, i, n, {"b": 0, "abar": n, "a": n + 1, "bbar": 2 * n + 1},
+        f"M_alpha({i},{n})")
 
 
 def make_m_beta(algebra, args):
+    """M_beta(i, n): as M_alpha(i, n), the shifts assigned to (a, bbar, b,
+    abar) instead."""
     if not _infinito_signature(algebra):
         raise ParseError("M_beta needs the four-vertex doubled-cycle quiver")
     i, n = _family_args("M_beta", args)
-    j = str(i % 4 + 1)
-    F = algebra.field
-    mats = {
-        f"abar{i}": _block_inclusion(F, n, 2 * n + 1),
-        f"a{i}": _block_inclusion(F, n, 0),
-        f"b{i}": _block_inclusion(F, n, n + 1),
-        f"bbar{i}": _block_inclusion(F, n, n),
-    }
-    return reps.Representation(algebra, {str(i): n, j: 3 * n + 1}, mats,
-                               name=f"M_beta({i},{n})")
+    return _doubled_cycle_module(
+        algebra, i, n, {"a": 0, "bbar": n, "b": n + 1, "abar": 2 * n + 1},
+        f"M_beta({i},{n})")
 
 
 GENERATORS = {

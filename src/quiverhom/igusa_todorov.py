@@ -213,42 +213,63 @@ def phidim_bounds(algebra):
 class HybridClassTable:
     """Catalog-backed classification of concrete modules for the hybrid phi.
 
-    Entries are deduplicated up to certified isomorphism; syzygy expansions
-    are computed lazily through the linear engine plus certified catalog
-    decomposition.  Projective entries vanish in the group."""
+    A catalog entry's class is named by `canonical`: the first earlier entry
+    of the same dimension vector, itself canonical, that iso_test certifies
+    isomorphic to it, or else the entry itself.  That is the outcome of a
+    pairwise dedup of the catalog in order, found on demand: only for the
+    names that identify and syzygy_expansion return, with the tests the
+    dedup would make for them, in its order.  Both return canonical names.
+    Syzygy expansions are computed lazily through the linear engine plus
+    certified catalog decomposition.  Projective entries vanish in the
+    group."""
 
     def __init__(self, algebra, catalog, trials=20, seed=0):
         self.algebra = algebra
         self.trials = trials
         self.seed = seed
-        self.names = []
         self.rep_by_name = {}
-        self.alias = {}
+        for name, rep in catalog:
+            self.rep_by_name.setdefault(name, rep)
+        self.names = list(self.rep_by_name)  # catalog order
+        self._canonical = {}
         self.projective = {}
         self.sigma = {}
         self.sigma_failed = set()
-        for name, rep in catalog:
-            canon = None
-            for other in self.names:
-                if rep.dim_vector() == self.rep_by_name[other].dim_vector():
-                    r = reps.iso_test(rep, self.rep_by_name[other], trials=trials, seed=seed)
-                    if r.isomorphic:
-                        canon = other
-                        break
-            if canon is None:
-                self.names.append(name)
-                self.rep_by_name[name] = rep
-                self.alias[name] = name
-            else:
-                self.alias[name] = canon
+
+    def canonical(self, name):
+        """The canonical name of a catalog entry's class.  The earlier
+        entries of its dimension vector are settled first, in catalog order,
+        so each test reads a known status."""
+        if name not in self._canonical:
+            dv = self.rep_by_name[name].dim_vector()
+            group = [n for n in self.names if self.rep_by_name[n].dim_vector() == dv]
+            for k, entry in enumerate(group[:group.index(name) + 1]):
+                if entry not in self._canonical:
+                    rep = self.rep_by_name[entry]
+                    self._canonical[entry] = next(
+                        (other for other in group[:k]
+                         if self._canonical[other] == other
+                         and reps.iso_test(rep, self.rep_by_name[other], trials=self.trials,
+                                           seed=self.seed).isomorphic),
+                        entry)
+        return self._canonical[name]
+
+    def class_count(self):
+        """The number of classes among the catalog entries (settles every
+        entry)."""
+        return sum(self.canonical(n) == n for n in self.names)
+
+    def _unaliased(self):
+        """The entries not yet known to be aliases, in catalog order."""
+        return [n for n in self.names if self._canonical.get(n, n) == n]
 
     def identify(self, rep):
-        for name in self.names:
-            if rep.dim_vector() == self.rep_by_name[name].dim_vector():
-                r = reps.iso_test(rep, self.rep_by_name[name], trials=self.trials,
-                                  seed=self.seed)
-                if r.isomorphic:
-                    return name
+        dv = rep.dim_vector()
+        for name in self._unaliased():
+            other = self.rep_by_name[name]
+            if other.dim_vector() == dv and reps.iso_test(
+                    rep, other, trials=self.trials, seed=self.seed).isomorphic:
+                return self.canonical(name)
         raise NoDecomposition(
             f"module with dim vector {rep.dim_vector()} matches no catalog entry"
         )
@@ -271,7 +292,7 @@ class HybridClassTable:
             return self.sigma[name]
         try:
             counts, _warn = reps.decompose_against_catalog(
-                syz, [(n, self.rep_by_name[n]) for n in self.names],
+                syz, [(n, self.rep_by_name[n]) for n in self._unaliased()],
                 trials=self.trials, seed=self.seed,
             )
         except NoDecomposition:
@@ -279,7 +300,7 @@ class HybridClassTable:
             raise
         out = {}
         for n, mult in counts.items():
-            canon = self.alias[n]
+            canon = self.canonical(n)
             if not self.is_projective(canon):
                 out[canon] = out.get(canon, 0) + mult
         self.sigma[name] = out
@@ -331,7 +352,8 @@ def phi_of_reps(algebra, summands, catalog, assume_infinite_pd=(), trials=20,
         return PhiResult(0, [len(summands)], None,
                          ["self-injective algebra: phi vanishes identically"])
     table = HybridClassTable(algebra, catalog, trials=trials, seed=seed)
-    assume = {table.alias.get(n, n) for n in assume_infinite_pd}
+    assume = {table.canonical(n) if n in table.rep_by_name else n
+              for n in assume_infinite_pd}
     start = sorted({table.identify(rep) for rep in summands})
     start = [n for n in start if not table.is_projective(n)]
     if not start:
@@ -339,9 +361,8 @@ def phi_of_reps(algebra, summands, catalog, assume_infinite_pd=(), trials=20,
     vectors = [{n: 1} for n in start]
     ranks = []
     assumptions = []
-    if max_steps is None:
-        max_steps = 4 * len(table.names) + 16
-    for level in range(max_steps + 1):
+    level = 0
+    while not _past_cap(table, level, max_steps):
         verdict = _certified_rank(table, vectors, assume)
         if verdict is None:
             raise Indeterminate(
@@ -358,7 +379,19 @@ def phi_of_reps(algebra, summands, catalog, assume_infinite_pd=(), trials=20,
             if closed is not None:
                 return _finite_lattice_phi(table, vectors, ranks, closed)
         vectors = [_apply_sigma(table, v) for v in vectors]
-    raise Indeterminate(f"phi rank sequence open after {max_steps} levels")
+        level += 1
+    raise Indeterminate(f"phi rank sequence open after {level - 1} levels")
+
+
+def _past_cap(table, level, max_steps):
+    """Whether level lies past max_steps or, when that is None, past 4
+    levels per catalog class plus 16.  Counting the classes settles every
+    entry, so it waits until level is past that bound for the distinct
+    dimension vectors, which are at most as many."""
+    if max_steps is not None:
+        return level > max_steps
+    dim_vectors = len({rep.dim_vector() for rep in table.rep_by_name.values()})
+    return level > 4 * dim_vectors + 16 and level > 4 * table.class_count() + 16
 
 
 def _is_opaque_free(vector):

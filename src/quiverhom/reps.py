@@ -7,10 +7,11 @@ indexed by the target space.  A ModuleHom stores its vertex maps the same
 way.  Their dense matrices are views, built only when read.  A path acts
 in one way only: a sparse vector is pushed along its arrows, later arrows
 applied last, through the arrows' sparse columns; the basis paths out of a
-vertex share their prefixes through the algebra's push plan.  A
-presentation pushes the top generators of its module; a module that is a
-hom target memoizes the pushes of its unit vectors, the columns of the hom
-constraints.  Hom spaces are solved through a projective presentation of
+vertex share their prefixes through the algebra's push plan.  A module
+memoizes its top generators, read by the top dimension vector, the
+presentation and the kernel tops, and its presentation, which pushes those
+generators as they are; a module that is a hom target memoizes the pushes
+of its unit vectors, the columns of the hom constraints.  Hom spaces are solved through a projective presentation of
 the source (Yoneda: a hom out of a projective cover is a tuple of vectors,
 one per cover summand, constrained by the kernel generators), which keeps
 the linear systems small even against large targets.
@@ -78,6 +79,7 @@ class Representation:
         self._mats = None
         self._pushes = {}
         self._presentation = None
+        self._tops = None
 
     @property
     def mats(self):
@@ -263,17 +265,20 @@ def rep_of_class(cls):
 def top_complements(rep):
     """Per vertex: unit vectors, as {index: 1} dicts, spanning a complement
     of the radical = sum of the incoming arrow images.  Their count is the
-    top dimension vector."""
-    quiver = rep.algebra.quiver
-    F = rep.field
-    cols = rep.columns
-    out = {}
-    for w in quiver.vertices:
-        images = [col for a in quiver.arrows_into(w) for col in cols[a.name]]
-        _rows, pivots = linalg.sparse_rref(F, images)
-        pivot_set = set(pivots)
-        out[w] = [{j: F.one} for j in range(rep.dims[w]) if j not in pivot_set]
-    return out
+    top dimension vector.  Memoized on the module: the presentation pushes
+    these very dicts (slot 0 of its pushes), so no reader may change them."""
+    if rep._tops is None:
+        quiver = rep.algebra.quiver
+        F = rep.field
+        cols = rep.columns
+        out = {}
+        for w in quiver.vertices:
+            images = [col for a in quiver.arrows_into(w) for col in cols[a.name]]
+            _rows, pivots = linalg.sparse_rref(F, images)
+            pivot_set = set(pivots)
+            out[w] = [{j: F.one} for j in range(rep.dims[w]) if j not in pivot_set]
+        rep._tops = out
+    return rep._tops
 
 
 def top_dim_vector(rep):

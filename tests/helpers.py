@@ -7,7 +7,7 @@ from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations
 
 from quiverhom import gorenstein, linalg, reps
-from quiverhom.algebra import MonomialIdeal, TruncatedIdeal, build_algebra
+from quiverhom.algebra import MonomialIdeal, TruncatedIdeal, _all_paths_up_to, build_algebra
 from quiverhom.errors import InfiniteDimensional, NotAdmissible, ParseError, ZeroPath
 from quiverhom.igusa_todorov import build_lattice, rank_sequence
 from quiverhom.pathmodules import calculus
@@ -202,6 +202,90 @@ def multiply(algebra, x, y):
             for k, ck in algebra.product_indices(i, j):
                 out[k] = F.add(out.get(k, F.zero), F.mul(F.mul(ci, cj), ck))
     return {k: v for k, v in out.items() if not F.is_zero(v)}
+
+
+def eager_dedup(catalog, trials=20, seed=0):
+    """Per catalog name, the name of its class, by the pairwise dedup that
+    `HybridClassTable` once ran on construction: each entry in order is
+    tested against the earlier class names of its dimension vector, in
+    order, and joins the first one iso_test certifies isomorphic.  The
+    oracle of `HybridClassTable.canonical`."""
+    classes = []  # (name, module) of each class, in catalog order
+    canon = {}
+    for name, rep in catalog:
+        canon[name] = next(
+            (other for other, other_rep in classes
+             if other_rep.dim_vector() == rep.dim_vector()
+             and reps.iso_test(rep, other_rep, trials=trials, seed=seed).isomorphic),
+            name)
+        if canon[name] == name:
+            classes.append((name, rep))
+    return canon
+
+
+def dense_relations_build(quiver, ideal, field, max_basis=None):
+    """(basis, reduction) of kQ/I for a relations ideal, built as
+    `BoundQuiverAlgebra._build_relations` was before it went sparse: one
+    dense row per prefix * relation * suffix, with a position map per
+    prefix/suffix pair, each (source, target) block reduced by the dense
+    `linalg.rref`.  The oracle of the sparse build, its NotAdmissible and
+    InfiniteDimensional messages included."""
+    N = ideal.nilpotency
+    F = field
+    by_len = _all_paths_up_to(quiver, N, max_basis)
+    reduction = {}
+    basis = [p for paths in by_len[:2] for p in paths]
+    for p in basis:
+        reduction[(p.arrows, p.vertex)] = [(p, F.one)]
+    for degree in range(2, len(by_len)):
+        blocks = {}
+        for p in by_len[degree]:
+            blocks.setdefault((p.source, p.target), []).append(p)
+        spans = {key: [] for key in blocks}
+        for rel in ideal.relations:
+            pad = degree - rel.degree
+            if pad < 0:
+                continue
+            for lpre in range(pad + 1):
+                lsuf = pad - lpre
+                prefixes = [p for p in by_len[lpre] if p.target == rel.source]
+                suffixes = [p for p in by_len[lsuf] if p.source == rel.target]
+                for pre in prefixes:
+                    for suf in suffixes:
+                        key = (pre.source, suf.target)
+                        cols = blocks.get(key)
+                        if cols is None:
+                            continue
+                        pos = {q.arrows: j for j, q in enumerate(cols)}
+                        vec = [F.zero] * len(cols)
+                        for c, term in rel.terms:
+                            comp = pre.arrows + term.arrows + suf.arrows
+                            vec[pos[comp]] = F.add(vec[pos[comp]], F.of(c))
+                        spans[key].append(vec)
+        for key, cols in sorted(blocks.items()):
+            rows = spans.get(key, [])
+            red, pivots = linalg.rref(F, rows) if rows else ([], [])
+            pivot_set = set(pivots)
+            if degree == N:
+                if ideal.radical_power_included:
+                    continue
+                if len(pivots) != len(cols):
+                    missing = [str(cols[j]) for j in range(len(cols)) if j not in pivot_set][:3]
+                    raise NotAdmissible(
+                        f"J^{N} is not contained in the ideal: degree-{N} path(s) "
+                        f"{missing} survive the relation span"
+                    )
+                continue
+            kept = [cols[j] for j in range(len(cols)) if j not in pivot_set]
+            for q in kept:
+                reduction[(q.arrows, q.vertex)] = [(q, F.one)]
+            for i, pc in enumerate(pivots):
+                reduction[(cols[pc].arrows, cols[pc].vertex)] = [
+                    (cols[j], F.neg(red[i][j])) for j in range(len(cols))
+                    if j not in pivot_set and not F.is_zero(red[i][j])]
+            if degree < N:
+                basis.extend(kept)
+    return basis, reduction
 
 
 def dense(F, vec, n):

@@ -1,8 +1,11 @@
+import contextlib
+import hashlib
+import io
 from fractions import Fraction
 
 import pytest
 
-from quiverhom import corpus
+from quiverhom import cli, corpus
 from quiverhom.algebra import (
     MonomialIdeal,
     Relation,
@@ -17,11 +20,12 @@ from quiverhom.errors import (
     UnsupportedIdeal,
     ZeroPath,
 )
+from quiverhom.algfile import parse_algebra_text
 from quiverhom.fields import PrimeField
 from quiverhom.pathmodules import calculus
 from quiverhom.quiver import Path, Quiver
 
-from helpers import multiply, random_monomial_algebra, seeded
+from helpers import dense_relations_build, multiply, random_monomial_algebra, seeded
 
 
 def cycle_quiver(n):
@@ -337,3 +341,62 @@ class TestMonomialZeroOracle:
                     p.arrows[i:i + len(g)] == g
                     for g in gens for i in range(len(p.arrows) - len(g) + 1)
                 )
+
+
+RELATIONS_CORPUS = ("sec3_example", "finito", "finito_f32003", "infinito")
+
+# sha256 of `info --structure-constants --json` over the 12 corpus algebras,
+# in name order, as the dense relations build printed it
+STRUCTURE_CONSTANTS_SHA256 = "f948d12fbc2b6a21f8e6443f5d77612474377e2f48810117d0b9fb584673f30f"
+
+
+class TestSparseRelationsBuild:
+    """The relations build reduces sparse rows; the dense-row construction
+    in `helpers.dense_relations_build` is its oracle."""
+
+    @pytest.mark.parametrize("name", RELATIONS_CORPUS)
+    def test_matches_dense_oracle(self, name):
+        A = corpus.algebra(name)
+        basis, reduction = dense_relations_build(A.quiver, A.ideal, A.field)
+        assert A.basis == basis
+        assert A._reduction == reduction
+
+    @pytest.mark.parametrize("name, nilpotency", [
+        ("sec3_example", 2), ("finito", 2), ("finito_f32003", 2), ("infinito", 2),
+    ])
+    def test_not_admissible_messages_match(self, name, nilpotency):
+        A = corpus.algebra(name)
+        ideal = RelationsIdeal(A.ideal.relations, nilpotency)
+        with pytest.raises(NotAdmissible) as sparse:
+            build_algebra(A.quiver, ideal, field=A.field)
+        with pytest.raises(NotAdmissible) as dense:
+            dense_relations_build(A.quiver, ideal, A.field)
+        assert sparse.value.message == dense.value.message
+        assert f"J^{nilpotency} is not contained in the ideal" in sparse.value.message
+
+    @pytest.mark.parametrize("name", [n for n in RELATIONS_CORPUS if n != "finito_f32003"])
+    def test_q_and_fp_builds_agree(self, name):
+        """The same relations over F_32003: the same basis, and structure
+        constants that are those over Q reduced mod p."""
+        text = corpus.FILES[f"{name}.alg"]
+        assert "field: Q\n" in text
+        A = corpus.algebra(name)
+        B = parse_algebra_text(text.replace("field: Q\n", "field: Fp 32003\n"))
+        F = B.field
+        assert [str(p) for p in B.basis] == [str(p) for p in A.basis]
+        for i in range(A.dimension):
+            for j in range(A.dimension):
+                reduced = {k: x for k, c in A.product_indices(i, j) if (x := F.of(c))}
+                assert dict(B.product_indices(i, j)) == reduced, (i, j)
+
+    def test_structure_constants_json_pinned(self):
+        digest = hashlib.sha256()
+        for name in sorted(corpus.FILES):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = cli.main(["info", "--algebra", f"corpus:{name[:-len('.alg')]}",
+                                 "--structure-constants", "--json"])
+            assert code == 0
+            digest.update(buf.getvalue().encode())
+        assert len(corpus.FILES) == 12
+        assert digest.hexdigest() == STRUCTURE_CONSTANTS_SHA256

@@ -1,10 +1,15 @@
+import contextlib
 import json
+from fractions import Fraction
 
 import pytest
 
-from quiverhom import cli, corpus
+from quiverhom import algfile, cli, corpus
+from quiverhom.algebra import build_algebra
 from quiverhom.algfile import format_algebra, parse_algebra_text, parse_split_text
-from quiverhom.errors import ParseError
+from quiverhom.errors import InfiniteDimensional, NotAdmissible, ParseError
+
+from helpers import dense_relations_build
 
 
 GOOD = """\
@@ -14,6 +19,10 @@ arrow: a 1 2
 arrow: b 2 1
 truncated: 2
 """
+
+# the doubled-arrow quiver of sec3_example, one relations line to fill in
+DOUBLED = ("vertices: 1 2\narrow: a1 1 2\narrow: a2 1 2\narrow: b1 2 1\narrow: b2 2 1\n"
+           "relations: {}\nrelations: J^3\nnilpotency: 3\n")
 
 
 class TestParse:
@@ -77,6 +86,24 @@ class TestParse:
         A = parse_algebra_text(text)
         assert A.dimension == 4
 
+    def test_single_leading_sign(self):
+        A = parse_algebra_text(DOUBLED.format("-a1.b1 + 2*a2.b2, - b1.a1 - 1/3*b2.a2"))
+        assert [[c for c, _p in rel.terms] for rel in A.ideal.relations] == [
+            [-1, 2], [-1, Fraction(-1, 3)]]
+
+    @pytest.mark.parametrize("relations, message", [
+        # the last of two signs used to win, reading -2 where +2 is written
+        ("a1.b1 - -2*a2.b2", "two signs in a row in relation 'a1.b1 - -2*a2.b2'"),
+        ("+-a1.b1", "two signs in a row in relation '+-a1.b1'"),
+        ("2*a1.b1 -", "relation '2*a1.b1 -' ends in a sign"),
+        ("a1.b1, , b1.a1", "empty relation in 'a1.b1, , b1.a1'"),
+        ("a1.b1,", "empty relation in 'a1.b1,'"),
+    ])
+    def test_malformed_signs_and_chunks(self, relations, message):
+        with pytest.raises(ParseError) as err:
+            parse_algebra_text(DOUBLED.format(relations))
+        assert err.value.line == 6 and err.value.message == f"line 6: {message}"
+
     def test_field_line(self):
         A = parse_algebra_text(GOOD + "field: Fp 32003\n")
         assert A.field.char == 32003
@@ -133,12 +160,57 @@ class TestErrorLines:
         # exponent notation would ask for a billion-digit coefficient
         ("vertices: 1\narrow: a 1 1\nrelations: 1e999999999*a.a\nnilpotency: 3\n", 3,
          "bad coefficient '1e999999999'"),
+        # a relation's signs: one between two terms, none after the last, and
+        # no empty chunk between commas
+        ("vertices: 1\narrow: a 1 1\narrow: b 1 1\nrelations: a.a - -2*b.b\nnilpotency: 3\n",
+         4, "two signs in a row in relation 'a.a - -2*b.b'"),
+        ("vertices: 1\narrow: a 1 1\n\nrelations: 2*a.a -\nnilpotency: 3\n", 4,
+         "relation '2*a.a -' ends in a sign"),
+        ("vertices: 1\narrow: a 1 1\narrow: b 1 1\nrelations: a.a, , b.b\nnilpotency: 3\n", 4,
+         "empty relation in 'a.a, , b.b'"),
     ])
     def test_cli_names_the_line(self, capsys, tmp_path, text, lineno, message):
         path = tmp_path / "bad.alg"
         path.write_text(text)
         assert cli.main(["info", "--algebra", str(path)]) == 1
         assert f"line {lineno}: {message}" in capsys.readouterr().err
+
+
+# every relations input of this file that reaches the algebra build
+RELATIONS_BUILDS = [
+    "vertices: 1\narrow: x 1 1\nrelations: J^2\nnilpotency: 2\n",
+    "vertices: 1\narrow: x 1 1\narrow: y 1 1\n"
+    "relations: x.x - 1/2*y.y, x.y, y.x\nnilpotency: 3\n",
+    "vertices: 1\narrow: a 1 1\nrelations: a.a.a\nnilpotency: 2\n",
+    "vertices: 1\narrow: a 1 1\nrelations: a.a.a\nnilpotency: 99999999\n",
+    DOUBLED.format("-a1.b1 + 2*a2.b2, - b1.a1 - 1/3*b2.a2"),
+]
+
+
+def _build_outcome(build, *args):
+    """(basis, reduction) of a relations build, or the type and message of
+    its rejection."""
+    try:
+        return build(*args)
+    except (NotAdmissible, InfiniteDimensional) as exc:
+        return type(exc), exc.message
+
+
+@pytest.mark.parametrize("text", RELATIONS_BUILDS)
+def test_sparse_build_matches_dense_oracle(monkeypatch, text):
+    calls = []
+    monkeypatch.setattr(algfile, "build_algebra",
+                        lambda *args: calls.append(args) or build_algebra(*args))
+    with contextlib.suppress(NotAdmissible, InfiniteDimensional):
+        parse_algebra_text(text)
+    (quiver, ideal, field, max_basis), = calls
+
+    def sparse(*args):
+        A = build_algebra(*args)
+        return A.basis, A._reduction
+
+    assert _build_outcome(sparse, quiver, ideal, field, max_basis) == \
+        _build_outcome(dense_relations_build, quiver, ideal, field, max_basis)
 
 
 def test_infinite_monomial_keeps_its_code(capsys, tmp_path):

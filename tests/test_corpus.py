@@ -103,6 +103,33 @@ class TestInfinito:
             assert sum(om.dim_vector()) == 21  # (n-1) + 10n at the next vertices
 
 
+def dense_family_module(algebra, family, i, n):
+    """M_alpha(i, n) or M_beta(i, n) built from dense Fraction matrices, as
+    the corpus generators once built them: the oracle of the sparse build."""
+    def inclusion(shift):
+        m = [[Fraction(0)] * n for _ in range(3 * n + 1)]
+        for j in range(n):
+            m[shift + j][j] = Fraction(1)
+        return m
+
+    names = ("b", "abar", "a", "bbar") if family == "alpha" else ("a", "bbar", "b", "abar")
+    shifts = (0, n, n + 1, 2 * n + 1)
+    mats = {f"{nm}{i}": inclusion(shift) for nm, shift in zip(names, shifts)}
+    return reps.Representation(algebra, {str(i): n, str(i % 4 + 1): 3 * n + 1}, mats,
+                               name=f"M_{family}({i},{n})")
+
+
+@pytest.mark.parametrize("family", ["alpha", "beta"])
+def test_family_modules_match_the_dense_build(infinito, family):
+    for i in (1, 2, 3, 4):
+        for n in (1, 2, 3, 4):
+            m = corpus.GENERATORS[f"M_{family}"](infinito, [str(i), str(n)])
+            oracle = dense_family_module(infinito, family, i, n)
+            assert (m.dims, m.name) == (oracle.dims, oracle.name)
+            assert m.mats == oracle.mats
+            assert m.columns == oracle.columns
+
+
 class TestWriteAll:
     def test_writes_everything(self, tmp_path):
         paths = corpus.write_all(str(tmp_path))

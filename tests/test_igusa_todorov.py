@@ -1,10 +1,15 @@
+import contextlib
+import io
+import json
+
 import pytest
 
-from quiverhom import corpus, reps
+from quiverhom import cli, corpus, reps
 from quiverhom.algebra import TruncatedIdeal, build_algebra
 from quiverhom.algfile import parse_algebra_text
 from quiverhom.errors import HypothesisViolated, UnsupportedIdeal
 from quiverhom.igusa_todorov import (
+    HybridClassTable,
     K0Lattice,
     build_lattice,
     corner_algebra,
@@ -19,7 +24,7 @@ from quiverhom.igusa_todorov import (
 from quiverhom.pathmodules import ModuleMultiset, calculus
 from quiverhom.quiver import INFINITE, Quiver
 
-from helpers import random_monomial_algebra, sampled_phidim_lower, seeded
+from helpers import eager_dedup, random_monomial_algebra, sampled_phidim_lower, seeded
 
 
 def truncated_cycle(n, k):
@@ -263,6 +268,84 @@ class TestHybridPhi:
         ]:
             res = phi_of_reps(A, [simples[v] for v in summands], catalog)
             assert (res.value, res.ranks, res.assumptions) == (value, ranks, [])
+
+
+def reversed_at(rep, v):
+    """rep with the basis at vertex v taken in reverse order: an isomorphic
+    copy whose maps differ from rep's, built from dense matrices."""
+    quiver = rep.algebra.quiver
+    mats = {}
+    for a in quiver.arrows:
+        m = [list(row) for row in rep.mats[a.name]]
+        if a.target == v:
+            m.reverse()
+        if a.source == v:
+            m = [row[::-1] for row in m]
+        mats[a.name] = m
+    return reps.Representation(rep.algebra, rep.dims, mats, name=f"{rep.name}~")
+
+
+def planted_catalog(A):
+    """infinito_catalog(A, 2) with a planted duplicate: an isomorphic copy of
+    M_alpha(1,2), built differently, in front, and M_alpha(1,2) itself under
+    a second name at the end."""
+    catalog, assume = corpus.infinito_catalog(A, 2)
+    m = dict(catalog)["M_alpha(1,2)"]
+    return [("M_alpha(1,2)~", reversed_at(m, "2"))] + catalog + [("M_alpha(1,2)'", m)], assume
+
+
+class TestHybridClassTable:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_canonical_matches_eager_dedup(self, infinito, n):
+        catalog, _assume = corpus.infinito_catalog(infinito, n)
+        table = HybridClassTable(infinito, catalog)
+        aliases = {name: table.canonical(name) for name, _rep in catalog}
+        assert aliases == eager_dedup(catalog)
+        # M_beta(i,1) is isomorphic to M_alpha(i,1), and nothing else merges
+        assert {a: c for a, c in aliases.items() if a != c} == {
+            f"M_beta({i},1)": f"M_alpha({i},1)" for i in (1, 2, 3, 4)}
+        assert table.class_count() == len(catalog) - 4
+
+    def test_planted_duplicate(self, infinito):
+        catalog, assume = planted_catalog(infinito)
+        copy = catalog[0][1]
+        assert copy.columns != dict(catalog)["M_alpha(1,2)"].columns
+        table = HybridClassTable(infinito, catalog)
+        aliases = {name: table.canonical(name) for name, _rep in catalog}
+        assert aliases == eager_dedup(catalog)
+        assert aliases["M_alpha(1,2)"] == aliases["M_alpha(1,2)'"] == "M_alpha(1,2)~"
+        # identify names the class, whichever entry it meets first
+        assert HybridClassTable(infinito, catalog).identify(
+            corpus.make_m_alpha(infinito, ["1", "2"])) == "M_alpha(1,2)~"
+        summands = [corpus.make_m_alpha(infinito, ["1", "2"]),
+                    corpus.make_m_beta(infinito, ["1", "2"])]
+        plain = phi_of_reps(infinito, summands, *corpus.infinito_catalog(infinito, 2))
+        planted = phi_of_reps(infinito, summands, catalog, assume_infinite_pd=assume)
+        assert planted.to_json() == plain.to_json()
+
+    def test_iso_tests_per_phi_query(self, monkeypatch):
+        """The iso tests of `phi M_alpha(1,n)+M_beta(1,n)` through the CLI,
+        n = 1..4; an eager dedup of the catalog made 14, 19, 23 and 27."""
+        calls = []
+        iso_test = reps.iso_test
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return iso_test(*args, **kwargs)
+
+        monkeypatch.setattr(reps, "iso_test", counted)
+        counts, answers = [], []
+        for n in (1, 2, 3, 4):
+            calls.clear()
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = cli.main(["phi", "--algebra", "corpus:infinito",
+                                 "--module", f"M_alpha(1,{n})+M_beta(1,{n})", "--json"])
+            assert code == 0
+            counts.append(len(calls))
+            answers.append(json.loads(buf.getvalue())["result"]["phi"])
+        assert answers == [0, 1, 2, 3]
+        assert counts == [6, 8, 9, 10]
 
 
 class TestMergeLowerBound:

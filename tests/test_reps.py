@@ -1,3 +1,4 @@
+import copy
 import gc
 import hashlib
 import time
@@ -590,6 +591,45 @@ class TestHomSpaceOracle:
             catalog, _classes = reps.class_catalog(A)
             checked += self._check([rep for _label, rep in catalog])
         assert checked > 0
+
+
+class TestTopsMemo:
+    """A module's tops are computed once, on first read, and no reader
+    changes them: the presentation pushes the very generator dicts."""
+
+    def test_computed_once(self, infinito, monkeypatch):
+        m = corpus.make_m_alpha(infinito, ["1", "2"])
+        eliminations = []
+        sparse_rref = linalg.sparse_rref
+        monkeypatch.setattr(linalg, "sparse_rref",
+                            lambda *args: eliminations.append(args) or sparse_rref(*args))
+        tops = reps.top_complements(m)
+        assert len(eliminations) == len(infinito.quiver.vertices)
+        assert reps.top_dim_vector(m) == (2, 0, 0, 0)
+        assert reps.top_complements(m) is tops
+        assert reps.presentation(m).copies == [("1", g) for g in tops["1"]]
+        assert all(g is t for (_v, g), t in zip(reps.presentation(m).copies, tops["1"]))
+        assert len(eliminations) == len(infinito.quiver.vertices)
+
+    def test_unchanged_by_readers(self, infinito):
+        m = corpus.make_m_alpha(infinito, ["1", "2"])
+        other = reps.direct_sum(infinito, [m])
+        tops = reps.top_complements(m)
+        snapshot = copy.deepcopy(tops)
+        pres = reps.presentation(m)
+        ker, _embed = pres.kernel()
+        ker_tops = reps.top_complements(ker)
+        ker_snapshot = copy.deepcopy(ker_tops)
+        pres.kernel_top_generators()
+        assert reps.hom_space(m, other) and reps.hom_space(other, m)
+        assert reps.hom_space(ker, reps.syzygy_rep(other))
+        beta = corpus.make_m_beta(infinito, ["1", "2"])
+        assert reps.iso_test(m, beta).status == "not_isomorphic"
+        assert reps.iso_test(beta, m).status == "not_isomorphic"
+        # Omega M_alpha(1,2) and Omega M_beta(1,2) agree: M_alpha(2,1) = M_beta(2,1)
+        assert reps.iso_test(ker, reps.syzygy_rep(beta)).isomorphic
+        assert reps.top_complements(m) is tops and tops == snapshot
+        assert reps.top_complements(ker) is ker_tops and ker_tops == ker_snapshot
 
 
 @pytest.mark.parametrize("A", [corpus.algebra(name[:-len(".alg")]) for name in corpus.FILES] +
