@@ -90,12 +90,10 @@ def parse_algebra_text(text):
                 raise ParseError(f"bad truncation exponent {value!r}", line=lineno)
         elif key == "monomial":
             monomial_line = lineno
-            for tok in value.split(","):
-                tok = tok.strip()
-                if tok:
-                    monomial_paths.append((lineno, tok))
+            for tok in _split_list(value, lineno, "monomial generator"):
+                monomial_paths.append((lineno, tok))
         elif key == "relations":
-            for tok in _split_relations(value, lineno):
+            for tok in _split_list(value, lineno, "relation"):
                 relation_chunks.append((lineno, tok))
         elif key == "nilpotency":
             try:
@@ -186,15 +184,15 @@ def _build_quiver(vertices, vertices_line, arrows):
         raise
 
 
-def _split_relations(value, lineno):
-    """Split a relations line on commas (terms never contain commas).  An
-    empty line states no relation; an empty chunk, as in 'a.a, , b.b' or
-    after a trailing comma, is refused."""
+def _split_list(value, lineno, item):
+    """Split a monomial or relations line on commas (paths and terms never
+    contain commas).  An empty line states no item; an empty chunk, as in
+    'a.a, , b.b' or after a trailing comma, is refused."""
     if not value:
         return []
     chunks = [tok.strip() for tok in value.split(",")]
     if not all(chunks):
-        raise ParseError(f"empty relation in {value!r}", line=lineno)
+        raise ParseError(f"empty {item} in {value!r}", line=lineno)
     return chunks
 
 

@@ -1,18 +1,20 @@
 """Command-line interface.
 
-Every command takes --algebra FILE (or corpus:NAME); deterministic output
-given identical inputs and --seed.  --json switches to a machine-readable
+Each command takes only the options it reads (COMMANDS); deterministic
+output given identical inputs and --seed.  --json switches to a machine-readable
 report {"command", "algebra", "result", "certificates", "warnings"}.
 
-Exit codes: 0 success; 1 user/parse error; 2 a computational cap was reached
-(an INDETERMINATE or at_least answer — never silently treated as exact);
-3 internal invariant violation.
+Exit codes: 0 success or --help; 1 user/parse/usage error; 2 a computational
+cap was reached (an INDETERMINATE or at_least answer — never silently treated
+as exact); 3 internal invariant violation.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import os
+import shlex
 import sys
 
 from . import corpus, gorenstein, reps
@@ -40,10 +42,9 @@ class _CapReached(Exception):
 
 def load_algebra(spec):
     if spec.startswith("corpus:"):
-        return corpus.algebra(spec.split(":", 1)[1]), spec
+        return corpus.algebra(spec.split(":", 1)[1])
     with open(spec) as fh:
-        text = fh.read()
-    return parse_algebra_text(text), spec
+        return parse_algebra_text(fh.read())
 
 
 def _module_arg(args, algebra, context="auto"):
@@ -53,8 +54,7 @@ def _module_arg(args, algebra, context="auto"):
 
 
 def _multiset_arg(args, algebra):
-    kind, value = _module_arg(args, algebra, context="multiset")
-    return value
+    return _module_arg(args, algebra, context="multiset")[1]
 
 
 def _sum_of(algebra, value):
@@ -220,34 +220,29 @@ def cmd_phi(args, algebra):
     summands = [rep for rep, mult in value if mult]
     if not summands:
         return {"module": "0", **PhiResult(0, [0], None).to_json()}
-    catalog, assume = _auto_catalog(algebra, summands, args)
+    catalog, assume = _auto_catalog(algebra, summands)
     res = phi_of_reps(algebra, summands, catalog, assume_infinite_pd=assume,
                       trials=args.trials, seed=args.seed)
     return {"module": " + ".join(r.name or "?" for r in summands), **res.to_json()}
 
 
-def _auto_catalog(algebra, summands, args):
+def _auto_catalog(algebra, summands):
     """The shipped catalog for the doubled-cycle corpus algebra; elsewhere the
     caller must stay within self-injective or closing cases."""
-    from .corpus import _infinito_signature, infinito_catalog
-
-    if _infinito_signature(algebra):
-        n_max = max((max(r.dims.values()) - 1) // 3 + 1 for r in summands)
-        n_max = max(n_max, 1)
-        return infinito_catalog(algebra, n_max)
+    if corpus._infinito_signature(algebra):
+        n_max = max(1, *((max(r.dims.values()) - 1) // 3 + 1 for r in summands))
+        return corpus.infinito_catalog(algebra, n_max)
     catalog = [(f"S_{v}", reps.simple(algebra, v)) for v in algebra.quiver.vertices]
     catalog += [(r.name or f"summand{i}", r) for i, r in enumerate(summands)]
     return catalog, []
 
 
 def cmd_phidim_subcat(args, algebra):
-    calc = calculus(algebra)
     if args.module:
         seed_classes = _multiset_arg(args, algebra).classes()
     else:
-        seed_classes = calc.all_path_classes()
-    res = phidim_subcat(algebra, seed_classes)
-    out = res.to_json(include_lattice=True)
+        seed_classes = calculus(algebra).all_path_classes()
+    out = phidim_subcat(algebra, seed_classes).to_json(include_lattice=True)
     out["seed"] = [c.label for c in seed_classes]
     return out
 
@@ -281,21 +276,20 @@ def cmd_batch(args, _algebra=None):
     """Run one command line per input line; JSON array ordered by input.
     Tasks are independent (each owns its algebra), so a parallel runner would
     be safe; this one is sequential and deterministic."""
-    import shlex
-
     with open(args.file) as fh:
         lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
     results = []
-    parser = build_parser()
     for line in lines:
         argv = shlex.split(line)
         if argv and argv[0] == "quiverhom":
             argv = argv[1:]
         entry = {"line": line}
-        try:
-            sub = parser.parse_args(argv)
-        except SystemExit:
-            entry.update(error="bad arguments", exit=1)
+        # argparse's text (--help included) goes to stderr: stdout holds
+        # only the JSON document
+        with contextlib.redirect_stdout(sys.stderr):
+            sub, usage_exit = _parse(argv)
+        if sub is None:
+            entry.update(error="bad arguments", exit=usage_exit)
         else:
             exit_code, payload, error = _run_command(sub)
             if error is None:
@@ -307,76 +301,85 @@ def cmd_batch(args, _algebra=None):
     return {"runs": results}
 
 
+# each option as (flag, add_argument keywords), keyed by its dest
+OPTIONS = {
+    "algebra": ("--algebra", dict(required=True, help=".alg file path or corpus:NAME")),
+    "module": ("--module", dict(help="module expression")),
+    "steps": ("--steps", dict(type=int, default=1)),
+    "max_steps": ("--max-steps", dict(type=int, default=1000)),
+    "trials": ("--trials", dict(type=int, default=20)),
+    "seed": ("--seed", dict(type=int, default=0)),
+    "max_dim": ("--max-dim", dict(
+        type=int, default=MAX_MODULE_DIM,
+        help="stop with exit 2 before a syzygy of larger total dimension")),
+    "structure_constants": ("--structure-constants", dict(
+        action="store_true", help="include the full structure-constant dump")),
+    "split": ("--split", dict(help="split file for triangular-check")),
+    "witness_pair": ("--witness-pair", dict(
+        nargs=2, action="append", metavar=("EXPR_A", "EXPR_B"),
+        help="module pair for certified phi lower bounds")),
+    "out": ("--out", dict(help="write the corpus files to a directory")),
+    "file": ("file", dict(help="file of command lines to run in order")),
+}
+
+# each command's function and the options it reads, besides --json
 COMMANDS = {
-    "info": (cmd_info, True),
-    "gldim": (cmd_gldim, True),
-    "pd": (cmd_pd, True),
-    "syzygy": (cmd_syzygy, True),
-    "norm": (cmd_norm, True),
-    "periodic-test": (cmd_periodic_test, True),
-    "periodic-find": (cmd_periodic_find, True),
-    "omega-inf": (cmd_omega_inf, True),
-    "perfect-paths": (cmd_perfect_paths, True),
-    "gp-list": (cmd_gp_list, True),
-    "self-injective": (cmd_self_injective, True),
-    "cm-free": (cmd_cm_free, True),
-    "co-gorenstein": (cmd_cogorenstein, True),
-    "inj-pd": (cmd_inj_pd, True),
-    "phi": (cmd_phi, True),
-    "phidim-subcat": (cmd_phidim_subcat, True),
-    "phidim-bounds": (cmd_phidim_bounds, True),
-    "triangular-check": (cmd_triangular, True),
-    "corpus": (cmd_corpus, False),
-    "batch": (cmd_batch, False),
+    "info": (cmd_info, ("algebra", "structure_constants")),
+    "gldim": (cmd_gldim, ("algebra",)),
+    "pd": (cmd_pd, ("algebra", "module", "max_steps", "trials", "seed", "max_dim")),
+    "syzygy": (cmd_syzygy, ("algebra", "module", "steps", "max_dim")),
+    "norm": (cmd_norm, ("algebra", "module")),
+    "periodic-test": (cmd_periodic_test, ("algebra", "module", "max_steps")),
+    "periodic-find": (cmd_periodic_find, ("algebra", "max_steps")),
+    "omega-inf": (cmd_omega_inf, ("algebra", "module", "max_steps")),
+    "perfect-paths": (cmd_perfect_paths, ("algebra",)),
+    "gp-list": (cmd_gp_list, ("algebra",)),
+    "self-injective": (cmd_self_injective, ("algebra", "trials", "seed")),
+    "cm-free": (cmd_cm_free, ("algebra",)),
+    "co-gorenstein": (cmd_cogorenstein, ("algebra", "max_steps")),
+    "inj-pd": (cmd_inj_pd, ("algebra", "max_steps", "trials", "seed", "max_dim")),
+    "phi": (cmd_phi, ("algebra", "module", "trials", "seed")),
+    "phidim-subcat": (cmd_phidim_subcat, ("algebra", "module")),
+    "phidim-bounds": (cmd_phidim_bounds, ("algebra",)),
+    "triangular-check": (cmd_triangular, ("algebra", "split", "witness_pair", "trials", "seed")),
+    "corpus": (cmd_corpus, ("out",)),
+    "batch": (cmd_batch, ("file",)),
 }
 
 
 @functools.cache
 def build_parser():
     """The command-line parser, built once per process: parse_args leaves it
-    unchanged, so every main call and batch line reuses it."""
+    unchanged, so every main call and batch line reuses it.  A flag must be
+    spelled in full: no prefix of it is accepted."""
     parser = argparse.ArgumentParser(
-        prog="quiverhom",
-        description="Homological invariants of bound quiver algebras",
-    )
+        prog="quiverhom", description="Homological invariants of bound quiver algebras")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_fn, needs_algebra) in COMMANDS.items():
-        p = sub.add_parser(name)
-        if needs_algebra:
-            p.add_argument("--algebra", required=True,
-                           help=".alg file path or corpus:NAME")
-        p.add_argument("--module", help="module expression")
-        p.add_argument("--steps", type=int, default=1)
-        p.add_argument("--max-steps", type=int, default=1000 if name != "inj-pd" else 20)
-        p.add_argument("--trials", type=int, default=20)
-        p.add_argument("--seed", type=int, default=0)
+    for name, (_fn, options) in COMMANDS.items():
+        p = sub.add_parser(name, allow_abbrev=False)
+        for option in options:
+            flag, kwargs = OPTIONS[option]
+            p.add_argument(flag, **kwargs)
         p.add_argument("--json", action="store_true")
-        p.add_argument("--split", help="split file for triangular-check")
-        p.add_argument("--witness-pair", nargs=2, action="append",
-                       metavar=("EXPR_A", "EXPR_B"),
-                       help="module pair for certified phi lower bounds")
-        if name in ("pd", "inj-pd", "syzygy"):
-            p.add_argument("--max-dim", type=int, default=MAX_MODULE_DIM,
-                           help="stop with exit 2 before a syzygy of larger total dimension")
-        if name == "info":
-            p.add_argument("--structure-constants", action="store_true",
-                           help="include the full structure-constant dump")
-        if name == "corpus":
-            p.add_argument("--out", help="write the corpus files to a directory")
-        if name == "batch":
-            p.add_argument("file", help="file of command lines to run in order")
+    sub.choices["inj-pd"].set_defaults(max_steps=20)
     return parser
+
+
+def _parse(argv):
+    """(args, None), or (None, exit code) where argparse ends the line: 0 after
+    --help, 1 for a usage error (argparse's own 2 would read as a cap)."""
+    try:
+        return build_parser().parse_args(argv), None
+    except SystemExit as exc:
+        return None, 1 if exc.code else 0
 
 
 def _render(payload, args):
     if args.json:
+        keys = ("witness", "relation_cycles", "offending_class")
         certificates = None
         if isinstance(payload, dict):
-            certificates = {
-                k: payload[k]
-                for k in ("witness", "relation_cycles", "offending_class")
-                if k in payload
-            } or None
+            certificates = {k: payload[k] for k in keys if k in payload} or None
         doc = {
             "command": args.command,
             "algebra": getattr(args, "algebra", None),
@@ -391,8 +394,6 @@ def _render(payload, args):
         if isinstance(value, dict):
             for k in value:
                 walk(f"{prefix}{k}.", value[k])
-        elif isinstance(value, list):
-            lines.append(f"{prefix[:-1]}: {value}")
         else:
             lines.append(f"{prefix[:-1]}: {value}")
 
@@ -404,11 +405,10 @@ def _run_command(args):
     """Run a parsed command line: (exit code, payload, error).  Exactly one
     of payload and error is None; error is {"error": code, "message": text}.
     Exit codes: 0 answer, 1 user error, 2 a cap was reached, 3 internal."""
-    fn, needs_algebra = COMMANDS[args.command]
+    fn, options = COMMANDS[args.command]
     try:
-        if needs_algebra:
-            algebra, _src = load_algebra(args.algebra)
-            return 0, fn(args, algebra), None
+        if "algebra" in options:
+            return 0, fn(args, load_algebra(args.algebra)), None
         return 0, fn(args), None
     except _CapReached as cap:
         return 2, cap.payload, None
@@ -421,7 +421,9 @@ def _run_command(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args, usage_exit = _parse(argv)
+    if args is None:
+        return usage_exit
     exit_code, payload, error = _run_command(args)
     if error is not None:
         print(_render(error, args), file=sys.stderr)

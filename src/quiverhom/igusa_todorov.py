@@ -315,8 +315,7 @@ def _vector_rank(vectors):
     return linalg.rank(QQ, rows)
 
 
-def phi_of_reps(algebra, summands, catalog, assume_infinite_pd=(), trials=20,
-                seed=0, max_steps=None):
+def phi_of_reps(algebra, summands, catalog, assume_infinite_pd=(), trials=20, seed=0):
     """phi of a bundle of explicit modules over any supported algebra.
 
     summands: the distinct indecomposable summands as Representations;
@@ -344,7 +343,8 @@ def phi_of_reps(algebra, summands, catalog, assume_infinite_pd=(), trials=20,
 
     A closure of the observed classes under certified expansion switches to
     the exact finite-lattice procedure.  Anything else raises Indeterminate
-    rather than guessing."""
+    rather than guessing, and so does a rank sequence still open past the
+    one level cap, which the catalog sets (_past_cap)."""
     if algebra.is_monomial_like:
         raise UnsupportedIdeal("use phi() for monomial and truncated algebras")
     if reps.certified_self_injective(algebra, trials=trials, seed=seed) is True:
@@ -362,7 +362,7 @@ def phi_of_reps(algebra, summands, catalog, assume_infinite_pd=(), trials=20,
     ranks = []
     assumptions = []
     level = 0
-    while not _past_cap(table, level, max_steps):
+    while not _past_cap(table, level):
         verdict = _certified_rank(table, vectors, assume)
         if verdict is None:
             raise Indeterminate(
@@ -383,13 +383,11 @@ def phi_of_reps(algebra, summands, catalog, assume_infinite_pd=(), trials=20,
     raise Indeterminate(f"phi rank sequence open after {level - 1} levels")
 
 
-def _past_cap(table, level, max_steps):
-    """Whether level lies past max_steps or, when that is None, past 4
-    levels per catalog class plus 16.  Counting the classes settles every
-    entry, so it waits until level is past that bound for the distinct
-    dimension vectors, which are at most as many."""
-    if max_steps is not None:
-        return level > max_steps
+def _past_cap(table, level):
+    """Whether level lies past 4 levels per catalog class plus 16, the one
+    level cap of phi_of_reps.  Counting the classes settles every entry, so
+    it waits until level is past that bound for the distinct dimension
+    vectors, which are at most as many."""
     dim_vectors = len({rep.dim_vector() for rep in table.rep_by_name.values()})
     return level > 4 * dim_vectors + 16 and level > 4 * table.class_count() + 16
 

@@ -104,6 +104,20 @@ class TestParse:
             parse_algebra_text(DOUBLED.format(relations))
         assert err.value.line == 6 and err.value.message == f"line 6: {message}"
 
+    @pytest.mark.parametrize("generators", ["a.b, , b.a,", "a.b, , b.a", "a.b,", ","])
+    def test_monomial_empty_chunk(self, generators):
+        text = f"vertices: 1 2\narrow: a 1 2\narrow: b 2 1\nmonomial: {generators}\n"
+        with pytest.raises(ParseError) as err:
+            parse_algebra_text(text)
+        assert err.value.message == f"line 4: empty monomial generator in {generators!r}"
+
+    def test_empty_monomial_line_has_no_generator(self):
+        # format_algebra writes "monomial: " for the zero ideal
+        A = parse_algebra_text("vertices: 1 2\narrow: a 1 2\nmonomial:\n")
+        assert A.ideal.generators == () and A.dimension == 3
+        assert "monomial: \n" in format_algebra(A)
+        assert parse_algebra_text(format_algebra(A)).dimension == 3
+
     def test_field_line(self):
         A = parse_algebra_text(GOOD + "field: Fp 32003\n")
         assert A.field.char == 32003
@@ -168,6 +182,8 @@ class TestErrorLines:
          "relation '2*a.a -' ends in a sign"),
         ("vertices: 1\narrow: a 1 1\narrow: b 1 1\nrelations: a.a, , b.b\nnilpotency: 3\n", 4,
          "empty relation in 'a.a, , b.b'"),
+        ("vertices: 1 2\narrow: a 1 2\narrow: b 2 1\nmonomial: a.b, , b.a,\n", 4,
+         "empty monomial generator in 'a.b, , b.a,'"),
     ])
     def test_cli_names_the_line(self, capsys, tmp_path, text, lineno, message):
         path = tmp_path / "bad.alg"

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -223,7 +225,7 @@ class TestBatch:
         def broken(args, algebra):
             raise InternalInvariantError("broken on purpose")
 
-        monkeypatch.setitem(cli.COMMANDS, "gldim", (broken, True))
+        monkeypatch.setitem(cli.COMMANDS, "gldim", (broken, ("algebra",)))
         code, doc = run_json(capsys, "gldim", "--algebra", "corpus:a3_k2")
         assert code == 3 and doc["result"]["error"] == "INTERNAL"
         runs = self.batch(capsys, tmp_path, "gldim --algebra corpus:a3_k2")
@@ -233,8 +235,7 @@ class TestBatch:
 
 class TestDeterminism:
     def test_identical_runs_byte_identical(self, capsys):
-        argv = ["co-gorenstein", "--algebra", "corpus:sec4_example",
-                "--seed", "0", "--json"]
+        argv = ["co-gorenstein", "--algebra", "corpus:sec4_example", "--json"]
         code1 = main(list(argv))
         out1 = capsys.readouterr().out
         code2 = main(list(argv))
@@ -305,3 +306,122 @@ class TestEveryCommandOnCorpus:
                 code = main(cmd + ["--algebra", f"corpus:{name}", "--json"])
                 capsys.readouterr()
                 assert code in (0, 2), (cmd, name, code)
+
+
+# the options each command reads, besides --json
+DECLARED = {
+    "info": {"--algebra", "--structure-constants"},
+    **dict.fromkeys(["gldim", "perfect-paths", "gp-list", "cm-free", "phidim-bounds"],
+                    {"--algebra"}),
+    "pd": {"--algebra", "--module", "--max-steps", "--trials", "--seed", "--max-dim"},
+    "syzygy": {"--algebra", "--module", "--steps", "--max-dim"},
+    **dict.fromkeys(["norm", "phidim-subcat"], {"--algebra", "--module"}),
+    **dict.fromkeys(["periodic-test", "omega-inf"], {"--algebra", "--module", "--max-steps"}),
+    **dict.fromkeys(["periodic-find", "co-gorenstein"], {"--algebra", "--max-steps"}),
+    "self-injective": {"--algebra", "--trials", "--seed"},
+    "inj-pd": {"--algebra", "--max-steps", "--trials", "--seed", "--max-dim"},
+    "phi": {"--algebra", "--module", "--trials", "--seed"},
+    "triangular-check": {"--algebra", "--split", "--witness-pair", "--trials", "--seed"},
+    "corpus": {"--out"},
+    "batch": {"file"},
+}
+
+# the flags all commands took when they shared one set, with a value each
+OLD_SHARED = {"--module": ["simple(1)"], "--steps": ["2"], "--max-steps": ["1"],
+              "--trials": ["1"], "--seed": ["0"], "--split": ["x.split"],
+              "--witness-pair": ["simple(1)", "simple(2)"]}
+
+
+def declared_flags():
+    """Each subcommand's flags (a positional by its dest), in declaration order."""
+    parser = cli.build_parser()
+    sub, = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: [a.option_strings[0] if a.option_strings else a.dest
+                   for a in p._actions if not isinstance(a, argparse._HelpAction)]
+            for name, p in sub.choices.items()}
+
+
+def base_argv(name, batch_file="lines.txt"):
+    """A command line of name that parses, with no optional flag set."""
+    if name == "batch":
+        return [name, batch_file]
+    return [name] if name == "corpus" else [name, "--algebra", "corpus:a3_k2"]
+
+
+def unread_flag_lines():
+    return [(name, base_argv(name) + [flag] + values)
+            for name in sorted(cli.COMMANDS)
+            for flag, values in OLD_SHARED.items() if flag not in DECLARED[name]]
+
+
+class TestOptions:
+    def test_declared_sets(self):
+        flags = declared_flags()
+        assert {name: set(f) for name, f in flags.items()} == \
+            {name: DECLARED[name] | {"--json"} for name in cli.COMMANDS}
+        assert sum(len(f) for f in flags.values()) == 70
+
+    def test_inj_pd_keeps_its_step_cap(self):
+        parser = cli.build_parser()
+        assert parser.parse_args(base_argv("inj-pd")).max_steps == 20
+        assert parser.parse_args(base_argv("pd")).max_steps == 1000
+
+    def test_unread_flags_exit_one(self, capsys):
+        lines = unread_flag_lines()
+        assert len(lines) == 7 * 20 - 26
+        for name, argv in lines:
+            cli.build_parser().parse_args(base_argv(name))
+            assert main(argv + ["--json"]) == 1, argv
+            out = capsys.readouterr()
+            assert out.out == "" and "unrecognized arguments" in out.err
+
+    def test_unread_flags_are_bad_arguments_in_batch(self, capsys, tmp_path):
+        script = tmp_path / "lines.txt"
+        script.write_text("".join(" ".join(argv) + "\n" for _name, argv in unread_flag_lines()))
+        assert main(["batch", str(script), "--json"]) == 0
+        runs = json.loads(capsys.readouterr().out)["result"]["runs"]
+        assert len(runs) == len(unread_flag_lines())
+        assert all(set(r) == {"line", "error", "exit"} and r["error"] == "bad arguments"
+                   and r["exit"] == 1 for r in runs)
+
+    def test_usage_errors_exit_one(self, capsys):
+        for argv in (["phi", "--algebra", "corpus:infinito", "--module", "M_alpha(1,1)",
+                      "--max-steps", "1"],
+                     ["info", "--algebra", "corpus:a3_k2", "--steps", "7", "--split", "x"],
+                     # a flag's prefix is no flag: --s is not --structure-constants
+                     ["info", "--algebra", "corpus:a3_k2", "--s"],
+                     ["pd", "--algebra", "corpus:finito", "--max-steps", "five"],
+                     ["gldim"], ["no-such-command"], []):
+            assert main(argv) == 1, argv
+            assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+    def test_help_exits_zero(self, capsys, name):
+        assert main([name, "--help"]) == 0
+        out = capsys.readouterr()
+        assert out.out.startswith(f"usage: quiverhom {name} ") and out.err == ""
+
+    def test_batch_output_stays_json(self, capsys, tmp_path):
+        script = tmp_path / "lines.txt"
+        script.write_text("gldim --help\ngldim --algebra corpus:a3_k2 --steps 2\n"
+                          "gldim --algebra corpus:a3_k2\n")
+        assert main(["batch", str(script), "--json"]) == 0
+        out = capsys.readouterr()
+        runs = json.loads(out.out)["result"]["runs"]
+        assert runs[:2] == [
+            {"line": "gldim --help", "error": "bad arguments", "exit": 0},
+            {"line": "gldim --algebra corpus:a3_k2 --steps 2", "error": "bad arguments",
+             "exit": 1}]
+        assert runs[2]["exit"] == 0
+        assert "usage: quiverhom gldim" in out.err and "unrecognized arguments" in out.err
+
+    def test_readme_lists_each_commands_options(self):
+        readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+        with open(readme) as fh:
+            section = fh.read().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        rows = {}
+        for line in section.splitlines():
+            cells = line.split("|")[1:-1]
+            if len(cells) == 3 and cells[0].strip().startswith("`"):
+                rows[cells[0].strip().strip("`")] = set(re.findall(r"`([^`]+)`", cells[1]))
+        assert rows == {name: set(f) - {"--json"} for name, f in declared_flags().items()}
