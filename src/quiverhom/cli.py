@@ -6,7 +6,8 @@ report {"command", "algebra", "result", "certificates", "warnings"}.
 
 Exit codes: 0 success or --help; 1 user/parse/usage error; 2 a computational
 cap was reached (an INDETERMINATE or at_least answer — never silently treated
-as exact); 3 internal invariant violation.
+as exact); 3 internal invariant violation.  The formal periodicity commands
+(periodic-test, periodic-find, omega-inf, co-gorenstein) have no cap.
 """
 
 import argparse
@@ -134,13 +135,13 @@ def cmd_norm(args, algebra):
 
 def cmd_periodic_test(args, algebra):
     m = _multiset_arg(args, algebra)
-    r = calculus(algebra).is_periodic(m, cap=args.max_steps)
+    r = calculus(algebra).is_periodic(m)
     return {"module": str(m), "periodic": r.periodic, "period": r.period,
             "reason": r.reason}
 
 
 def cmd_periodic_find(args, algebra):
-    found = gorenstein.find_periodic_module(algebra, cap=args.max_steps)
+    found = gorenstein.find_periodic_module(algebra)
     if found is None:
         return {"periodic_module": None}
     return {"periodic_module": found.to_json()}
@@ -148,7 +149,7 @@ def cmd_periodic_find(args, algebra):
 
 def cmd_omega_inf(args, algebra):
     m = _multiset_arg(args, algebra)
-    r = gorenstein.omega_infinity_member(algebra, m, cap=args.max_steps)
+    r = gorenstein.omega_infinity_member(algebra, m)
     return {"module": str(m), "member": r.periodic, "period": r.period}
 
 
@@ -186,9 +187,9 @@ def cmd_cm_free(args, algebra):
 
 def cmd_cogorenstein(args, algebra):
     if algebra.kind == "truncated":
-        verdict = gorenstein.cogorenstein_truncated(algebra, cap=args.max_steps)
+        verdict = gorenstein.cogorenstein_truncated(algebra)
     else:
-        verdict = gorenstein.cogorenstein_monomial(algebra, cap=args.max_steps)
+        verdict = gorenstein.cogorenstein_monomial(algebra)
     return verdict.to_json()
 
 
@@ -301,13 +302,20 @@ def cmd_batch(args, _algebra=None):
     return {"runs": results}
 
 
+def nonnegative_int(text):
+    """A count option's value; a negative count is a usage error."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"expected a count of 0 or more, got {text}")
+    return int(text)
+
+
 # each option as (flag, add_argument keywords), keyed by its dest
 OPTIONS = {
     "algebra": ("--algebra", dict(required=True, help=".alg file path or corpus:NAME")),
     "module": ("--module", dict(help="module expression")),
-    "steps": ("--steps", dict(type=int, default=1)),
-    "max_steps": ("--max-steps", dict(type=int, default=1000)),
-    "trials": ("--trials", dict(type=int, default=20)),
+    "steps": ("--steps", dict(type=nonnegative_int, default=1)),
+    "max_steps": ("--max-steps", dict(type=nonnegative_int, default=1000)),
+    "trials": ("--trials", dict(type=nonnegative_int, default=20)),
     "seed": ("--seed", dict(type=int, default=0)),
     "max_dim": ("--max-dim", dict(
         type=int, default=MAX_MODULE_DIM,
@@ -329,14 +337,14 @@ COMMANDS = {
     "pd": (cmd_pd, ("algebra", "module", "max_steps", "trials", "seed", "max_dim")),
     "syzygy": (cmd_syzygy, ("algebra", "module", "steps", "max_dim")),
     "norm": (cmd_norm, ("algebra", "module")),
-    "periodic-test": (cmd_periodic_test, ("algebra", "module", "max_steps")),
-    "periodic-find": (cmd_periodic_find, ("algebra", "max_steps")),
-    "omega-inf": (cmd_omega_inf, ("algebra", "module", "max_steps")),
+    "periodic-test": (cmd_periodic_test, ("algebra", "module")),
+    "periodic-find": (cmd_periodic_find, ("algebra",)),
+    "omega-inf": (cmd_omega_inf, ("algebra", "module")),
     "perfect-paths": (cmd_perfect_paths, ("algebra",)),
     "gp-list": (cmd_gp_list, ("algebra",)),
     "self-injective": (cmd_self_injective, ("algebra", "trials", "seed")),
     "cm-free": (cmd_cm_free, ("algebra",)),
-    "co-gorenstein": (cmd_cogorenstein, ("algebra", "max_steps")),
+    "co-gorenstein": (cmd_cogorenstein, ("algebra",)),
     "inj-pd": (cmd_inj_pd, ("algebra", "max_steps", "trials", "seed", "max_dim")),
     "phi": (cmd_phi, ("algebra", "module", "trials", "seed")),
     "phidim-subcat": (cmd_phidim_subcat, ("algebra", "module")),
@@ -362,14 +370,21 @@ def build_parser():
             p.add_argument(flag, **kwargs)
         p.add_argument("--json", action="store_true")
     sub.choices["inj-pd"].set_defaults(max_steps=20)
+    parser.commands = sub.choices
     return parser
 
 
 def _parse(argv):
     """(args, None), or (None, exit code) where argparse ends the line: 0 after
-    --help, 1 for a usage error (argparse's own 2 would read as a cap)."""
+    --help, 1 for a usage error (argparse's own 2 would read as a cap).  An
+    unknown argument is reported with its command's usage, not the top level's."""
+    parser = build_parser()
     try:
-        return build_parser().parse_args(argv), None
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            parser.commands[args.command].error(
+                f"unrecognized arguments: {' '.join(extra)}")
+        return args, None
     except SystemExit as exc:
         return None, 1 if exc.code else 0
 

@@ -4,11 +4,11 @@ Perfect pairs (p, q): s(p) = t(q), pq = 0, R(p) = {q} and L(q) = {p}; a
 perfect path lies on a cycle of perfect pairs, and the nonprojective
 indecomposable Gorenstein-projective modules are exactly the cyclic modules
 Ap for p perfect.  The periodic-module search walks the syzygy digraph of
-path-module classes restricted to infinite-pd classes with exactly one
-infinite-pd successor counted with multiplicity (norm conservation makes the
-infinite-pd flow a permutation along any period), finds cycles, and pads a
-cycle class with its accumulated finite-pd junk so that the bundle returns
-to itself exactly.
+path-module classes restricted to infinite-pd classes with a successor, the
+one infinite-pd syzygy summand of multiplicity 1 (norm conservation makes the
+infinite-pd flow a permutation along any period), finds cycles, and takes a
+cycle class's steady state: padded with its finite-pd junk, a bundle whose
+period is the cycle length by construction, with no step cap.
 """
 
 from .errors import (
@@ -18,7 +18,6 @@ from .errors import (
 )
 from .pathmodules import ModuleMultiset, calculus
 from .quiver import (
-    INFINITE,
     analyze,
     final_subhearts,
     infinite_path_core,
@@ -146,32 +145,18 @@ def syzygy_cycles(algebra):
 
 def _syzygy_cycles(algebra):
     calc = calculus(algebra)
-    succ = {}
-    companions = {}
-    for cls in calc.all_path_classes():
-        if calc.pd(cls) != INFINITE:
-            continue
-        syz = calc.syzygy_class(cls)
-        heavy = [(c, m) for c, m in syz.counts.items() if calc.pd(c) == INFINITE]
-        if len(heavy) != 1 or heavy[0][1] != 1:
-            continue
-        nxt = heavy[0][0]
-        succ[cls] = nxt
-        rest = ModuleMultiset()
-        rest.counts = syz.counts.copy()
-        rest.counts[nxt] -= 1
-        rest.counts = +rest.counts
-        companions[cls] = rest
+    succ = {c: nxt for c in calc.all_path_classes() if (nxt := calc.successor(c)) is not None}
     cycles = _functional_cycles(succ, sorted(succ, key=lambda c: c.sort_key))
-    return [[(c, companions[c]) for c in cycle] for cycle in cycles]
+    return [[(c, ModuleMultiset((d, m - (d == succ[c]))
+                                for d, m in calc.syzygy_class(c).counts.items()))
+             for c in cycle] for cycle in cycles]
 
 
 class PeriodicModule:
-    def __init__(self, multiset, period, base_class, cycle_length):
+    def __init__(self, multiset, period, base_class):
         self.multiset = multiset
         self.period = period
         self.base_class = base_class
-        self.cycle_length = cycle_length
 
     def to_json(self):
         return {
@@ -184,36 +169,22 @@ class PeriodicModule:
         return f"PeriodicModule({self.multiset}, period={self.period})"
 
 
-def _padded_periodic_module(algebra, cycle, cap=1000):
-    """From a syzygy cycle, build a bundle that returns to itself exactly:
-    iterate the base class T steps, T the least multiple of the cycle length
-    exceeding every finite pd reachable from the cycle (the junk horizon)."""
-    calc = calculus(algebra)
+def _padded_periodic_module(algebra, cycle):
+    """The steady state of a syzygy cycle's base class: its period is the
+    cycle length, the base class its one infinite-pd summand."""
     base = cycle[0][0]
-    # finite-pd classes reachable from the cycle in the full syzygy digraph
-    reachable = calc.closure(c for c, _comp in cycle).values()
-    max_finite = max((v for v in map(calc.pd, reachable) if v != INFINITE), default=0)
-    L = len(cycle)
-    T = L * ((max_finite) // L + 1)
-    bundle = calc.iterate_syzygy(ModuleMultiset([base]), T)
-    verdict = calc.is_periodic(bundle, cap=cap)
-    if not verdict.periodic:
-        raise InternalInvariantError(
-            f"padded cycle bundle failed the periodicity check: {verdict.reason}"
-        )
-    return PeriodicModule(bundle, verdict.period, base, L)
+    return PeriodicModule(calculus(algebra).steady_state(ModuleMultiset([base])),
+                          len(cycle), base)
 
 
-def find_periodic_module(algebra, cap=1000):
-    """A periodic module (verified) on the first syzygy cycle, or None when no
-    syzygy cycle exists."""
+def find_periodic_module(algebra):
+    """A periodic module on the first syzygy cycle, or None when no syzygy
+    cycle exists."""
     cycles = syzygy_cycles(algebra)
-    if not cycles:
-        return None
-    return _padded_periodic_module(algebra, cycles[0], cap=cap)
+    return _padded_periodic_module(algebra, cycles[0]) if cycles else None
 
 
-def _counterexample(algebra, cap):
+def _counterexample(algebra):
     """The witness against Co-Gorenstein, as (periodic module, offending
     class), or None when every syzygy cycle is companion-free and GP.
 
@@ -228,7 +199,7 @@ def _counterexample(algebra, cap):
                if has_companions or c.sort_key not in gp_keys]
         if not bad:
             continue
-        witness = _padded_periodic_module(algebra, cycle[bad[0]:] + cycle[:bad[0]], cap=cap)
+        witness = _padded_periodic_module(algebra, cycle[bad[0]:] + cycle[:bad[0]])
         for cls in witness.multiset.classes():
             if not cls.projective and cls.sort_key not in gp_keys:
                 return witness, cls
@@ -239,12 +210,12 @@ def _counterexample(algebra, cap):
 # -- membership in the stable infinite-syzygy category -------------------------
 
 
-def omega_infinity_member(algebra, multiset, cap=1000):
+def omega_infinity_member(algebra, multiset):
     """Membership of a projective-free bundle in the stable infinite-syzygy
     category: equivalent to exact periodicity for syzygy-finite algebras."""
     if any(c.projective for c in multiset.counts):
         raise PreconditionViolated("membership test expects a projective-free module")
-    return calculus(algebra).is_periodic(multiset, cap=cap)
+    return calculus(algebra).is_periodic(multiset)
 
 
 # -- Co-Gorenstein decisions ------------------------------------------------------
@@ -278,7 +249,7 @@ class CoGorensteinVerdict:
         return f"CoGorenstein({self.verdict}, {self.branch})"
 
 
-def cogorenstein_truncated(algebra, cap=1000):
+def cogorenstein_truncated(algebra):
     """Quiver-geometry decision for truncated algebras: Co-Gorenstein iff the
     quiver is acyclic, or a single oriented cycle, or its infinite-path core
     has no final subheart that is an oriented cycle graph."""
@@ -294,7 +265,7 @@ def cogorenstein_truncated(algebra, cap=1000):
     hearts = final_subhearts(core)
     if not any(h.is_cycle_graph() for h in hearts):
         return CoGorensteinVerdict(True, "no_cycle_subheart")
-    found = _counterexample(algebra, cap)
+    found = _counterexample(algebra)
     if found is None:
         raise InternalInvariantError(
             "cycle-graph subheart present but every syzygy cycle is Gorenstein-projective"
@@ -302,7 +273,7 @@ def cogorenstein_truncated(algebra, cap=1000):
     return CoGorensteinVerdict(False, "counterexample", *found)
 
 
-def cogorenstein_monomial(algebra, cap=1000):
+def cogorenstein_monomial(algebra):
     """Search-based decision for monomial algebras, assembled from the
     periodic-cycle machinery and the perfect-path list: Co-Gorenstein iff
     every syzygy cycle is companion-free and consists of GP classes.
@@ -313,7 +284,7 @@ def cogorenstein_monomial(algebra, cap=1000):
     _require_monomial_like(algebra)
     gp_cycles = [pp.relation_cycle for _cls, pp in gp_indecomposables(algebra)]
     notes = ["search-based assembly: exact cycles vs the perfect-path list"]
-    found = _counterexample(algebra, cap)
+    found = _counterexample(algebra)
     if found is not None:
         return CoGorensteinVerdict(False, "counterexample", *found, notes,
                                    relation_cycles=gp_cycles)

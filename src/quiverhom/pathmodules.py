@@ -24,10 +24,11 @@ everything derived from it are freed by reference counting alone.
 """
 
 import hashlib
+import math
 import weakref
 from collections import Counter
 
-from .errors import Indeterminate, InternalInvariantError, UnsupportedIdeal, ZeroPath
+from .errors import InternalInvariantError, UnsupportedIdeal, ZeroPath
 from .quiver import INFINITE, Path, analyze, graph_sccs
 
 
@@ -403,31 +404,59 @@ class PathModuleCalculus:
 
     # -- periodicity ----------------------------------------------------------
 
-    def is_periodic(self, multiset, cap=1000):
-        """Decide whether the formal module returns to itself under syzygies.
+    def successor(self, cls):
+        """The one infinite-pd summand of the syzygy of cls if it has
+        multiplicity 1 and is alone, else None (always for finite pd)."""
+        heavy = [(c, m) for c, m in self.syzygy_class(cls).counts.items()
+                 if self.pd(c) == INFINITE]
+        return heavy[0][0] if len(heavy) == 1 and heavy[0][1] == 1 else None
 
-        Stops early (not periodic) when the trajectory norm exceeds the
-        starting norm or when it enters a cycle that misses the start; raises
-        Indeterminate only at the configurable cap.
-        """
+    def _walk(self, cls):
+        """The successor walk from cls: (its classes, the repeated class or None)."""
+        walk = {cls: None}
+        nxt = self.successor(cls)
+        while nxt is not None and nxt not in walk:
+            walk[nxt] = None
+            nxt = self.successor(nxt)
+        return list(walk), nxt
+
+    def steady_state(self, multiset):
+        """The sum of m * Omega^T(c) over the infinite-pd summands c (of
+        multiplicity m) on successor cycles, T the least multiple of the cycle
+        length beyond every finite pd reachable from the bundle: past that
+        horizon a cycle class's finite-pd junk depends only on the phase."""
+        horizon = max((v for v in map(self.pd, self.closure(multiset.counts).values())
+                       if v != INFINITE), default=0)
+        out = ModuleMultiset()
+        for c, m in multiset.counts.items():
+            if self.pd(c) == INFINITE:
+                n = len(self._walk(c)[0])
+                steps = n * (horizon // n + 1)
+                out = out.add(self.iterate_syzygy(ModuleMultiset([(c, m)]), steps))
+        return out
+
+    def is_periodic(self, multiset):
+        """Decide exactly whether the formal module returns to itself under
+        syzygies, and after how many steps.
+
+        The norm never falls along syzygies and Omega is additive, so on a
+        period each infinite-pd summand walks a cycle of successors and the
+        bundle is its own steady state; the period is the lcm over the cycles
+        of the least rotation fixing the bundle's multiplicities there."""
         if multiset.is_empty():
             raise ZeroPath("periodicity test needs a nonempty module")
-        norm0 = self.norm(multiset)
-        seen = {multiset.key()}
-        current = multiset
-        for step in range(1, cap + 1):
-            current = self.iterate_syzygy(current, 1)
-            if current == multiset:
-                return PeriodicityResult(True, step, step, "returned to start")
-            if current.is_empty():
-                return PeriodicityResult(False, None, step, "syzygy vanished")
-            if self.norm(current) > norm0:
-                return PeriodicityResult(False, None, step, "norm increased")
-            key = current.key()
-            if key in seen:
-                return PeriodicityResult(False, None, step, "entered a cycle missing the start")
-            seen.add(key)
-        raise Indeterminate(f"periodicity undecided after {cap} syzygy steps")
+        walks = {c: self._walk(c) for c in multiset.counts if self.pd(c) == INFINITE}
+        if not walks:
+            return PeriodicityResult(False, None, "syzygy vanished")
+        if any(end is None for _walk, end in walks.values()):
+            return PeriodicityResult(False, None, "norm increased")
+        if any(end != c for c, (_walk, end) in walks.items()) \
+                or multiset != self.steady_state(multiset):
+            return PeriodicityResult(False, None, "entered a cycle missing the start")
+        rings = [[multiset.counts[c] for c in walk] for walk, _end in walks.values()]
+        period = math.lcm(*(next(d for d in range(1, len(r) + 1) if r[d:] + r[:d] == r)
+                            for r in rings))
+        return PeriodicityResult(True, period, "returned to start")
 
 
 def _tables(algebra):
@@ -455,10 +484,9 @@ class GlobalDimension:
 
 
 class PeriodicityResult:
-    def __init__(self, periodic, period, steps_used, reason):
+    def __init__(self, periodic, period, reason):
         self.periodic = periodic
         self.period = period
-        self.steps_used = steps_used
         self.reason = reason
 
     def __repr__(self):

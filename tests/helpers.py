@@ -159,10 +159,44 @@ def perfect_pair_successors(algebra):
     return succ
 
 
-def omega_infinity_trivial(algebra, cap=1000):
+def omega_infinity_trivial(algebra):
     """True when only projectives admit right-infinite projective
     coresolutions, i.e. when the periodic-module search finds nothing."""
-    return gorenstein.find_periodic_module(algebra, cap=cap) is None
+    return gorenstein.find_periodic_module(algebra) is None
+
+
+def fed_cycles_algebra(lengths):
+    """kQ/J^2 on oriented cycles of the given lengths (vertices a0, a1, ...
+    on the first, b0, ... on the second, and so on), each fed by an arrow
+    from one extra vertex x.  The sum of the simples at a0, b0, ... has
+    period the lcm of the lengths."""
+    verts, arrows = ["x"], []
+    for name, n in zip("abcdefghijklmnopqrstuvwyz", lengths):
+        verts += [f"{name}{i}" for i in range(n)]
+        arrows += [(f"{name}_{i}", f"{name}{i}", f"{name}{(i + 1) % n}") for i in range(n)]
+        arrows.append((f"f{name}", "x", f"{name}0"))
+    return build_algebra(Quiver(verts, arrows), TruncatedIdeal(2))
+
+
+def periodic_by_iteration(calc, m, cap):
+    """Oracle for is_periodic: (periodic, period, reason) from iterating
+    syzygies of the bundle m until it returns, vanishes, grows in norm or
+    repeats a bundle other than m.  Fails when cap steps decide nothing."""
+    norm0 = calc.norm(m)
+    seen = {m.key()}
+    current = m
+    for step in range(1, cap + 1):
+        current = calc.iterate_syzygy(current, 1)
+        if current == m:
+            return True, step, "returned to start"
+        if current.is_empty():
+            return False, None, "syzygy vanished"
+        if calc.norm(current) > norm0:
+            return False, None, "norm increased"
+        if current.key() in seen:
+            return False, None, "entered a cycle missing the start"
+        seen.add(current.key())
+    raise AssertionError(f"periodicity of {m} undecided after {cap} syzygy steps")
 
 
 def sampled_phidim_lower(algebra):

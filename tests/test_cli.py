@@ -9,8 +9,11 @@ import time
 import pytest
 
 from quiverhom import cli, corpus
+from quiverhom.algfile import format_algebra
 from quiverhom.cli import main
 from quiverhom.errors import InternalInvariantError
+
+from helpers import fed_cycles_algebra
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +178,14 @@ class TestExitCodes:
         assert all(probe["kind"] == "at_least" and "dimension budget 1000" in probe["detail"]
                    for probe in doc["result"]["per_vertex"].values())
 
+    def test_long_period_is_decided_not_capped(self, capsys, tmp_path):
+        alg = tmp_path / "cycles_31_37.alg"
+        alg.write_text(format_algebra(fed_cycles_algebra((31, 37))))
+        code, doc = run_json(capsys, "periodic-test", "--algebra", str(alg),
+                             "--module", "simple(a0)+simple(b0)")
+        assert code == 0
+        assert (doc["result"]["periodic"], doc["result"]["period"]) == (True, 1147)
+
     def test_hypothesis_violation_is_one(self, capsys, corpus_dir):
         code, out, err = run(
             capsys, "triangular-check", "--algebra", "corpus:finito",
@@ -316,8 +327,8 @@ DECLARED = {
     "pd": {"--algebra", "--module", "--max-steps", "--trials", "--seed", "--max-dim"},
     "syzygy": {"--algebra", "--module", "--steps", "--max-dim"},
     **dict.fromkeys(["norm", "phidim-subcat"], {"--algebra", "--module"}),
-    **dict.fromkeys(["periodic-test", "omega-inf"], {"--algebra", "--module", "--max-steps"}),
-    **dict.fromkeys(["periodic-find", "co-gorenstein"], {"--algebra", "--max-steps"}),
+    **dict.fromkeys(["periodic-test", "omega-inf"], {"--algebra", "--module"}),
+    **dict.fromkeys(["periodic-find", "co-gorenstein"], {"--algebra"}),
     "self-injective": {"--algebra", "--trials", "--seed"},
     "inj-pd": {"--algebra", "--max-steps", "--trials", "--seed", "--max-dim"},
     "phi": {"--algebra", "--module", "--trials", "--seed"},
@@ -359,7 +370,7 @@ class TestOptions:
         flags = declared_flags()
         assert {name: set(f) for name, f in flags.items()} == \
             {name: DECLARED[name] | {"--json"} for name in cli.COMMANDS}
-        assert sum(len(f) for f in flags.values()) == 70
+        assert sum(len(f) for f in flags.values()) == 66
 
     def test_inj_pd_keeps_its_step_cap(self):
         parser = cli.build_parser()
@@ -368,7 +379,7 @@ class TestOptions:
 
     def test_unread_flags_exit_one(self, capsys):
         lines = unread_flag_lines()
-        assert len(lines) == 7 * 20 - 26
+        assert len(lines) == 7 * 20 - 22
         for name, argv in lines:
             cli.build_parser().parse_args(base_argv(name))
             assert main(argv + ["--json"]) == 1, argv
@@ -394,6 +405,31 @@ class TestOptions:
                      ["gldim"], ["no-such-command"], []):
             assert main(argv) == 1, argv
             assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["info", "--algebra", "corpus:a3_k2", "--steps", "7"],
+        ["co-gorenstein", "--algebra", "corpus:sec4_example", "--max-steps", "5"]])
+    def test_unknown_option_shows_the_commands_usage(self, capsys, argv):
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith(f"usage: quiverhom {argv[0]} ")
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in out.err
+
+    @pytest.mark.parametrize("argv", [
+        ["syzygy", "--algebra", "corpus:sec4_example", "--module", "path(g)", "--steps", "-2"],
+        ["self-injective", "--algebra", "corpus:sec3_example", "--trials", "-1"],
+        ["pd", "--algebra", "corpus:finito", "--module", "inj(3)", "--max-steps", "-1"],
+        ["inj-pd", "--algebra", "corpus:finito", "--max-steps", "-1"]])
+    def test_negative_counts_exit_one(self, capsys, argv):
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith(f"usage: quiverhom {argv[0]} ")
+        assert "expected a count of 0 or more" in out.err
+
+    def test_zero_count_is_accepted(self, capsys):
+        code, doc = run_json(capsys, "syzygy", "--algebra", "corpus:sec4_example",
+                             "--module", "path(g)", "--steps", "0")
+        assert code == 0 and doc["result"]["syzygy"] == doc["result"]["module"]
 
     @pytest.mark.parametrize("name", sorted(cli.COMMANDS))
     def test_help_exits_zero(self, capsys, name):

@@ -1,11 +1,12 @@
 import pytest
 
+from quiverhom import corpus, gorenstein
 from quiverhom.algebra import TruncatedIdeal, build_algebra
 from quiverhom.errors import UnsupportedIdeal, ZeroPath
 from quiverhom.pathmodules import ModuleMultiset, calculus
 from quiverhom.quiver import INFINITE, Quiver
 
-from helpers import random_monomial_algebra, seeded
+from helpers import fed_cycles_algebra, periodic_by_iteration, random_monomial_algebra, seeded
 
 
 def truncated_cycle(n, k):
@@ -230,7 +231,7 @@ class TestPeriodicity:
                 if cls.projective:
                     continue
                 m = ModuleMultiset([cls])
-                r = calc.is_periodic(m, cap=200)
+                r = calc.is_periodic(m)
                 if not r.periodic:
                     continue
                 norms = {calc.norm(m)}
@@ -244,6 +245,64 @@ class TestPeriodicity:
     def test_empty_rejected(self, sec4):
         with pytest.raises(ZeroPath):
             calculus(sec4).is_periodic(ModuleMultiset())
+
+    def test_agrees_with_iteration_oracle(self):
+        """Singles, sampled pairs and the found periodic module (alone,
+        doubled, plus a class) on the monomial-like corpus algebras and
+        seeded random monomial algebras."""
+        algebras = [corpus.algebra(name) for name in sorted(corpus.FILES)]
+        algebras = [A for A in algebras if A.is_monomial_like]
+        algebras += [random_monomial_algebra(seeded(seed + 2000)) for seed in range(40)]
+        rng = seeded(24)
+        for A in algebras:
+            calc = calculus(A)
+            pool = calc.all_path_classes() + [
+                f(v) for f in (calc.simple_class, calc.projective_class)
+                for v in A.quiver.vertices]
+            bundles = [ModuleMultiset([c]) for c in pool]
+            bundles += [ModuleMultiset(rng.sample(pool, 2)) for _ in range(min(len(pool), 12))]
+            found = gorenstein.find_periodic_module(A)
+            if found is not None:
+                m = found.multiset
+                bundles += [m, m.scale(2)] + [m.add(ModuleMultiset([c])) for c in pool[:4]]
+                assert calc.is_periodic(m).period == found.period
+            for m in bundles:
+                r = calc.is_periodic(m)
+                assert (r.periodic, r.period, r.reason) == periodic_by_iteration(calc, m, 1000), m
+
+    def test_long_period_decided_exactly(self):
+        A = fed_cycles_algebra((31, 37))
+        calc = calculus(A)
+        m = ModuleMultiset([calc.simple_class("a0"), calc.simple_class("b0")])
+        r = calc.is_periodic(m)
+        assert (r.periodic, r.period, r.reason) == (True, 1147, "returned to start")
+        assert calc.iterate_syzygy(m, 1147) == m
+        assert calc.iterate_syzygy(m, 31) != m and calc.iterate_syzygy(m, 37) != m
+
+    def test_period_is_lcm_of_prime_cycles(self):
+        primes = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+        A = fed_cycles_algebra(primes)
+        calc = calculus(A)
+        m = ModuleMultiset([calc.simple_class(f"{name}0") for name in "abcdefghi"])
+        assert calc.is_periodic(m).period == 223092870
+        # a second copy of one summand leaves each cycle's least rotation as it was
+        assert calc.is_periodic(m.add(ModuleMultiset([calc.simple_class("a0")]))).period \
+            == 223092870
+
+    def test_rotation_symmetric_bundle_has_shorter_period(self):
+        A = fed_cycles_algebra((6,))
+        calc = calculus(A)
+        m = ModuleMultiset([calc.simple_class(v) for v in ("a0", "a2", "a4")])
+        assert calc.is_periodic(m).period == 2
+        assert calc.is_periodic(ModuleMultiset([calc.simple_class("a0")])).period == 6
+
+    def test_successor_is_the_one_infinite_pd_syzygy_summand(self):
+        A = fed_cycles_algebra((3, 4))
+        calc = calculus(A)
+        assert calc.successor(calc.simple_class("a2")) == calc.simple_class("a0")
+        # the simple at x has two infinite-pd syzygy summands, a projective none
+        assert calc.successor(calc.simple_class("x")) is None
+        assert calc.successor(calc.projective_class("a0")) is None
 
 
 class TestMultisetBasics:
