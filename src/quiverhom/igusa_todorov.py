@@ -550,10 +550,8 @@ def merge_lower_bound(x, y, probe_steps=4, trials=20, seed=0):
         if cx.dim_vector() == cy.dim_vector() or proportional(cx.dim_vector(), cy.dim_vector()):
             return 0
         nx, ny = reps.syzygy_rep(cx), reps.syzygy_rep(cy)
-        if nx.dim_vector() == ny.dim_vector():
-            r = reps.iso_test(nx, ny, trials=trials, seed=seed)
-            if r.isomorphic:
-                return j
+        if reps.iso_test(nx, ny, trials=trials, seed=seed).isomorphic:
+            return j
         cx, cy = nx, ny
     return 0
 

@@ -696,52 +696,61 @@ class IsoResult:
 
 
 def iso_test(m, n, trials=20, seed=0):
-    """Certified module isomorphism test.
+    """Certified module isomorphism test: the iso decision on the hom basis
+    of Hom(m, n); the certificate goes m -> n."""
+    return _decide_iso(m, n, lambda: _int_entries(m.field, hom_space(m, n)), trials, seed)
 
-    not_isomorphic on dimension-vector mismatch, zero hom space, a row or
-    column that is zero in every hom, or hom dimension asymmetry; isomorphic
-    only with a re-verified invertible intertwiner; undetermined after the
-    trial budget."""
-    if m.field != n.field:
-        raise FieldMismatch(f"{m.field.name} vs {n.field.name}")
-    if m.dim_vector() != n.dim_vector():
+
+def _decide_iso(source, target, hom_entries, trials, seed):
+    """The one isomorphism decision behind iso_test and iso_test_against_sum;
+    a certificate goes source -> target.
+
+    The checks run in this order: dimension vectors, zero modules, the
+    identity, and then, on the basis of Hom(source, target) that
+    hom_entries() yields as _int_entries gives it, Hom = 0, a row or column
+    zero in every hom, random combinations, hom dimension asymmetry.
+    isomorphic only with a re-verified invertible intertwiner; undetermined
+    after the trial budget."""
+    if source.field != target.field:
+        raise FieldMismatch(f"{source.field.name} vs {target.field.name}")
+    if source.dim_vector() != target.dim_vector():
         return IsoResult("not_isomorphic", detail="dimension vectors differ")
-    if m.is_zero():
-        return IsoResult("isomorphic", ModuleHom(m, n, {v: [] for v in m.dims}),
+    if source.is_zero():
+        return IsoResult("isomorphic", ModuleHom(source, target, {v: [] for v in source.dims}),
                          "both zero")
-    # deterministic identity-first check
-    one = m.field.one
-    ident = ModuleHom(m, n, {v: [{j: one} for j in range(d)] for v, d in m.dims.items()})
-    if ident.verify():
-        return IsoResult("isomorphic", ident, "identity")
-    basis = hom_space(m, n)
-    if not basis:
+    # the identity intertwines exactly when the arrows have equal sparse
+    # columns; only then is it built and verified
+    if source.columns == target.columns:
+        one = source.field.one
+        ident = ModuleHom(source, target,
+                          {v: [{j: one} for j in range(d)] for v, d in source.dims.items()})
+        if ident.verify():
+            return IsoResult("isomorphic", ident, "identity")
+    den, entries = hom_entries()
+    if not entries:
         return IsoResult("not_isomorphic", detail="Hom(M,N) = 0")
-    den, entries = _int_entries(m.field, basis)
-    line = _shared_zero_line(entries, n.dims, m.dims)
+    line = _shared_zero_line(entries, target.dims, source.dims)
     if line:
         return IsoResult("not_isomorphic", detail=line)
-    found = _sample_invertible(m, n, den, entries, trials, seed, unit_first=len(basis) == 1)
+    found = _sample_invertible(source, target, den, entries, trials, seed)
     if found is not None:
         return found
-    if len(basis) != hom_dim(n, m):
+    if len(entries) != hom_dim(target, source):
         return IsoResult("not_isomorphic", detail="Hom dimensions asymmetric")
     return IsoResult("undetermined", detail=f"no invertible combination in {trials} trials")
 
 
-def _sample_invertible(source, target, den, entries, trials, seed, unit_first=False):
+def _sample_invertible(source, target, den, entries, trials, seed):
     """Random combinations of the homs source -> target given by their
     nonzero entries (vertex, row, column, den * value) as plain ints: an
     isomorphic IsoResult for the first one that _certify accepts, or None
-    after the trials.  A trial draws one int coefficient per hom; with
-    unit_first, trial 0 takes the single hom as it is, without a draw."""
+    after the trials.  A trial draws one int coefficient per hom; a single
+    hom is taken as it is in trial 0, without a draw (c * h is invertible
+    iff h is)."""
     F = source.field
     rng = random.Random(seed)
     for t in range(trials):
-        if unit_first and t == 0:
-            coeffs = [1]
-        else:
-            coeffs = [F.random(rng) for _ in entries]
+        coeffs = [1] if t == 0 and len(entries) == 1 else [F.random(rng) for _ in entries]
         mats = _combine(F.char, target.dims, source.dims, coeffs, entries)
         cert = _certify(source, target, mats, den)
         if cert is not None:
@@ -820,53 +829,35 @@ def _combine(p, rows, cols, coeffs, entries):
 
 
 def iso_test_against_sum(m, parts, trials=20, seed=0):
-    """iso_test(m, direct sum of parts) with the hom space built blockwise.
+    """The iso decision for (direct sum of parts) -> m, with Hom(sum, m)
+    built blockwise.
 
-    parts: list of (Representation, multiplicity).  Builds Hom(sum, m) from
-    the small spaces Hom(part, m) and samples invertible combinations of the
-    block-embedded maps; a row or column that is zero in all of them
-    certifies not_isomorphic without a trial.
+    parts: list of (Representation, multiplicity).  Hom(part, m) is solved
+    once per distinct part, and each of its homs is shifted into the
+    columns of every copy of the part, copies in order.  Returns
+    (IsoResult, the direct sum).
     """
     algebra = m.algebra
-    expanded = []
-    for rep, mult in parts:
-        expanded.extend([rep] * mult)
+    expanded = [rep for rep, mult in parts for _ in range(mult)]
     nsum = direct_sum(algebra, expanded, name="+".join(p.name or "?" for p in expanded)) \
         if expanded else Representation(algebra, {}, name="0")
-    if nsum.dim_vector() != m.dim_vector():
-        return IsoResult("not_isomorphic", detail="dimension vectors differ"), nsum
-    if m.is_zero():
-        return IsoResult("isomorphic", detail="both zero"), nsum
-    block_bases = {}
-    total_dim_hom = 0
-    for rep, _mult in parts:
-        if id(rep) not in block_bases:
-            block_bases[id(rep)] = hom_space(rep, m)
-    copies = []  # (rep, per-vertex column offsets)
-    offset = {v: 0 for v in algebra.quiver.vertices}
-    for rep in expanded:
-        copies.append((rep, dict(offset)))
-        total_dim_hom += len(block_bases[id(rep)])
-        for v in algebra.quiver.vertices:
-            offset[v] += rep.dims[v]
-    if total_dim_hom == 0:
-        return IsoResult("not_isomorphic", detail="Hom(sum, M) = 0"), nsum
-    # sample combinations blockwise: each hom's nonzero entries are collected
-    # and scaled to ints once, shifted into its copy's columns; one
-    # coefficient per hom per trial
-    homs = [h for block in block_bases.values() for h in block]
-    den, hom_entries = _int_entries(m.field, homs)
-    block_entries = dict(zip(map(id, homs), hom_entries))
-    entries = [[(v, i, offs[v] + j, x) for v, i, j, x in block_entries[id(h)]]
-               for rep, offs in copies for h in block_bases[id(rep)]]
-    line = _shared_zero_line(entries, m.dims, nsum.dims)
-    if line:
-        return IsoResult("not_isomorphic", detail=line), nsum
-    found = _sample_invertible(nsum, m, den, entries, trials, seed)
-    if found is not None:
-        return found, nsum
-    return IsoResult("undetermined",
-                     detail=f"no invertible combination in {trials} trials"), nsum
+
+    def hom_entries():
+        # each distinct part's homs are scaled to ints once, with one den
+        distinct = {id(rep): rep for rep, _mult in parts}
+        bases = {key: hom_space(rep, m) for key, rep in distinct.items()}
+        homs = [h for basis in bases.values() for h in basis]
+        den, flat = _int_entries(m.field, homs)
+        by_hom = dict(zip(map(id, homs), flat))
+        entries, offset = [], {v: 0 for v in algebra.quiver.vertices}
+        for rep in expanded:
+            entries.extend([(v, i, offset[v] + j, x) for v, i, j, x in by_hom[id(h)]]
+                           for h in bases[id(rep)])
+            for v in offset:
+                offset[v] += rep.dims[v]
+        return den, entries
+
+    return _decide_iso(nsum, m, hom_entries, trials, seed), nsum
 
 
 # -- decomposition against a catalog ------------------------------------------
@@ -1092,18 +1083,15 @@ def _fingerprint(rep):
                      for a, s in nonzero)
 
 
-def _trajectory_repeat(trajectory, buckets, trials, seed, window=48):
+def _trajectory_repeat(trajectory, buckets, trials, seed):
     """Certified repeat detection: compare the newest member against the
     earlier ones with the same fingerprint, recorded in buckets (fingerprint
     -> trajectory indices), then file it there.  Isomorphic modules have
     equal fingerprints, so no repeat is skipped; every hit is confirmed by
-    iso_test.  A long bucket only probes its earliest and latest `window`
-    members; missing a distant repeat downgrades to at_least, never to a
-    false certificate."""
+    iso_test."""
     last = len(trajectory) - 1
     same = buckets.setdefault(_fingerprint(trajectory[last]), [])
-    probe = same if len(same) <= 2 * window else same[:window] + same[-window:]
-    for i in probe:
+    for i in same:
         r = iso_test(trajectory[i], trajectory[last], trials=trials, seed=seed)
         if r.isomorphic:
             return f"syzygy step {last} isomorphic to step {i}"

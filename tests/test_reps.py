@@ -331,6 +331,64 @@ class TestIntegerCandidates:
             assert rejected, name
 
 
+class TestIsoDecision:
+    """iso_test and iso_test_against_sum share one decision; the sum test
+    differs only in building Hom(sum, M) blockwise."""
+
+    def test_zero_sum_is_certified(self, sec4):
+        zero = reps.Representation(sec4, {})
+        res, nsum = reps.iso_test_against_sum(zero, [])
+        assert (res.status, res.detail) == ("isomorphic", "both zero")
+        assert res.certificate.source is nsum and res.certificate.target is zero
+        assert res.certificate.verify()
+
+    @staticmethod
+    def _sum_pairs(sec3, sec4, infinito):
+        """(M, parts) per pair of TestCandidateOrder and TestIntegerCandidates."""
+        fp = corpus.algebra("finito_f32003")
+        vs = fp.quiver.vertices
+        fp_p, fp_s, fp_i = reps.projective(fp, vs[0]), reps.simple(fp, vs[0]), reps.injective(fp, vs[-1])
+        p, s, i = reps.projective(sec3, "1"), reps.simple(sec3, "1"), reps.injective(sec3, "2")
+        om_m = reps.syzygy_rep(corpus.make_m_param(sec3, ["1/3"]))
+        om_n = reps.syzygy_rep(corpus.make_n_param(sec3, ["3/4"]))
+        return {
+            "infinito": (reps.syzygy_rep(corpus.make_m_alpha(infinito, ["1", "2"])),
+                         [(corpus.make_m_alpha(infinito, ["2", "1"]), 1),
+                          (reps.simple(infinito, "3"), 16)]),
+            "sec3_permuted": (reps.direct_sum(sec3, [p, s, i]), [(i, 1), (p, 1), (s, 1)]),
+            "sec3_params": (reps.direct_sum(sec3, [om_m, om_n, p]),
+                            [(corpus.make_m_param(sec3, ["-3/4"]), 1), (p, 1),
+                             (corpus.make_n_param(sec3, ["-1/6"]), 1)]),
+            "finito_f32003": (reps.direct_sum(fp, [fp_p, fp_s, fp_i]),
+                              [(fp_i, 1), (fp_s, 1), (fp_p, 1)]),
+            "sec4_zero_line": (reps.projective(sec4, "1"),
+                               [(reps.simple(sec4, "1"), 3), (reps.simple(sec4, "2"), 2)]),
+        }
+
+    def test_sum_test_agrees_with_iso_test(self, sec3, sec4, infinito):
+        statuses = {}
+        for name, (m, parts) in self._sum_pairs(sec3, sec4, infinito).items():
+            res, nsum = reps.iso_test_against_sum(m, parts)
+            expanded = [rep for rep, mult in parts for _ in range(mult)]
+            direct = reps.iso_test(reps.direct_sum(m.algebra, expanded), m)
+            assert res.status == direct.status, name
+            assert nsum.dim_vector() == m.dim_vector(), name
+            statuses[name] = res.status
+        assert set(statuses.values()) == {"isomorphic", "not_isomorphic"}
+
+    def test_single_hom_sum_is_certified_in_trial_0(self):
+        # Hom(part, m) over A_2 is spanned by one map, which the identity
+        # is not: the arrow acts by 1 on part and by 2 on m
+        A = build_algebra(Quiver(["1", "2"], [("a", "1", "2")]), TruncatedIdeal(2))
+        part = reps.Representation(A, {"1": 1, "2": 1}, {"a": [[1]]})
+        m = reps.Representation(A, {"1": 1, "2": 1}, {"a": [[2]]})
+        (h,) = reps.hom_space(part, m)
+        res, _nsum = reps.iso_test_against_sum(m, [(part, 1)])
+        assert (res.status, res.detail) == ("isomorphic", "random combination, trial 0")
+        assert res.certificate.verify()
+        assert res.certificate.matrices == h.matrices
+
+
 class TestDecompose:
     def test_projective_against_projectives(self, sec4):
         catalog = [(f"P_{v}", reps.projective(sec4, v)) for v in sec4.quiver.vertices]
