@@ -234,7 +234,11 @@ def _auto_catalog(algebra, summands):
         n_max = max(1, *((max(r.dims.values()) - 1) // 3 + 1 for r in summands))
         return corpus.infinito_catalog(algebra, n_max)
     catalog = [(f"S_{v}", reps.simple(algebra, v)) for v in algebra.quiver.vertices]
-    catalog += [(r.name or f"summand{i}", r) for i, r in enumerate(summands)]
+    for i, r in enumerate(summands):
+        name = r.name or f"summand{i}"
+        while name in dict(catalog):  # two literals share a name
+            name += "'"
+        catalog.append((name, r))
     return catalog, []
 
 

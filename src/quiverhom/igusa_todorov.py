@@ -9,9 +9,10 @@ and are constant from l = d (the lattice rank) onward by the Fitting
 decomposition, so the returned value is exactly the defining minimum.
 
 For algebras presented by linear relations, an explicit-module hybrid
-iterates concrete syzygies, classifies the summands against a user-supplied
-catalog of indecomposables, and applies the same rank procedure; the sound
-stopping rules are documented on phi_of_reps.
+classifies concrete syzygies against a user-supplied catalog of
+indecomposables.  When the catalog closes the bundle it applies the same rank
+procedure; otherwise sound per-level rules, documented on phi_of_reps, decide
+the ranks.
 """
 
 from . import linalg, reps
@@ -127,12 +128,20 @@ def phi(algebra, multiset):
     makes multiplicities irrelevant; projectives vanish in the group)."""
     lattice = build_lattice(algebra, multiset.classes())
     wanted = {c.sort_key for c in multiset.classes()}
+    value, ranks = _lattice_phi(lattice, [c.sort_key in wanted for c in lattice.basis])
+    return PhiResult(value, ranks, lattice)
+
+
+def _lattice_phi(lattice, wanted):
+    """(phi, ranks) of the bundle of the basis classes flagged in wanted: the
+    rank sequence of their unit generators up to the lattice rank, and its
+    stable level."""
     gens = [[1 if j == i else 0 for j in range(lattice.rank)]
-            for i, c in enumerate(lattice.basis) if c.sort_key in wanted]
+            for i, flag in enumerate(wanted) if flag]
     if not gens:
-        return PhiResult(0, [0], lattice)
+        return 0, [0]
     ranks = rank_sequence(lattice, gens, lattice.rank)
-    return PhiResult(_stable_level(ranks), ranks, lattice)
+    return _stable_level(ranks), ranks
 
 
 def phidim_subcat(algebra, seed_classes):
@@ -233,8 +242,7 @@ class HybridClassTable:
         self.names = list(self.rep_by_name)  # catalog order
         self._canonical = {}
         self.projective = {}
-        self.sigma = {}
-        self.sigma_failed = set()
+        self.sigma = {}  # name -> expansion, or None: no certified decomposition
 
     def canonical(self, name):
         """The canonical name of a catalog entry's class.  The earlier
@@ -282,29 +290,25 @@ class HybridClassTable:
     def syzygy_expansion(self, name):
         """Counter over canonical names (projectives dropped); NoDecomposition
         when the catalog cannot certify the syzygy."""
-        if name in self.sigma:
-            return self.sigma[name]
-        if name in self.sigma_failed:
+        if name not in self.sigma:
+            try:
+                counts, _warn = reps.decompose_against_catalog(
+                    reps.syzygy_rep(self.rep_by_name[name]),
+                    [(n, self.rep_by_name[n]) for n in self._unaliased()],
+                    trials=self.trials, seed=self.seed,
+                )
+            except NoDecomposition:
+                self.sigma[name] = None
+                raise
+            out = {}
+            for n, mult in counts.items():
+                canon = self.canonical(n)
+                if not self.is_projective(canon):
+                    out[canon] = out.get(canon, 0) + mult
+            self.sigma[name] = out
+        if self.sigma[name] is None:
             raise NoDecomposition(f"syzygy of {name} has no certified catalog decomposition")
-        syz = reps.syzygy_rep(self.rep_by_name[name])
-        if syz.is_zero():
-            self.sigma[name] = {}
-            return self.sigma[name]
-        try:
-            counts, _warn = reps.decompose_against_catalog(
-                syz, [(n, self.rep_by_name[n]) for n in self._unaliased()],
-                trials=self.trials, seed=self.seed,
-            )
-        except NoDecomposition:
-            self.sigma_failed.add(name)
-            raise
-        out = {}
-        for n, mult in counts.items():
-            canon = self.canonical(n)
-            if not self.is_projective(canon):
-                out[canon] = out.get(canon, 0) + mult
-        self.sigma[name] = out
-        return out
+        return self.sigma[name]
 
 
 def _vector_rank(vectors):
@@ -323,28 +327,34 @@ def phi_of_reps(algebra, summands, catalog, assume_infinite_pd=(), trials=20, se
     against; assume_infinite_pd: catalog names the caller asserts to have
     infinite projective dimension (echoed in the result's assumptions).
 
-    Vectors live in the free group on catalog classes, with delayed
-    expansion: a class whose syzygy the catalog cannot certify survives as an
-    opaque symbol (class, shift) meaning "shift-th syzygy class of it".  Each
-    level's rank is recorded only when one of these sound rules certifies it:
+    Closure is decided first.  When the catalog certifies the syzygy
+    expansion of every class reachable from the summands, those classes span
+    a finite lattice, and phi comes from the exact rank procedure of phi()
+    on it.  Otherwise the levels are stepped in the free group on catalog
+    classes with delayed expansion: a class whose syzygy the catalog cannot
+    certify survives as an opaque symbol (class, shift) meaning "shift-th
+    syzygy class of it".  Vectors are nonnegative, so nothing cancels and
+    such a class stays reachable or opaque at every later level: no later
+    level could close.  Each level's rank is recorded only when one of these
+    sound rules certifies it:
 
+      * all vectors formally zero: rank 0 forever;
       * no opaque symbols in the current vectors: the formal rank is the
         true rank (every coordinate is a certified class);
-      * shared-junk heads: every vector is (distinct unit class) + J with one
-        common nonnegative formal junk J — the true rank is the number of
-        distinct vectors, because any vanishing combination would force a
-        negative coordinate on some head;
       * all vectors formally identical and nonnegative: rank 1 while the
         vector is nonzero; it is nonzero without assumptions when a known
         class survives in it, and stays nonzero forever when it carries an
         assumed-infinite class (nonnegativity rules out cancellation), which
         also stabilizes the sequence and ends the computation;
-      * all vectors formally zero: rank 0 forever.
+      * shared-junk heads: the distinct vectors are nonnegative, and each
+        exceeds their pointwise minimum J by one unit of a certified class,
+        a different one for each — the true rank is the number of distinct
+        vectors, because any vanishing combination would force a negative
+        coordinate on some head.
 
-    A closure of the observed classes under certified expansion switches to
-    the exact finite-lattice procedure.  Anything else raises Indeterminate
-    rather than guessing, and so does a rank sequence still open past the
-    one level cap, which the catalog sets (_past_cap)."""
+    Anything else raises Indeterminate rather than guessing, and so does a
+    rank sequence still open past the one level cap, which the catalog sets
+    (_past_cap)."""
     if algebra.is_monomial_like:
         raise UnsupportedIdeal("use phi() for monomial and truncated algebras")
     if reps.certified_self_injective(algebra, trials=trials, seed=seed) is True:
@@ -358,12 +368,16 @@ def phi_of_reps(algebra, summands, catalog, assume_infinite_pd=(), trials=20, se
     start = [n for n in start if not table.is_projective(n)]
     if not start:
         return PhiResult(0, [0], None)
+    lattice = _try_close(table, start)
+    if lattice is not None:
+        value, ranks = _lattice_phi(lattice, [n in start for n in lattice.basis])
+        return PhiResult(value, ranks, None)
     vectors = [{n: 1} for n in start]
     ranks = []
     assumptions = []
     level = 0
     while not _past_cap(table, level):
-        verdict = _certified_rank(table, vectors, assume)
+        verdict = _certified_rank(vectors, assume)
         if verdict is None:
             raise Indeterminate(
                 f"no sound rank rule applies at syzygy level {level}"
@@ -374,10 +388,6 @@ def phi_of_reps(algebra, summands, catalog, assume_infinite_pd=(), trials=20, se
             assumptions.append(note)
         if stable:
             return PhiResult(_stable_level(ranks), ranks, None, sorted(set(assumptions)))
-        if all(_is_opaque_free(v) for v in vectors):
-            closed = _try_close(table, vectors)
-            if closed is not None:
-                return _finite_lattice_phi(table, vectors, ranks, closed)
         vectors = [_apply_sigma(table, v) for v in vectors]
         level += 1
     raise Indeterminate(f"phi rank sequence open after {level - 1} levels")
@@ -396,66 +406,37 @@ def _is_opaque_free(vector):
     return all(isinstance(k, str) for k in vector)
 
 
-def _split_vector(vector):
-    known = {k: v for k, v in vector.items() if isinstance(k, str)}
-    opaque = {k: v for k, v in vector.items() if not isinstance(k, str)}
-    return known, opaque
-
-
-def _certified_rank(table, vectors, assume):
-    """(rank, stable_from_here, assumption_note) or None when uncertifiable."""
-    nonzero = [v for v in vectors if v]
-    if not nonzero:
+def _certified_rank(vectors, assume):
+    """(rank, stable_from_here, assumption_note), or None when no rule of
+    phi_of_reps certifies the rank of the vectors."""
+    distinct = []
+    for v in vectors:
+        if v and v not in distinct:
+            distinct.append(v)
+    if not distinct:
         return 0, True, None
     if all(_is_opaque_free(v) for v in vectors):
         return _vector_rank(vectors), False, None
-    distinct = []
-    for v in nonzero:
-        if v not in distinct:
-            distinct.append(v)
-    nonneg = all(x >= 0 for v in nonzero for x in v.values())
+    if any(x < 0 for v in distinct for x in v.values()):
+        return None
     if len(distinct) == 1:
-        v = distinct[0]
-        known, opaque = _split_vector(v)
-        if not nonneg:
-            return None
-        assumed = sorted({name for (name, _s) in opaque if name in assume}
-                         | {n for n in known if n in assume})
+        (v,) = distinct
+        assumed = sorted({k if isinstance(k, str) else k[0] for k in v} & assume)
         if assumed:
             return 1, True, f"assumed infinite pd: {assumed}"
-        if known:
+        if any(isinstance(k, str) for k in v):
             # a surviving certified class keeps the vector nonzero now,
             # but the tail is not controlled: keep stepping
             return 1, False, None
         return None
-    # shared-junk rule: identical opaque-and-tail parts, distinct unit heads
-    if not nonneg:
-        return None
-    splits = [_split_vector(v) for v in distinct]
-    junk0 = splits[0][1]
-    if any(j != junk0 for _k, j in splits[1:]):
-        return None
-    heads = [k for k, _j in splits]
-    shared_known = None
-    for k in heads:
-        keys = set(k)
-        shared_known = keys if shared_known is None else (shared_known & keys)
-    # strip the common known part into the junk so heads become disjoint
-    stripped = []
-    common = {}
-    for name in shared_known or set():
-        m = min(k[name] for k in heads)
-        if m > 0:
-            common[name] = m
-    for k in heads:
-        kk = {n: c - common.get(n, 0) for n, c in k.items()}
-        stripped.append({n: c for n, c in kk.items() if c})
-    unit_heads = all(len(k) == 1 and next(iter(k.values())) == 1 for k in stripped)
-    distinct_heads = len({next(iter(k)) for k in stripped}) == len(stripped) \
-        if unit_heads else False
-    if unit_heads and distinct_heads:
-        return len(distinct), False, None
-    return None
+    # shared junk: each vector is the pointwise minimum plus one unit head,
+    # and distinct vectors over one minimum have distinct heads
+    floor = {k: min(v.get(k, 0) for v in distinct) for k in distinct[0]}
+    for v in distinct:
+        rest = [(k, x - floor.get(k, 0)) for k, x in v.items() if x != floor.get(k, 0)]
+        if len(rest) != 1 or rest[0][1] != 1 or not isinstance(rest[0][0], str):
+            return None
+    return len(distinct), False, None
 
 
 def _apply_sigma(table, vector):
@@ -481,37 +462,27 @@ def _apply_sigma(table, vector):
     return {k: x for k, x in out.items() if x}
 
 
-def _try_close(table, vectors):
-    """Attempt to close the support of the vectors under syzygy expansion;
-    returns the closed name list or None when some expansion fails."""
-    todo = sorted({n for v in vectors for n in v})
-    seen_set = set()
+def _try_close(table, names):
+    """The lattice on the classes reachable from names under syzygy
+    expansion, or None when the catalog cannot certify some expansion."""
+    todo = list(names)
+    sigma = {}
     while todo:
         name = todo.pop()
-        if name in seen_set:
+        if name in sigma:
             continue
         try:
-            sigma = table.syzygy_expansion(name)
+            sigma[name] = table.syzygy_expansion(name)
         except NoDecomposition:
             return None
-        seen_set.add(name)
-        todo.extend(n for n in sigma if n not in seen_set)
-    return sorted(seen_set)
-
-
-def _finite_lattice_phi(table, vectors, ranks_so_far, closed):
-    """Finish the rank sequence on the lattice spanned by the closed classes:
-    d more levels after those already recorded, d the lattice rank."""
-    d = len(closed)
+        todo.extend(n for n in sigma[name] if n not in sigma)
+    closed = sorted(sigma)
     idx = {n: i for i, n in enumerate(closed)}
-    matrix = [[0] * d for _ in range(d)]
+    matrix = [[0] * len(closed) for _ in closed]
     for j, name in enumerate(closed):
-        for child, m in table.syzygy_expansion(name).items():
+        for child, m in sigma[name].items():
             matrix[idx[child]][j] += m
-    lattice = K0Lattice(table.algebra, closed, matrix)
-    current = [[v.get(n, 0) for n in closed] for v in vectors]
-    ranks = ranks_so_far + rank_sequence(lattice, current, d)[1:]
-    return PhiResult(_stable_level(ranks), ranks, None)
+    return K0Lattice(table.algebra, closed, matrix)
 
 
 # -- certified merge lower bounds ---------------------------------------------

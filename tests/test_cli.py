@@ -12,6 +12,7 @@ from quiverhom import cli, corpus
 from quiverhom.algfile import format_algebra
 from quiverhom.cli import main
 from quiverhom.errors import InternalInvariantError
+from quiverhom.modexpr import evaluate
 
 from helpers import fed_cycles_algebra
 
@@ -146,6 +147,29 @@ class TestExitCodes:
         code, doc = run_json(capsys, "inj-pd", "--algebra", "corpus:finito",
                              "--max-steps", "5")
         assert code == 2
+
+    def test_phi_without_a_sound_rank_rule_is_two(self, capsys):
+        # the simples of finito do not decompose the syzygies of S_1, and at
+        # level 1 no rank rule applies to the opaque symbols left
+        code, out, err = run(capsys, "phi", "--algebra", "corpus:finito",
+                             "--module", "simple(1)")
+        assert code == 2
+        assert "no sound rank rule applies at syzygy level 1" in err
+
+    def test_phi_keeps_literals_that_share_a_name(self, capsys):
+        # both literals are named rep-literal; each keeps its own catalog
+        # entry, so each one is identified and the answer is indeterminate
+        # rather than a missing decomposition
+        literals = ["rep{ 2:1 3:2 ; g = [[1, 0]] ; d = [[0, 0],[1, 0]] }",
+                    "rep{ 1:1 2:2 ; a1 = [[1],[0]] ; a2 = [[0],[1]] }"]
+        code, out, err = run(capsys, "phi", "--algebra", "corpus:finito",
+                             "--module", " + ".join(literals))
+        assert code == 2 and "INDETERMINATE" in err
+        algebra = corpus.algebra("finito")
+        summands = [evaluate(m, algebra, context="rep",
+                             generators=corpus.GENERATORS)[1][0][0] for m in literals]
+        names = [name for name, _rep in cli._auto_catalog(algebra, summands)[0]]
+        assert names == ["S_1", "S_2", "S_3", "rep-literal", "rep-literal'"]
 
     def test_dimension_budget_is_two(self, capsys):
         """S_1 over infinito has syzygies of total dimension 14, 46, 404 and

@@ -11,6 +11,7 @@ from quiverhom.errors import HypothesisViolated, UnsupportedIdeal
 from quiverhom.igusa_todorov import (
     HybridClassTable,
     K0Lattice,
+    _certified_rank,
     build_lattice,
     corner_algebra,
     merge_lower_bound,
@@ -268,6 +269,56 @@ class TestHybridPhi:
         ]:
             res = phi_of_reps(A, [simples[v] for v in summands], catalog)
             assert (res.value, res.ranks, res.assumptions) == (value, ranks, [])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_renamed_reversed_catalog(self, infinito, n):
+        # phi does not depend on the names or the order of the catalog
+        # entries, once the assumed names are mapped along
+        catalog, assume = corpus.infinito_catalog(infinito, n)
+        rename = {name: f"entry{k}" for k, (name, _rep) in enumerate(catalog)}
+        renamed = [(rename[name], rep) for name, rep in reversed(catalog)]
+        summands = [corpus.make_m_alpha(infinito, ["1", str(n)]),
+                    corpus.make_m_beta(infinito, ["1", str(n)])]
+        plain = phi_of_reps(infinito, summands, catalog, assume_infinite_pd=assume)
+        moved = phi_of_reps(infinito, summands, renamed,
+                            assume_infinite_pd=[rename[name] for name in assume])
+        assert (moved.value, moved.ranks) == (plain.value, plain.ranks)
+        assert plain.value == n - 1
+
+
+# (vectors, assume, verdict) for _certified_rank, one case per branch; an
+# opaque symbol (name, shift) stands for the shift-th syzygy class of name
+CERTIFIED_RANK_CASES = {
+    "all_zero": ([{}, {}], set(), (0, True, None)),
+    "no_opaque_symbols": ([{"a": 1, "b": 1}, {"b": 1}, {}], set(), (2, False, None)),
+    "negative_entry": ([{"a": -1, ("x", 1): 1}], set(), None),
+    "negative_entry_in_junk": ([{"a": 1, ("x", 1): -1}, {"b": 1, ("x", 1): -1}], set(), None),
+    "assumed_known_key": ([{"S_3": 1, ("x", 1): 2}] * 2, {"S_3"},
+                          (1, True, "assumed infinite pd: ['S_3']")),
+    "assumed_only_opaque": ([{("S_3", 2): 1, ("S_4", 1): 1}], {"S_3", "S_4"},
+                            (1, True, "assumed infinite pd: ['S_3', 'S_4']")),
+    "known_unassumed": ([{"a": 1, ("x", 1): 1}, {}], {"S_3"}, (1, False, None)),
+    "only_opaque_keys": ([{("x", 1): 1, ("y", 2): 3}], set(), None),
+    "shared_junk": ([{"a": 1, "c": 2, ("x", 1): 1}, {"b": 1, "c": 2, ("x", 1): 1},
+                     {"d": 1, "c": 2, ("x", 1): 1}], set(), (3, False, None)),
+    "shared_junk_partly_shared_known": ([{"a": 1, "c": 1, ("x", 1): 1},
+                                         {"a": 1, "d": 1, ("x", 1): 1}], set(),
+                                        (2, False, None)),
+    "opaque_parts_differ": ([{"a": 1, ("x", 1): 1}, {"b": 1, ("x", 1): 2}], set(), None),
+    "common_known_sizes_differ": ([{"a": 1, "c": 1, ("x", 1): 1},
+                                   {"b": 1, "c": 2, ("x", 1): 1}], set(), None),
+    "head_coefficient_two": ([{"a": 2, ("x", 1): 1}, {"b": 1, ("x", 1): 1}], set(), None),
+    "opaque_heads": ([{("y", 1): 1, ("x", 1): 1}, {("z", 1): 1, ("x", 1): 1}], set(), None),
+    "duplicate_vectors": ([{"a": 1, ("x", 1): 1}, {"a": 1, ("x", 1): 1},
+                           {"b": 1, ("x", 1): 1}], set(), (2, False, None)),
+}
+
+
+class TestCertifiedRank:
+    @pytest.mark.parametrize("case", sorted(CERTIFIED_RANK_CASES))
+    def test_rule(self, case):
+        vectors, assume, verdict = CERTIFIED_RANK_CASES[case]
+        assert _certified_rank(vectors, assume) == verdict
 
 
 def reversed_at(rep, v):
