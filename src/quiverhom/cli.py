@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Each command takes only the options it reads (COMMANDS); deterministic
-output given identical inputs and --seed.  --json switches to a machine-readable
-report {"command", "algebra", "result", "certificates", "warnings"}.
+Each command takes only the options it reads (COMMANDS); identical inputs
+give identical output, since every random draw comes from a fixed seed.
+--json switches to a machine-readable report {"command", "algebra",
+"result", "certificates", "warnings"}.
 
 Exit codes: 0 success or --help; 1 user/parse/usage error; 2 a computational
 cap was reached (an INDETERMINATE or at_least answer — never silently treated
@@ -101,8 +102,7 @@ def cmd_pd(args, algebra):
         total = calc.pd_multiset(value)
         return {"pd": pd_value_json(total), "per_class": values}
     rep = _sum_of(algebra, value)
-    probe = reps.pd_rep(rep, max_steps=args.max_steps, trials=args.trials, seed=args.seed,
-                        max_dim=args.max_dim)
+    probe = reps.pd_rep(rep, max_steps=args.max_steps, max_dim=args.max_dim)
     out = {"pd": probe.to_json()}
     if probe.kind == "at_least":
         raise _CapReached(out)
@@ -174,7 +174,7 @@ def cmd_self_injective(args, algebra):
     if algebra.kind == "truncated":
         return {"self_injective": gorenstein.is_self_injective_truncated(algebra),
                 "method": "cycle-graph criterion"}
-    verdict = reps.certified_self_injective(algebra, trials=args.trials, seed=args.seed)
+    verdict = reps.certified_self_injective(algebra)
     if verdict is None:
         raise _CapReached({"self_injective": "undetermined",
                            "method": "projective/injective matching"})
@@ -200,12 +200,11 @@ def cmd_inj_pd(args, algebra):
     for v in algebra.quiver.vertices:
         iv = reps.injective(algebra, v)
         bundle.append(iv)
-        probe = reps.pd_rep(iv, max_steps=args.max_steps, trials=args.trials,
-                            seed=args.seed, max_dim=args.max_dim)
+        probe = reps.pd_rep(iv, max_steps=args.max_steps, max_dim=args.max_dim)
         per_vertex[v] = probe.to_json()
         capped = capped or probe.kind == "at_least"
     total = reps.pd_rep(reps.direct_sum(algebra, bundle), max_steps=args.max_steps,
-                        trials=args.trials, seed=args.seed, max_dim=args.max_dim)
+                        max_dim=args.max_dim)
     capped = capped or total.kind == "at_least"
     out = {"per_vertex": per_vertex, "all_injectives": total.to_json()}
     if capped:
@@ -222,8 +221,7 @@ def cmd_phi(args, algebra):
     if not summands:
         return {"module": "0", **PhiResult(0, [0], None).to_json()}
     catalog, assume = _auto_catalog(algebra, summands)
-    res = phi_of_reps(algebra, summands, catalog, assume_infinite_pd=assume,
-                      trials=args.trials, seed=args.seed)
+    res = phi_of_reps(algebra, summands, catalog, assume_infinite_pd=assume)
     return {"module": " + ".join(r.name or "?" for r in summands), **res.to_json()}
 
 
@@ -266,8 +264,7 @@ def cmd_triangular(args, algebra):
         _k, va = evaluate(expr_a, algebra, context="rep", generators=corpus.GENERATORS)
         _k, vb = evaluate(expr_b, algebra, context="rep", generators=corpus.GENERATORS)
         pairs.append((va[0][0], vb[0][0]))
-    report = triangular_check(algebra, gamma, gamma_bar, witness_pairs=pairs,
-                              trials=args.trials, seed=args.seed)
+    report = triangular_check(algebra, gamma, gamma_bar, witness_pairs=pairs)
     return report.to_json()
 
 
@@ -319,10 +316,8 @@ OPTIONS = {
     "module": ("--module", dict(help="module expression")),
     "steps": ("--steps", dict(type=nonnegative_int, default=1)),
     "max_steps": ("--max-steps", dict(type=nonnegative_int, default=1000)),
-    "trials": ("--trials", dict(type=nonnegative_int, default=20)),
-    "seed": ("--seed", dict(type=int, default=0)),
     "max_dim": ("--max-dim", dict(
-        type=int, default=MAX_MODULE_DIM,
+        type=nonnegative_int, default=MAX_MODULE_DIM,
         help="stop with exit 2 before a syzygy of larger total dimension")),
     "structure_constants": ("--structure-constants", dict(
         action="store_true", help="include the full structure-constant dump")),
@@ -338,7 +333,7 @@ OPTIONS = {
 COMMANDS = {
     "info": (cmd_info, ("algebra", "structure_constants")),
     "gldim": (cmd_gldim, ("algebra",)),
-    "pd": (cmd_pd, ("algebra", "module", "max_steps", "trials", "seed", "max_dim")),
+    "pd": (cmd_pd, ("algebra", "module", "max_steps", "max_dim")),
     "syzygy": (cmd_syzygy, ("algebra", "module", "steps", "max_dim")),
     "norm": (cmd_norm, ("algebra", "module")),
     "periodic-test": (cmd_periodic_test, ("algebra", "module")),
@@ -346,14 +341,14 @@ COMMANDS = {
     "omega-inf": (cmd_omega_inf, ("algebra", "module")),
     "perfect-paths": (cmd_perfect_paths, ("algebra",)),
     "gp-list": (cmd_gp_list, ("algebra",)),
-    "self-injective": (cmd_self_injective, ("algebra", "trials", "seed")),
+    "self-injective": (cmd_self_injective, ("algebra",)),
     "cm-free": (cmd_cm_free, ("algebra",)),
     "co-gorenstein": (cmd_cogorenstein, ("algebra",)),
-    "inj-pd": (cmd_inj_pd, ("algebra", "max_steps", "trials", "seed", "max_dim")),
-    "phi": (cmd_phi, ("algebra", "module", "trials", "seed")),
+    "inj-pd": (cmd_inj_pd, ("algebra", "max_steps", "max_dim")),
+    "phi": (cmd_phi, ("algebra", "module")),
     "phidim-subcat": (cmd_phidim_subcat, ("algebra", "module")),
     "phidim-bounds": (cmd_phidim_bounds, ("algebra",)),
-    "triangular-check": (cmd_triangular, ("algebra", "split", "witness_pair", "trials", "seed")),
+    "triangular-check": (cmd_triangular, ("algebra", "split", "witness_pair")),
     "corpus": (cmd_corpus, ("out",)),
     "batch": (cmd_batch, ("file",)),
 }

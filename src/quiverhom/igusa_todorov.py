@@ -21,6 +21,7 @@ from .errors import (
     Indeterminate,
     InternalInvariantError,
     NoDecomposition,
+    PreconditionViolated,
     UnsupportedIdeal,
 )
 from .fields import QQ
@@ -230,15 +231,16 @@ class HybridClassTable:
     dedup would make for them, in its order.  Both return canonical names.
     Syzygy expansions are computed lazily through the linear engine plus
     certified catalog decomposition.  Projective entries vanish in the
-    group."""
+    group.  Catalog names must be distinct: a repeated one is a
+    PreconditionViolated."""
 
-    def __init__(self, algebra, catalog, trials=20, seed=0):
+    def __init__(self, algebra, catalog):
         self.algebra = algebra
-        self.trials = trials
-        self.seed = seed
         self.rep_by_name = {}
         for name, rep in catalog:
-            self.rep_by_name.setdefault(name, rep)
+            if name in self.rep_by_name:
+                raise PreconditionViolated(f"catalog name {name!r} is repeated")
+            self.rep_by_name[name] = rep
         self.names = list(self.rep_by_name)  # catalog order
         self._canonical = {}
         self.projective = {}
@@ -257,8 +259,7 @@ class HybridClassTable:
                     self._canonical[entry] = next(
                         (other for other in group[:k]
                          if self._canonical[other] == other
-                         and reps.iso_test(rep, self.rep_by_name[other], trials=self.trials,
-                                           seed=self.seed).isomorphic),
+                         and reps.iso_test(rep, self.rep_by_name[other]).isomorphic),
                         entry)
         return self._canonical[name]
 
@@ -275,8 +276,7 @@ class HybridClassTable:
         dv = rep.dim_vector()
         for name in self._unaliased():
             other = self.rep_by_name[name]
-            if other.dim_vector() == dv and reps.iso_test(
-                    rep, other, trials=self.trials, seed=self.seed).isomorphic:
+            if other.dim_vector() == dv and reps.iso_test(rep, other).isomorphic:
                 return self.canonical(name)
         raise NoDecomposition(
             f"module with dim vector {rep.dim_vector()} matches no catalog entry"
@@ -294,9 +294,7 @@ class HybridClassTable:
             try:
                 counts, _warn = reps.decompose_against_catalog(
                     reps.syzygy_rep(self.rep_by_name[name]),
-                    [(n, self.rep_by_name[n]) for n in self._unaliased()],
-                    trials=self.trials, seed=self.seed,
-                )
+                    [(n, self.rep_by_name[n]) for n in self._unaliased()])
             except NoDecomposition:
                 self.sigma[name] = None
                 raise
@@ -319,12 +317,12 @@ def _vector_rank(vectors):
     return linalg.rank(QQ, rows)
 
 
-def phi_of_reps(algebra, summands, catalog, assume_infinite_pd=(), trials=20, seed=0):
+def phi_of_reps(algebra, summands, catalog, assume_infinite_pd=()):
     """phi of a bundle of explicit modules over any supported algebra.
 
     summands: the distinct indecomposable summands as Representations;
-    catalog: (name, Representation) entries the syzygy summands classify
-    against; assume_infinite_pd: catalog names the caller asserts to have
+    catalog: (name, Representation) entries, the names distinct, that the
+    syzygy summands classify against; assume_infinite_pd: catalog names the caller asserts to have
     infinite projective dimension (echoed in the result's assumptions).
 
     Closure is decided first.  When the catalog certifies the syzygy
@@ -357,11 +355,11 @@ def phi_of_reps(algebra, summands, catalog, assume_infinite_pd=(), trials=20, se
     (_past_cap)."""
     if algebra.is_monomial_like:
         raise UnsupportedIdeal("use phi() for monomial and truncated algebras")
-    if reps.certified_self_injective(algebra, trials=trials, seed=seed) is True:
+    if reps.certified_self_injective(algebra) is True:
         # the syzygy endomorphism of the stable category is an equivalence
         return PhiResult(0, [len(summands)], None,
                          ["self-injective algebra: phi vanishes identically"])
-    table = HybridClassTable(algebra, catalog, trials=trials, seed=seed)
+    table = HybridClassTable(algebra, catalog)
     assume = {table.canonical(n) if n in table.rep_by_name else n
               for n in assume_infinite_pd}
     start = sorted({table.identify(rep) for rep in summands})
@@ -487,8 +485,11 @@ def _try_close(table, names):
 
 # -- certified merge lower bounds ---------------------------------------------
 
+# the syzygy steps merge_lower_bound probes for a merge
+MERGE_PROBE_STEPS = 4
 
-def merge_lower_bound(x, y, probe_steps=4, trials=20, seed=0):
+
+def merge_lower_bound(x, y):
     """A certified lower bound on phi(x + y) from a syzygy merge.
 
     Requires the two modules to be visibly distinct in the stable group:
@@ -497,7 +498,7 @@ def merge_lower_bound(x, y, probe_steps=4, trials=20, seed=0):
     syzygy_rep^j(x) is certified isomorphic to syzygy_rep^j(y) at the first
     such j, the class difference [x] - [y] is a nonzero kernel element of the
     j-th syzygy endomorphism, so phi >= j.  Returns 0 when no merge is found
-    within probe_steps or when the guards fail."""
+    within MERGE_PROBE_STEPS syzygy steps or when the guards fail."""
     algebra = x.algebra
     projs = [reps.projective(algebra, v) for v in algebra.quiver.vertices]
 
@@ -515,13 +516,13 @@ def merge_lower_bound(x, y, probe_steps=4, trials=20, seed=0):
         return all(a * sum(v) == b * sum(u) for a, b in zip(u, v))
 
     cx, cy = x, y
-    for j in range(1, probe_steps + 1):
+    for j in range(1, MERGE_PROBE_STEPS + 1):
         if not (guarded(cx) and guarded(cy)):
             return 0
         if cx.dim_vector() == cy.dim_vector() or proportional(cx.dim_vector(), cy.dim_vector()):
             return 0
         nx, ny = reps.syzygy_rep(cx), reps.syzygy_rep(cy)
-        if reps.iso_test(nx, ny, trials=trials, seed=seed).isomorphic:
+        if reps.iso_test(nx, ny).isomorphic:
             return j
         cx, cy = nx, ny
     return 0
@@ -563,16 +564,16 @@ class TriangularReport:
         return f"TriangularReport({self.data})"
 
 
-def _corner_phidim_bounds(corner, trials, seed):
+def _corner_phidim_bounds(corner):
     if corner.is_monomial_like:
         b = phidim_bounds(corner)
         return b.lower, b.upper, "path-class lattice bounds"
-    if reps.certified_self_injective(corner, trials=trials, seed=seed) is True:
+    if reps.certified_self_injective(corner) is True:
         return 0, 0, "certified self-injective: phi vanishes identically"
     return None, None, "unknown (no certified bound available)"
 
 
-def triangular_check(algebra, gamma, gamma_bar, witness_pairs=(), trials=20, seed=0):
+def triangular_check(algebra, gamma, gamma_bar, witness_pairs=()):
     """Verify the one-way split hypotheses and report the phi-dimension bound.
 
     gamma / gamma_bar partition the vertices; all arrows between the parts
@@ -609,8 +610,8 @@ def triangular_check(algebra, gamma, gamma_bar, witness_pairs=(), trials=20, see
                     bullet=3)
     corner_a = corner_algebra(algebra, gamma)
     corner_b = corner_algebra(algebra, gamma_bar)
-    low_a, up_a, note_a = _corner_phidim_bounds(corner_a, trials, seed)
-    low_b, up_b, note_b = _corner_phidim_bounds(corner_b, trials, seed)
+    low_a, up_a, note_a = _corner_phidim_bounds(corner_a)
+    low_b, up_b, note_b = _corner_phidim_bounds(corner_b)
     theorem_upper = None
     if up_a is not None and up_b is not None:
         theorem_upper = up_a + up_b + 1
@@ -622,7 +623,7 @@ def triangular_check(algebra, gamma, gamma_bar, witness_pairs=(), trials=20, see
         c_lower = 0
         lower_note = "no witness"
         for x, y in witness_pairs:
-            value = merge_lower_bound(x, y, trials=trials, seed=seed)
+            value = merge_lower_bound(x, y)
             if value > c_lower:
                 c_lower = value
                 lower_note = f"syzygy merge of {x.name or 'X'} and {y.name or 'Y'}"

@@ -16,10 +16,11 @@ the source (Yoneda: a hom out of a projective cover is a tuple of vectors,
 one per cover summand, constrained by the kernel generators), which keeps
 the linear systems small even against large targets.
 
-Isomorphism testing is Las Vegas with a fixed seed: a verdict of
-"isomorphic" always carries an explicit intertwiner, of full rank at every
-vertex and re-verified to commute with every arrow; "undetermined" is a
-distinct outcome and is never coerced.
+Isomorphism testing is Las Vegas with a fixed budget of TRIALS random
+combinations drawn from a fixed seed: a verdict of "isomorphic" always
+carries an explicit intertwiner, of full rank at every vertex and
+re-verified to commute with every arrow; "undetermined" is a distinct
+outcome and is never coerced.
 """
 
 import random
@@ -35,6 +36,10 @@ from .errors import (
     PreconditionViolated,
 )
 from .quiver import INFINITE
+
+# the random combinations an iso decision tries before it falls back to the
+# hom dimension asymmetry test and then to "undetermined"
+TRIALS = 20
 
 
 class Representation:
@@ -695,13 +700,13 @@ class IsoResult:
         return self.status
 
 
-def iso_test(m, n, trials=20, seed=0):
+def iso_test(m, n):
     """Certified module isomorphism test: the iso decision on the hom basis
     of Hom(m, n); the certificate goes m -> n."""
-    return _decide_iso(m, n, lambda: _int_entries(m.field, hom_space(m, n)), trials, seed)
+    return _decide_iso(m, n, lambda: _int_entries(m.field, hom_space(m, n)))
 
 
-def _decide_iso(source, target, hom_entries, trials, seed):
+def _decide_iso(source, target, hom_entries):
     """The one isomorphism decision behind iso_test and iso_test_against_sum;
     a certificate goes source -> target.
 
@@ -710,7 +715,7 @@ def _decide_iso(source, target, hom_entries, trials, seed):
     hom_entries() yields as _int_entries gives it, Hom = 0, a row or column
     zero in every hom, random combinations, hom dimension asymmetry.
     isomorphic only with a re-verified invertible intertwiner; undetermined
-    after the trial budget."""
+    after TRIALS random combinations."""
     if source.field != target.field:
         raise FieldMismatch(f"{source.field.name} vs {target.field.name}")
     if source.dim_vector() != target.dim_vector():
@@ -732,24 +737,25 @@ def _decide_iso(source, target, hom_entries, trials, seed):
     line = _shared_zero_line(entries, target.dims, source.dims)
     if line:
         return IsoResult("not_isomorphic", detail=line)
-    found = _sample_invertible(source, target, den, entries, trials, seed)
+    found = _sample_invertible(source, target, den, entries)
     if found is not None:
         return found
     if len(entries) != hom_dim(target, source):
         return IsoResult("not_isomorphic", detail="Hom dimensions asymmetric")
-    return IsoResult("undetermined", detail=f"no invertible combination in {trials} trials")
+    return IsoResult("undetermined", detail=f"no invertible combination in {TRIALS} trials")
 
 
-def _sample_invertible(source, target, den, entries, trials, seed):
+def _sample_invertible(source, target, den, entries):
     """Random combinations of the homs source -> target given by their
     nonzero entries (vertex, row, column, den * value) as plain ints: an
     isomorphic IsoResult for the first one that _certify accepts, or None
-    after the trials.  A trial draws one int coefficient per hom; a single
+    after TRIALS trials.  A trial draws one int coefficient per hom from a
+    generator seeded with 0, so every call draws the same sequence; a single
     hom is taken as it is in trial 0, without a draw (c * h is invertible
     iff h is)."""
     F = source.field
-    rng = random.Random(seed)
-    for t in range(trials):
+    rng = random.Random(0)
+    for t in range(TRIALS):
         coeffs = [1] if t == 0 and len(entries) == 1 else [F.random(rng) for _ in entries]
         mats = _combine(F.char, target.dims, source.dims, coeffs, entries)
         cert = _certify(source, target, mats, den)
@@ -828,7 +834,7 @@ def _combine(p, rows, cols, coeffs, entries):
     return mats
 
 
-def iso_test_against_sum(m, parts, trials=20, seed=0):
+def iso_test_against_sum(m, parts):
     """The iso decision for (direct sum of parts) -> m, with Hom(sum, m)
     built blockwise.
 
@@ -857,13 +863,13 @@ def iso_test_against_sum(m, parts, trials=20, seed=0):
                 offset[v] += rep.dims[v]
         return den, entries
 
-    return _decide_iso(nsum, m, hom_entries, trials, seed), nsum
+    return _decide_iso(nsum, m, hom_entries), nsum
 
 
 # -- decomposition against a catalog ------------------------------------------
 
 
-def decompose_against_catalog(m, catalog, trials=20, seed=0):
+def decompose_against_catalog(m, catalog):
     """Certified decomposition of m as a multiset over catalog entries.
 
     catalog: list of (name, Representation), pairwise non-isomorphic
@@ -884,7 +890,7 @@ def decompose_against_catalog(m, catalog, trials=20, seed=0):
                      key=lambda e: (-e[1].total_dim, e[0]))
     for cand in _candidates(entries, 0, m.dim_vector() + top_dim_vector(m)):
         parts = [(entries[idx][1], count) for idx, count in cand]
-        verdict, _nsum = iso_test_against_sum(m, parts, trials=trials, seed=seed)
+        verdict, _nsum = iso_test_against_sum(m, parts)
         if verdict.isomorphic:
             return Counter({entries[idx][0]: count for idx, count in cand}), []
     raise NoDecomposition(
@@ -948,16 +954,15 @@ def class_catalog(algebra):
     return [(c.label, rep_of_class(c)) for c in classes], {c.label: c for c in classes}
 
 
-def certified_self_injective(algebra, trials=20, seed=0):
+def certified_self_injective(algebra):
     """Exact self-injectivity: match every projective to an injective via
     certified isomorphisms.  Returns True/False/None (None = undetermined).
-    Only a certified verdict is kept in the algebra's memo, so a later call
-    with more trials can still decide."""
+    Only a certified verdict is kept in the algebra's memo."""
     return algebra.memo("self_injective",
-                        lambda: _match_projectives_to_injectives(algebra, trials, seed))
+                        lambda: _match_projectives_to_injectives(algebra))
 
 
-def _match_projectives_to_injectives(algebra, trials, seed):
+def _match_projectives_to_injectives(algebra):
     verts = algebra.quiver.vertices
     projs = {v: projective(algebra, v) for v in verts}
     injs = {v: injective(algebra, v) for v in verts}
@@ -966,7 +971,7 @@ def _match_projectives_to_injectives(algebra, trials, seed):
         hit = None
         undecided = False
         for w in list(unmatched):
-            r = iso_test(projs[v], injs[w], trials=trials, seed=seed)
+            r = iso_test(projs[v], injs[w])
             if r.isomorphic:
                 hit = w
                 break
@@ -978,7 +983,7 @@ def _match_projectives_to_injectives(algebra, trials, seed):
     return True
 
 
-def pd_rep(m, max_steps=20, trials=20, seed=0, max_dim=None):
+def pd_rep(m, max_steps=20, max_dim=None):
     """Probe the projective dimension of a representation.
 
     Exact termination when some syzygy vanishes.  Infinite certificates:
@@ -1002,9 +1007,7 @@ def pd_rep(m, max_steps=20, trials=20, seed=0, max_dim=None):
         if step == 3 and algebra.is_monomial_like:
             catalog, classes = class_catalog(algebra)
             calc = pathmodules.calculus(algebra)
-            counts, _warnings = decompose_against_catalog(
-                trajectory[2], catalog, trials=trials, seed=seed
-            )
+            counts, _warnings = decompose_against_catalog(trajectory[2], catalog)
             worst = 0
             for label in counts:
                 value = calc.pd(classes[label])
@@ -1026,7 +1029,7 @@ def pd_rep(m, max_steps=20, trials=20, seed=0, max_dim=None):
         if current.is_zero():
             return PdProbe("exact", step - 1, "syzygy vanished")
         trajectory.append(current)
-        hit = _trajectory_repeat(trajectory, buckets, trials, seed)
+        hit = _trajectory_repeat(trajectory, buckets)
         if hit is not None:
             return PdProbe("infinite", INFINITE, hit)
         step += 1
@@ -1083,7 +1086,7 @@ def _fingerprint(rep):
                      for a, s in nonzero)
 
 
-def _trajectory_repeat(trajectory, buckets, trials, seed):
+def _trajectory_repeat(trajectory, buckets):
     """Certified repeat detection: compare the newest member against the
     earlier ones with the same fingerprint, recorded in buckets (fingerprint
     -> trajectory indices), then file it there.  Isomorphic modules have
@@ -1092,7 +1095,7 @@ def _trajectory_repeat(trajectory, buckets, trials, seed):
     last = len(trajectory) - 1
     same = buckets.setdefault(_fingerprint(trajectory[last]), [])
     for i in same:
-        r = iso_test(trajectory[i], trajectory[last], trials=trials, seed=seed)
+        r = iso_test(trajectory[i], trajectory[last])
         if r.isomorphic:
             return f"syzygy step {last} isomorphic to step {i}"
     same.append(last)

@@ -238,7 +238,7 @@ def multiply(algebra, x, y):
     return {k: v for k, v in out.items() if not F.is_zero(v)}
 
 
-def eager_dedup(catalog, trials=20, seed=0):
+def eager_dedup(catalog):
     """Per catalog name, the name of its class, by the pairwise dedup that
     `HybridClassTable` once ran on construction: each entry in order is
     tested against the earlier class names of its dimension vector, in
@@ -250,7 +250,7 @@ def eager_dedup(catalog, trials=20, seed=0):
         canon[name] = next(
             (other for other, other_rep in classes
              if other_rep.dim_vector() == rep.dim_vector()
-             and reps.iso_test(rep, other_rep, trials=trials, seed=seed).isomorphic),
+             and reps.iso_test(rep, other_rep).isomorphic),
             name)
         if canon[name] == name:
             classes.append((name, rep))

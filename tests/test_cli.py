@@ -194,9 +194,6 @@ class TestExitCodes:
         code, doc = run_json(capsys, "syzygy", "--algebra", "corpus:infinito",
                              "--module", "simple(1)", "--steps", "2", "--max-dim", "46")
         assert code == 0 and doc["result"]["syzygy_dim_vector"] == [0, 0, 6, 40]
-        code, doc = run_json(capsys, "syzygy", "--algebra", "corpus:infinito",
-                             "--module", "simple(1)", "--max-dim", "-1")
-        assert code == 1 and doc["result"]["error"] == "PRECONDITION"
         code, doc = run_json(capsys, "inj-pd", "--algebra", "corpus:infinito")
         assert code == 2
         assert all(probe["kind"] == "at_least" and "dimension budget 1000" in probe["detail"]
@@ -279,12 +276,12 @@ class TestDeterminism:
         assert out1 == out2
 
     def test_iso_heavy_command_deterministic(self, capsys):
-        argv = ["self-injective", "--algebra", "corpus:sec3_example",
-                "--seed", "7", "--json"]
-        main(list(argv))
+        argv = ["self-injective", "--algebra", "corpus:sec3_example", "--json"]
+        code1 = main(list(argv))
         out1 = capsys.readouterr().out
-        main(list(argv))
+        code2 = main(list(argv))
         out2 = capsys.readouterr().out
+        assert code1 == code2 == 0
         assert out1 == out2
 
 
@@ -348,15 +345,15 @@ DECLARED = {
     "info": {"--algebra", "--structure-constants"},
     **dict.fromkeys(["gldim", "perfect-paths", "gp-list", "cm-free", "phidim-bounds"],
                     {"--algebra"}),
-    "pd": {"--algebra", "--module", "--max-steps", "--trials", "--seed", "--max-dim"},
+    "pd": {"--algebra", "--module", "--max-steps", "--max-dim"},
     "syzygy": {"--algebra", "--module", "--steps", "--max-dim"},
     **dict.fromkeys(["norm", "phidim-subcat"], {"--algebra", "--module"}),
     **dict.fromkeys(["periodic-test", "omega-inf"], {"--algebra", "--module"}),
     **dict.fromkeys(["periodic-find", "co-gorenstein"], {"--algebra"}),
-    "self-injective": {"--algebra", "--trials", "--seed"},
-    "inj-pd": {"--algebra", "--max-steps", "--trials", "--seed", "--max-dim"},
-    "phi": {"--algebra", "--module", "--trials", "--seed"},
-    "triangular-check": {"--algebra", "--split", "--witness-pair", "--trials", "--seed"},
+    "self-injective": {"--algebra"},
+    "inj-pd": {"--algebra", "--max-steps", "--max-dim"},
+    "phi": {"--algebra", "--module"},
+    "triangular-check": {"--algebra", "--split", "--witness-pair"},
     "corpus": {"--out"},
     "batch": {"file"},
 }
@@ -394,7 +391,7 @@ class TestOptions:
         flags = declared_flags()
         assert {name: set(f) for name, f in flags.items()} == \
             {name: DECLARED[name] | {"--json"} for name in cli.COMMANDS}
-        assert sum(len(f) for f in flags.values()) == 66
+        assert sum(len(f) for f in flags.values()) == 56
 
     def test_inj_pd_keeps_its_step_cap(self):
         parser = cli.build_parser()
@@ -403,7 +400,7 @@ class TestOptions:
 
     def test_unread_flags_exit_one(self, capsys):
         lines = unread_flag_lines()
-        assert len(lines) == 7 * 20 - 22
+        assert len(lines) == 7 * 20 - 12
         for name, argv in lines:
             cli.build_parser().parse_args(base_argv(name))
             assert main(argv + ["--json"]) == 1, argv
@@ -441,7 +438,8 @@ class TestOptions:
 
     @pytest.mark.parametrize("argv", [
         ["syzygy", "--algebra", "corpus:sec4_example", "--module", "path(g)", "--steps", "-2"],
-        ["self-injective", "--algebra", "corpus:sec3_example", "--trials", "-1"],
+        ["syzygy", "--algebra", "corpus:sec4_example", "--module", "inj(1)", "--steps", "0",
+         "--max-dim", "-5"],
         ["pd", "--algebra", "corpus:finito", "--module", "inj(3)", "--max-steps", "-1"],
         ["inj-pd", "--algebra", "corpus:finito", "--max-steps", "-1"]])
     def test_negative_counts_exit_one(self, capsys, argv):

@@ -7,7 +7,7 @@ import pytest
 from quiverhom import cli, corpus, reps
 from quiverhom.algebra import TruncatedIdeal, build_algebra
 from quiverhom.algfile import parse_algebra_text
-from quiverhom.errors import HypothesisViolated, UnsupportedIdeal
+from quiverhom.errors import HypothesisViolated, PreconditionViolated, UnsupportedIdeal
 from quiverhom.igusa_todorov import (
     HybridClassTable,
     K0Lattice,
@@ -32,6 +32,13 @@ def truncated_cycle(n, k):
     verts = [str(i + 1) for i in range(n)]
     q = Quiver(verts, [(f"c{i}", verts[i], verts[(i + 1) % n]) for i in range(n)])
     return build_algebra(q, TruncatedIdeal(k))
+
+
+def relations_line():
+    """The line 1 -> 2 -> 3 -> 4 with radical square zero, given by a
+    relations ideal."""
+    return parse_algebra_text("vertices: 1 2 3 4\narrow: a 1 2\narrow: b 2 3\n"
+                              "arrow: c 3 4\nrelations: a.b, b.c\nnilpotency: 2\n")
 
 
 def truncated_line(n, k):
@@ -255,11 +262,9 @@ class TestHybridPhi:
         assert res.assumptions  # rests on the stated pd assumption
 
     def test_closed_catalog_finishes_on_the_finite_lattice(self):
-        # the line 1 -> 2 -> 3 -> 4 with radical square zero, given by a
-        # relations ideal: every syzygy of a simple is the next simple, so the
-        # simples close under syzygy and the exact lattice procedure ends it
-        A = parse_algebra_text("vertices: 1 2 3 4\narrow: a 1 2\narrow: b 2 3\n"
-                               "arrow: c 3 4\nrelations: a.b, b.c\nnilpotency: 2\n")
+        # every syzygy of a simple is the next simple, so the simples close
+        # under syzygy and the exact lattice procedure ends it
+        A = relations_line()
         simples = {v: reps.simple(A, v) for v in A.quiver.vertices}
         catalog = [(f"S_{v}", s) for v, s in simples.items()]
         for summands, value, ranks in [
@@ -269,6 +274,13 @@ class TestHybridPhi:
         ]:
             res = phi_of_reps(A, [simples[v] for v in summands], catalog)
             assert (res.value, res.ranks, res.assumptions) == (value, ranks, [])
+
+    def test_repeated_catalog_name_is_rejected(self):
+        A = relations_line()
+        catalog = [(f"S_{v}", reps.simple(A, v)) for v in A.quiver.vertices]
+        catalog.append(("S_1", reps.simple(A, "2")))
+        with pytest.raises(PreconditionViolated, match="'S_1'"):
+            phi_of_reps(A, [reps.simple(A, "1")], catalog)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_renamed_reversed_catalog(self, infinito, n):

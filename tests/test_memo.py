@@ -63,11 +63,14 @@ def test_readers_return_fresh_lists(name):
         assert read() == second and None not in second
 
 
-def test_uncertified_self_injectivity_is_not_kept():
+def test_uncertified_self_injectivity_is_not_kept(monkeypatch):
     A = corpus.algebra("sec3_example")
-    assert reps.certified_self_injective(A, trials=0) is None
+    monkeypatch.setattr(reps, "TRIALS", 0)
+    assert reps.certified_self_injective(A) is None
+    monkeypatch.undo()
     assert reps.certified_self_injective(A) is True
-    assert reps.certified_self_injective(A, trials=0) is True  # certified, kept
+    monkeypatch.setattr(reps, "TRIALS", 0)
+    assert reps.certified_self_injective(A) is True  # certified, kept
 
 
 def search_json(A):
