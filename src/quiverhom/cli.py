@@ -21,7 +21,7 @@ import sys
 
 from . import corpus, gorenstein, reps
 from .algfile import MAX_MODULE_DIM, format_algebra, parse_algebra_text, parse_split_text
-from .errors import Indeterminate, InternalInvariantError, QuiverHomError
+from .errors import Indeterminate, InternalInvariantError, QuiverHomError, UnsupportedIdeal
 from .igusa_todorov import (
     PhiResult,
     phi,
@@ -220,6 +220,9 @@ def cmd_phi(args, algebra):
     summands = [rep for rep, mult in value if mult]
     if not summands:
         return {"module": "0", **PhiResult(0, [0], None).to_json()}
+    if algebra.is_monomial_like:
+        raise UnsupportedIdeal("over a monomial or truncated algebra phi takes path-class "
+                               "summands: path(...), simple(...), proj(...)")
     catalog, assume = _auto_catalog(algebra, summands)
     res = phi_of_reps(algebra, summands, catalog, assume_infinite_pd=assume)
     return {"module": " + ".join(r.name or "?" for r in summands), **res.to_json()}

@@ -21,6 +21,12 @@ combinations drawn from a fixed seed: a verdict of "isomorphic" always
 carries an explicit intertwiner, of full rank at every vertex and
 re-verified to commute with every arrow; "undetermined" is a distinct
 outcome and is never coerced.
+
+Catalog decomposition peels the simple summands off first, exactly and
+with no sampling: a few eliminations per vertex give the split M = C +
+S^k and its basis-change certificate.  Only the remainder C, which has no
+simple summand, is matched against the non-simple catalog entries by the
+sampled sum test.
 """
 
 import random
@@ -869,33 +875,143 @@ def iso_test_against_sum(m, parts):
 # -- decomposition against a catalog ------------------------------------------
 
 
+def split_simple_summands(m):
+    """m split exactly as C + (sum over v of S_v^k_v), with C free of simple
+    summands: (C, {v: k_v} for every k_v > 0, certificate).
+
+    At each vertex v, soc_v is the common kernel of the arrows out of v and
+    rad_v the span of the images of the arrows into v.  W_v, k_v vectors of
+    soc_v independent modulo rad_v, spans S_v^k_v as a submodule, and k_v =
+    dim soc_v - dim(soc_v & rad_v) is the multiplicity of S_v as a summand.
+    They are read off one rref of the rad_v rows and the soc_v basis, each
+    soc vector tagged by a column of its own: a row that leads outside the
+    pivots of rad_v is a soc combination, given by its tags, outside rad_v.
+    U_v is the rref rows of rad_v, then the unit vectors at the columns
+    where no row leads; C takes U_v at every vertex.  It is a submodule, as
+    every arrow lands in a radical, and an image's coordinates are its
+    entries at the rad_v pivots.
+
+    The certificate is the basis change [U_v | W_v], a ModuleHom from C +
+    S^k (C first, then the simples in vertex order) to m, verified to
+    commute with every arrow; InternalInvariantError if it does not.  With
+    no simple summand, C is m itself and the certificate its identity."""
+    quiver = m.algebra.quiver
+    F = m.field
+    p = F.char
+    cols = m.columns
+    bases, rad_row_of, simples = {}, {}, {}
+    for v in quiver.vertices:
+        d = m.dims[v]
+        rad_rows, rad_pivots = linalg.sparse_rref(
+            F, [col for a in quiver.arrows_into(v) for col in cols[a.name]])
+        out = {}  # the rows of the arrows out of v, stacked
+        for a in quiver.arrows_from(v):
+            for j, col in enumerate(cols[a.name]):
+                for i, x in col.items():
+                    out.setdefault((a.name, i), {})[j] = x
+        r, pivots = linalg.sparse_rref(F, list(out.values()))
+        soc = _null_basis(F, r, pivots, d)[2]
+        rad_set = set(rad_pivots)
+        rows, pivots = linalg.sparse_rref(
+            F, rad_rows + [{**s, d + t: F.one} for t, s in enumerate(soc)]) \
+            if soc else ([], [])
+        w = []
+        for row, pc in zip(rows, pivots):
+            if pc >= d:
+                break
+            if pc not in rad_set:
+                acc = {}
+                for t, c in row.items():
+                    if t >= d:
+                        for i, x in soc[t - d].items():
+                            acc[i] = acc.get(i, 0) + c * x
+                w.append({i: y for i, s in acc.items() if (y := s % p)} if p
+                         else {i: s for i, s in acc.items() if s})
+        lead = rad_set.union(pivots)
+        bases[v] = rad_rows + [{j: F.one} for j in range(d) if j not in lead] + w
+        rad_row_of[v] = {pc: i for i, pc in enumerate(rad_pivots)}
+        if w:
+            simples[v] = len(w)
+    if not simples:
+        one = F.one
+        return m, {}, ModuleHom(m, m, {v: [{j: one} for j in range(d)]
+                                       for v, d in m.dims.items()})
+    dims = {v: m.dims[v] - simples.get(v, 0) for v in quiver.vertices}
+    columns = {}
+    for a in quiver.arrows:
+        row_of = rad_row_of[a.target]
+        columns[a.name] = [{row_of[pc]: x for pc, x in _apply(cols[a.name], b, p).items()
+                            if pc in row_of}
+                           for b in bases[a.source][:dims[a.source]]]
+    rest = Representation._of_field_elements(m.algebra, dims, columns, m.name)
+    # C + S^k: the simples add zero columns at their vertex
+    peeled = {a.name: columns[a.name] + [{} for _ in range(simples.get(a.source, 0))]
+              for a in quiver.arrows}
+    cert = ModuleHom(Representation._of_field_elements(m.algebra, m.dims, peeled, ""),
+                     m, bases)
+    if not cert.verify():
+        raise InternalInvariantError("simple-summand split fails to commute")
+    return rest, simples, cert
+
+
+def _simple_vertex(rep):
+    """The vertex v of a rep isomorphic to S_v (total dimension 1, every
+    arrow zero), else None."""
+    if rep.total_dim != 1 or any(any(c) for c in rep.columns.values()):
+        return None
+    return next(v for v, d in rep.dims.items() if d)
+
+
 def decompose_against_catalog(m, catalog):
     """Certified decomposition of m as a multiset over catalog entries.
 
     catalog: list of (name, Representation), pairwise non-isomorphic
-    indecomposables (the caller's contract).  Candidates are the multisets
-    whose dimension vectors and top dimension vectors both sum to m's,
-    enumerated with the largest entries first and the highest counts first;
-    the first one that iso_test_against_sum certifies is returned, and by
-    Krull-Schmidt it is the only one (a duplicate entry could only change
-    which of two isomorphic names comes back).  Returns (Counter name ->
-    multiplicity, warnings); the warnings list is always empty.
+    indecomposables (the caller's contract).  split_simple_summands peels
+    m's simple summands off exactly, and each S_v^k is counted under the
+    first simple entry at v in (-total dim, name) order; NoDecomposition
+    at once when there is none.  The remainder C has no simple summand, so
+    by Krull-Schmidt it is matched against the other entries alone.  Its
+    candidates are the multisets whose dimension vectors and top dimension
+    vectors both sum to C's, enumerated with the largest entries first and
+    the highest counts first; the first one that iso_test_against_sum
+    certifies is returned, and by Krull-Schmidt it is the only one (a
+    duplicate entry could only change which of two isomorphic names comes
+    back).  A semisimple m needs no iso test.  Returns (Counter name ->
+    multiplicity, names in (-total dim, name) order, warnings); the
+    warnings list is always empty.
     """
     from collections import Counter
 
     if m.is_zero():
         return Counter(), []
-    entries = sorted(((name, rep, rep.dim_vector() + top_dim_vector(rep))
-                      for name, rep in catalog if not rep.is_zero()),
+    rest, simples, _cert = split_simple_summands(m)
+    entries = sorted(((name, rep) for name, rep in catalog if not rep.is_zero()),
                      key=lambda e: (-e[1].total_dim, e[0]))
-    for cand in _candidates(entries, 0, m.dim_vector() + top_dim_vector(m)):
-        parts = [(entries[idx][1], count) for idx, count in cand]
-        verdict, _nsum = iso_test_against_sum(m, parts)
-        if verdict.isomorphic:
-            return Counter({entries[idx][0]: count for idx, count in cand}), []
-    raise NoDecomposition(
-        f"no catalog multiset certifies against dim vector {m.dim_vector()}"
-    )
+    simple_names, others = {}, []
+    for name, rep in entries:
+        v = _simple_vertex(rep)
+        if v is None:
+            others.append((name, rep))
+        else:
+            simple_names.setdefault(v, name)
+    found = {}
+    for v, k in simples.items():
+        if v not in simple_names:
+            raise NoDecomposition(f"the simple summand S_{v}^{k} has no catalog entry")
+        found[simple_names[v]] = k
+    if not rest.is_zero():
+        others = [(name, rep, rep.dim_vector() + top_dim_vector(rep))
+                  for name, rep in others]
+        for cand in _candidates(others, 0, rest.dim_vector() + top_dim_vector(rest)):
+            parts = [(others[idx][1], count) for idx, count in cand]
+            verdict, _nsum = iso_test_against_sum(rest, parts)
+            if verdict.isomorphic:
+                found.update((others[idx][0], count) for idx, count in cand)
+                break
+        else:
+            raise NoDecomposition("no catalog multiset certifies against the non-simple "
+                                  f"part, dim vector {rest.dim_vector()}")
+    return Counter({name: found[name] for name, _rep in entries if name in found}), []
 
 
 def _candidates(entries, idx, remaining):

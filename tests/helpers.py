@@ -3,12 +3,19 @@ exhaustive small-quiver enumeration used by the acceptance suite, and
 brute-force oracles for the combinatorial layer."""
 
 import random
+from collections import Counter
 from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations
 
 from quiverhom import gorenstein, linalg, reps
 from quiverhom.algebra import MonomialIdeal, TruncatedIdeal, _all_paths_up_to, build_algebra
-from quiverhom.errors import InfiniteDimensional, NotAdmissible, ParseError, ZeroPath
+from quiverhom.errors import (
+    InfiniteDimensional,
+    NoDecomposition,
+    NotAdmissible,
+    ParseError,
+    ZeroPath,
+)
 from quiverhom.igusa_todorov import build_lattice, rank_sequence
 from quiverhom.pathmodules import calculus
 from quiverhom.quiver import Path, Quiver
@@ -596,3 +603,34 @@ def dense_is_vertexwise_invertible(hom):
     return all(hom.source.dims[v] == hom.target.dims[v]
                and linalg.is_invertible(F, hom.matrices[v])
                for v in hom.source.algebra.quiver.vertices)
+
+
+def decompose_oracle(m, catalog):
+    """The whole-multiset catalog search, with no simple summand peeled off:
+    every multiset over the catalog whose dimension and top vectors sum to
+    m's, largest entries and highest counts first, tried against all of m
+    in one sum test; the Counter of the first one certified, or
+    NoDecomposition.  The oracle for `reps.decompose_against_catalog`."""
+    if m.is_zero():
+        return Counter()
+    entries = sorted(((name, rep, rep.dim_vector() + reps.top_dim_vector(rep))
+                      for name, rep in catalog if not rep.is_zero()),
+                     key=lambda e: (-e[1].total_dim, e[0]))
+    for cand in reps._candidates(entries, 0, m.dim_vector() + reps.top_dim_vector(m)):
+        verdict, _nsum = reps.iso_test_against_sum(
+            m, [(entries[idx][1], count) for idx, count in cand])
+        if verdict.isomorphic:
+            return Counter({entries[idx][0]: count for idx, count in cand})
+    raise NoDecomposition(f"no catalog multiset certifies against dim vector {m.dim_vector()}")
+
+
+def simple_multiplicity_oracle(m, v):
+    """The multiplicity of S_v as a direct summand of m: the rank of the
+    pairing Hom(m, S_v) x Hom(S_v, m) -> k, (f, g) -> f g, on hom_space
+    bases.  f g is a scalar, End(S_v) being k."""
+    s = reps.simple(m.algebra, v)
+    outs, ins = reps.hom_space(m, s), reps.hom_space(s, m)
+    F = m.field
+    pairing = [[sum((f.columns[v][j].get(0, F.zero) * x for j, x in g.columns[v][0].items()),
+                    F.zero) for g in ins] for f in outs]
+    return linalg.rank(F, pairing)

@@ -156,6 +156,12 @@ class TestExitCodes:
         assert code == 2
         assert "no sound rank rule applies at syzygy level 1" in err
 
+    def test_phi_of_modules_over_a_monomial_algebra_names_the_class_atoms(self, capsys):
+        code, out, err = run(capsys, "phi", "--algebra", "corpus:sec4_example",
+                             "--module", "inj(1)")
+        assert code == 1 and "UNSUPPORTED_IDEAL" in err
+        assert "path(...), simple(...), proj(...)" in err and "phi()" not in err
+
     def test_phi_keeps_literals_that_share_a_name(self, capsys):
         # both literals are named rep-literal; each keeps its own catalog
         # entry, so each one is identified and the answer is indeterminate

@@ -29,6 +29,7 @@ from helpers import (
     dense_hom_space,
     dense_is_vertexwise_invertible,
     dense_verify,
+    decompose_oracle,
     injective_oracle,
     mat_vec,
     presentation_oracle,
@@ -36,6 +37,7 @@ from helpers import (
     random_monomial_algebra,
     random_nonzero_path,
     seeded,
+    simple_multiplicity_oracle,
 )
 
 
@@ -445,6 +447,161 @@ class TestDecompose:
         catalog = [(f"S_{v}", reps.simple(sec3, v)) for v in sec3.quiver.vertices]
         with pytest.raises(NoDecomposition):
             reps.decompose_against_catalog(m, catalog)
+
+
+class TestSimplePeel:
+    """split_simple_summands peels S_v^k off exactly; k is checked against
+    the rank of the pairing Hom(M, S_v) x Hom(S_v, M) -> k."""
+
+    @staticmethod
+    def _cases(infinito):
+        out = {}
+        for name in ("finito", "finito_f32003"):
+            A = corpus.algebra(name)
+            s3 = reps.simple(A, "3")
+            out[f"{name}: Omega S_3"] = (reps.syzygy_rep(s3), {"3": 1})
+            out[f"{name}: S_3 + S_3 + P_1"] = (
+                reps.direct_sum(A, [s3, s3, reps.projective(A, "1")]), {"3": 2})
+        for n, k in ((1, 10), (2, 16), (3, 23)):
+            out[f"infinito: Omega M_alpha(1,{n})"] = (
+                reps.syzygy_rep(corpus.make_m_alpha(infinito, ["1", str(n)])), {"3": k})
+        return out
+
+    def test_multiplicities_match_the_hom_pairing(self, infinito):
+        for label, (m, expected) in self._cases(infinito).items():
+            _rest, simples, _cert = reps.split_simple_summands(m)
+            assert simples == expected, label
+            oracle = {v: simple_multiplicity_oracle(m, v) for v in m.algebra.quiver.vertices}
+            assert simples == {v: k for v, k in oracle.items() if k}, label
+
+    def test_certificate_is_an_isomorphism_from_the_split(self, infinito):
+        for label, (m, _expected) in self._cases(infinito).items():
+            rest, simples, cert = reps.split_simple_summands(m)
+            assert cert.target is m, label
+            assert cert.verify() and dense_verify(cert), label
+            assert dense_is_vertexwise_invertible(cert), label
+            # the source is C first, then the simples in vertex order
+            parts = [rest] + [reps.simple(m.algebra, v) for v, k in simples.items()
+                              for _ in range(k)]
+            assert cert.source.columns == reps.direct_sum(m.algebra, parts).columns, label
+            assert {v: m.dims[v] - rest.dims[v] for v in m.dims if m.dims[v] != rest.dims[v]} \
+                == simples, label
+
+    def test_remainder_has_no_simple_summand(self, infinito):
+        for label, (m, _expected) in self._cases(infinito).items():
+            rest, _simples, _cert = reps.split_simple_summands(m)
+            assert all(simple_multiplicity_oracle(rest, v) == 0
+                       for v in m.algebra.quiver.vertices), label
+            again, more, _cert = reps.split_simple_summands(rest)
+            assert again is rest and more == {}, label
+
+    def test_module_without_simple_summand_comes_back_as_is(self, sec3, sec4, infinito):
+        for m in (reps.projective(sec4, "1"), corpus.make_m_param(sec3, ["1"]),
+                  corpus.make_m_alpha(infinito, ["2", "2"])):
+            rest, simples, cert = reps.split_simple_summands(m)
+            assert rest is m and simples == {}
+            assert cert.source is m and cert.target is m and cert.verify()
+            assert dense_is_vertexwise_invertible(cert)
+
+    def test_a_commutation_failure_is_an_internal_error(self, infinito, monkeypatch):
+        m = reps.syzygy_rep(corpus.make_m_alpha(infinito, ["1", "2"]))
+        monkeypatch.setattr(reps.ModuleHom, "verify", lambda self: False)
+        with pytest.raises(InternalInvariantError):
+            reps.split_simple_summands(m)
+
+
+class TestPeeledDecomposition:
+    """decompose_against_catalog, which peels simple summands first, answers
+    as the whole-multiset search of decompose_oracle did."""
+
+    def test_infinito_families_match_the_oracle(self, infinito):
+        full, _assume = corpus.infinito_catalog(infinito, 4)
+        simples = [(f"S_{v}", reps.simple(infinito, v)) for v in infinito.quiver.vertices]
+        for family in ("alpha", "beta"):
+            make = corpus.GENERATORS[f"M_{family}"]
+            for i in range(1, 5):
+                for n in range(1, 5):
+                    omega = reps.syzygy_rep(make(infinito, [str(i), str(n)]))
+                    # the catalog of the benchmark's per-query decomposition
+                    small = list(simples)
+                    if n > 1:
+                        nxt = str(i % 4 + 1)
+                        small.insert(0, (f"M_{family}({nxt},{n - 1})",
+                                         make(infinito, [nxt, str(n - 1)])))
+                    for catalog in (small, full):
+                        counts, warn = reps.decompose_against_catalog(omega, catalog)
+                        assert counts == decompose_oracle(omega, catalog), (family, i, n)
+                        assert warn == []
+
+    def test_second_syzygies_of_path_modules_match_the_oracle(self):
+        compared = 0
+        for seed in range(6):
+            A = random_monomial_algebra(seeded(seed + 5000))
+            x = reps.rep_of_class(calculus(A).class_of(random_nonzero_path(seeded(seed), A)))
+            omega2 = reps.syzygy_rep(reps.syzygy_rep(x))
+            if omega2.is_zero():
+                continue
+            catalog, _classes = reps.class_catalog(A)
+            counts, _warn = reps.decompose_against_catalog(omega2, catalog)
+            assert counts == decompose_oracle(omega2, catalog), seed
+            compared += 1
+        assert compared
+
+    def test_counter_order_matches_the_oracle(self, infinito):
+        catalog, _assume = corpus.infinito_catalog(infinito, 3)
+        omega = reps.syzygy_rep(corpus.make_m_beta(infinito, ["1", "3"]))
+        counts, _warn = reps.decompose_against_catalog(omega, catalog)
+        assert list(counts.items()) == list(decompose_oracle(omega, catalog).items()) \
+            == [("M_beta(2,2)", 1), ("S_3", 23)]
+
+    def test_duplicate_simple_entry_gives_the_first_name(self, infinito):
+        # two simple entries at vertex 3 break the catalog contract; the
+        # first in (-total dim, name) order wins, as in the oracle
+        omega = reps.syzygy_rep(corpus.make_m_alpha(infinito, ["1", "2"]))
+        s3 = reps.simple(infinito, "3")
+        catalog = [("M_alpha(2,1)", corpus.make_m_alpha(infinito, ["2", "1"])),
+                   ("z_S_3", s3), ("S_3", reps.simple(infinito, "3")), ("a_S_3", s3)]
+        counts, _warn = reps.decompose_against_catalog(omega, catalog)
+        assert counts == decompose_oracle(omega, catalog) == {"M_alpha(2,1)": 1, "S_3": 16}
+
+    def test_missing_simple_entry_raises_before_any_sum_test(self, infinito, monkeypatch):
+        omega = reps.syzygy_rep(corpus.make_m_alpha(infinito, ["1", "2"]))
+        catalog = [("M_alpha(2,1)", corpus.make_m_alpha(infinito, ["2", "1"]))]
+        catalog += [(f"S_{v}", reps.simple(infinito, v)) for v in ("1", "2", "4")]
+        with pytest.raises(NoDecomposition):
+            decompose_oracle(omega, catalog)
+        calls = []
+        monkeypatch.setattr(reps, "iso_test_against_sum",
+                            lambda m, parts: calls.append(parts))
+        with pytest.raises(NoDecomposition, match=r"S_3\^16"):
+            reps.decompose_against_catalog(omega, catalog)
+        assert calls == []
+
+    def test_semisimple_syzygy_needs_no_iso_test(self, infinito, monkeypatch):
+        omega = reps.syzygy_rep(corpus.make_m_beta(infinito, ["2", "1"]))
+        catalog, _assume = corpus.infinito_catalog(infinito, 1)
+        tested = []
+        monkeypatch.setattr(reps, "iso_test_against_sum",
+                            lambda m, parts: tested.append(parts))
+        monkeypatch.setattr(reps, "_decide_iso", lambda *a: tested.append(a))
+        counts, _warn = reps.decompose_against_catalog(omega, catalog)
+        assert dict(counts) == {"S_4": 10}
+        assert tested == []
+
+    def test_remainder_is_matched_against_non_simple_entries_only(self, infinito, monkeypatch):
+        omega = reps.syzygy_rep(corpus.make_m_alpha(infinito, ["1", "3"]))
+        catalog, _assume = corpus.infinito_catalog(infinito, 3)
+        calls = []
+        iso_sum = reps.iso_test_against_sum
+
+        def counted(m, parts):
+            calls.append((m.dim_vector(), [rep.total_dim for rep, _k in parts]))
+            return iso_sum(m, parts)
+
+        monkeypatch.setattr(reps, "iso_test_against_sum", counted)
+        counts, _warn = reps.decompose_against_catalog(omega, catalog)
+        assert dict(counts) == {"M_alpha(2,2)": 1, "S_3": 23}
+        assert calls and all(dv == (0, 2, 7, 0) and 1 not in dims for dv, dims in calls)
 
 
 class TestPdRep:
