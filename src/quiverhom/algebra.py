@@ -341,13 +341,10 @@ class BoundQuiverAlgebra:
         return result
 
     def memo(self, key, build):
-        """The value stored under key, or build() stored there on first use.
-        A None result is returned but not stored: it means undetermined."""
+        """The value stored under key, or build() stored there on first use."""
         value = self._memo.get(key)
         if value is None:
-            value = build()
-            if value is not None:
-                self._memo[key] = value
+            value = self._memo[key] = build()
         return value
 
     @property

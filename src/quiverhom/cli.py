@@ -174,11 +174,8 @@ def cmd_self_injective(args, algebra):
     if algebra.kind == "truncated":
         return {"self_injective": gorenstein.is_self_injective_truncated(algebra),
                 "method": "cycle-graph criterion"}
-    verdict = reps.certified_self_injective(algebra)
-    if verdict is None:
-        raise _CapReached({"self_injective": "undetermined",
-                           "method": "projective/injective matching"})
-    return {"self_injective": verdict, "method": "projective/injective matching"}
+    return {"self_injective": reps.certified_self_injective(algebra),
+            "method": "projective socles"}
 
 
 def cmd_cm_free(args, algebra):
@@ -217,7 +214,7 @@ def cmd_phi(args, algebra):
     if kind == "multiset":
         res = phi(algebra, value)
         return {"module": str(value), **res.to_json(include_lattice=True)}
-    summands = [rep for rep, mult in value if mult]
+    summands = [rep for rep, mult in value if mult and not rep.is_zero()]
     if not summands:
         return {"module": "0", **PhiResult(0, [0], None).to_json()}
     if algebra.is_monomial_like:

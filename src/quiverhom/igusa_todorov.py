@@ -325,7 +325,9 @@ def phi_of_reps(algebra, summands, catalog, assume_infinite_pd=()):
     syzygy summands classify against; assume_infinite_pd: catalog names the caller asserts to have
     infinite projective dimension (echoed in the result's assumptions).
 
-    Closure is decided first.  When the catalog certifies the syzygy
+    Over a self-injective algebra phi is 0, and the rank sequence is the
+    number of distinct non-projective classes among the summands.
+    Elsewhere closure is decided first.  When the catalog certifies the syzygy
     expansion of every class reachable from the summands, those classes span
     a finite lattice, and phi comes from the exact rank procedure of phi()
     on it.  Otherwise the levels are stepped in the free group on catalog
@@ -355,10 +357,6 @@ def phi_of_reps(algebra, summands, catalog, assume_infinite_pd=()):
     (_past_cap)."""
     if algebra.is_monomial_like:
         raise UnsupportedIdeal("use phi() for monomial and truncated algebras")
-    if reps.certified_self_injective(algebra) is True:
-        # the syzygy endomorphism of the stable category is an equivalence
-        return PhiResult(0, [len(summands)], None,
-                         ["self-injective algebra: phi vanishes identically"])
     table = HybridClassTable(algebra, catalog)
     assume = {table.canonical(n) if n in table.rep_by_name else n
               for n in assume_infinite_pd}
@@ -366,6 +364,10 @@ def phi_of_reps(algebra, summands, catalog, assume_infinite_pd=()):
     start = [n for n in start if not table.is_projective(n)]
     if not start:
         return PhiResult(0, [0], None)
+    if reps.certified_self_injective(algebra):
+        # the syzygy endomorphism of the stable category is an equivalence
+        return PhiResult(0, [len(start)], None,
+                         ["self-injective algebra: phi vanishes identically"])
     lattice = _try_close(table, start)
     if lattice is not None:
         value, ranks = _lattice_phi(lattice, [n in start for n in lattice.basis])
@@ -568,7 +570,7 @@ def _corner_phidim_bounds(corner):
     if corner.is_monomial_like:
         b = phidim_bounds(corner)
         return b.lower, b.upper, "path-class lattice bounds"
-    if reps.certified_self_injective(corner) is True:
+    if reps.certified_self_injective(corner):
         return 0, 0, "certified self-injective: phi vanishes identically"
     return None, None, "unknown (no certified bound available)"
 

@@ -904,13 +904,7 @@ def split_simple_summands(m):
         d = m.dims[v]
         rad_rows, rad_pivots = linalg.sparse_rref(
             F, [col for a in quiver.arrows_into(v) for col in cols[a.name]])
-        out = {}  # the rows of the arrows out of v, stacked
-        for a in quiver.arrows_from(v):
-            for j, col in enumerate(cols[a.name]):
-                for i, x in col.items():
-                    out.setdefault((a.name, i), {})[j] = x
-        r, pivots = linalg.sparse_rref(F, list(out.values()))
-        soc = _null_basis(F, r, pivots, d)[2]
+        soc = _socle(m, v)
         rad_set = set(rad_pivots)
         rows, pivots = linalg.sparse_rref(
             F, rad_rows + [{**s, d + t: F.one} for t, s in enumerate(soc)]) \
@@ -952,6 +946,19 @@ def split_simple_summands(m):
     if not cert.verify():
         raise InternalInvariantError("simple-summand split fails to commute")
     return rest, simples, cert
+
+
+def _socle(m, v):
+    """A basis of soc_v m, the common kernel of the arrows out of v, as
+    sparse vectors."""
+    F = m.field
+    out = {}  # the rows of the arrows out of v, stacked
+    for a in m.algebra.quiver.arrows_from(v):
+        for j, col in enumerate(m.columns[a.name]):
+            for i, x in col.items():
+                out.setdefault((a.name, i), {})[j] = x
+    rows, pivots = linalg.sparse_rref(F, list(out.values()))
+    return _null_basis(F, rows, pivots, m.dims[v])[2]
 
 
 def _simple_vertex(rep):
@@ -1071,31 +1078,23 @@ def class_catalog(algebra):
 
 
 def certified_self_injective(algebra):
-    """Exact self-injectivity: match every projective to an injective via
-    certified isomorphisms.  Returns True/False/None (None = undetermined).
-    Only a certified verdict is kept in the algebra's memo."""
-    return algebra.memo("self_injective",
-                        lambda: _match_projectives_to_injectives(algebra))
+    """Exact self-injectivity, a bool: whether every projective P_v is
+    injective.  P_v is injective exactly when its socle is simple, S_w, and
+    dim P_v = dim I_w, the number of basis paths into w: P_v embeds in I_w,
+    the injective envelope of its socle, and equal dimensions make the
+    embedding onto; an indecomposable injective has a simple socle
+    (Auslander-Reiten-Smalo, ch. IV).  No injective is built and no iso
+    test runs.  Memoized on the algebra."""
+    return algebra.memo("self_injective", lambda: _projectives_are_injective(algebra))
 
 
-def _match_projectives_to_injectives(algebra):
+def _projectives_are_injective(algebra):
     verts = algebra.quiver.vertices
-    projs = {v: projective(algebra, v) for v in verts}
-    injs = {v: injective(algebra, v) for v in verts}
-    unmatched = set(verts)
     for v in verts:
-        hit = None
-        undecided = False
-        for w in list(unmatched):
-            r = iso_test(projs[v], injs[w])
-            if r.isomorphic:
-                hit = w
-                break
-            if r.status == "undetermined":
-                undecided = True
-        if hit is None:
-            return None if undecided else False
-        unmatched.discard(hit)
+        p = projective(algebra, v)
+        socle = [w for w in verts for _ in _socle(p, w)]
+        if len(socle) != 1 or p.total_dim != len(algebra.basis_indices_into(socle[0])):
+            return False
     return True
 
 
@@ -1104,9 +1103,10 @@ def pd_rep(m, max_steps=20, max_dim=None):
 
     Exact termination when some syzygy vanishes.  Infinite certificates:
     over monomial/truncated algebras the second syzygy is decomposed into
-    path-module classes and handed to the combinatorial pd; over a certified
-    self-injective algebra any non-projective module has infinite pd; and a
-    certified isomorphism between two distinct trajectory members (equal
+    path-module classes and handed to the combinatorial pd; over a
+    self-injective algebra, decided exactly from the socles of the
+    projectives, any non-projective module has infinite pd; and a certified
+    isomorphism between two distinct trajectory members (equal
     fingerprints) closes a cycle.  Otherwise at_least(max(2, max_steps)):
     steps 1 and 2 always run, and every syzygy built was nonzero.  Or
     at_least(step) when max_dim is given and the step-th syzygy would have
@@ -1133,7 +1133,7 @@ def pd_rep(m, max_steps=20, max_dim=None):
                                    f"({label})")
                 worst = max(worst, value)
             return PdProbe("exact", 2 + worst, "path-class handoff")
-        if step == 3 and certified_self_injective(algebra) is True:
+        if step == 3 and certified_self_injective(algebra):
             # non-projective over a self-injective algebra: syzygies never vanish
             return PdProbe("infinite", INFINITE, "self-injective algebra, module not projective")
         if step > max(2, max_steps):

@@ -14,7 +14,7 @@ from quiverhom.cli import main
 from quiverhom.errors import InternalInvariantError
 from quiverhom.modexpr import evaluate
 
-from helpers import fed_cycles_algebra
+from helpers import ONE_VERTEX_WIDE_SOCLE, fed_cycles_algebra
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +110,39 @@ class TestBasicCommands:
                              "--module", "0*M_alpha(1,2) + M_beta(1,2)")
         assert code == 0
         assert doc["result"]["module"] == "M_beta(1,2)"
+
+    @pytest.mark.parametrize("algebra, module, result", [
+        ("infinito", "rep{1:0}", {"module": "0", "phi": 0, "rank_sequence": [0]}),
+        ("finito", "rep{1:0}", {"module": "0", "phi": 0, "rank_sequence": [0]}),
+        ("infinito", "simple(1)+rep{1:0}",
+         {"module": "S_1", "phi": 0, "rank_sequence": [1, 1],
+          "assumptions": ["assumed infinite pd: ['S_1']"]}),
+    ])
+    def test_phi_drops_zero_dimensional_summands(self, capsys, algebra, module, result):
+        code, doc = run_json(capsys, "phi", "--algebra", f"corpus:{algebra}",
+                             "--module", module)
+        assert code == 0
+        assert doc["result"] == result
+
+    @pytest.mark.parametrize("module, ranks", [
+        ("proj(1)", [0]),
+        ("simple(1)+simple(1)", [1]),
+        ("simple(1)+simple(2)", [2]),
+        ("simple(1)+proj(1)", [1]),
+    ])
+    def test_phi_over_a_self_injective_algebra_ranks_the_nonprojective_classes(
+            self, capsys, module, ranks):
+        code, doc = run_json(capsys, "phi", "--algebra", "corpus:sec3_example",
+                             "--module", module)
+        assert code == 0
+        assert (doc["result"]["phi"], doc["result"]["rank_sequence"]) == (0, ranks)
+
+    def test_self_injective_decides_a_non_simple_projective_socle(self, capsys, tmp_path):
+        alg = tmp_path / "wide_socle.alg"
+        alg.write_text(ONE_VERTEX_WIDE_SOCLE)
+        code, doc = run_json(capsys, "self-injective", "--algebra", str(alg))
+        assert code == 0
+        assert doc["result"] == {"self_injective": False, "method": "projective socles"}
 
     def test_phidim_bounds(self, capsys):
         code, doc = run_json(capsys, "phidim-bounds", "--algebra", "corpus:c3_k2")

@@ -1,6 +1,6 @@
 """The per-algebra memo: the algebra keeps every derived value in one table,
-the readers hand out fresh lists, only certified self-injectivity is kept,
-and the shared counterexample search answers as it did before the merge."""
+the readers hand out fresh lists, self-injectivity is decided with no iso
+test, and the shared counterexample search answers as it did before the merge."""
 
 import hashlib
 import json
@@ -63,14 +63,17 @@ def test_readers_return_fresh_lists(name):
         assert read() == second and None not in second
 
 
-def test_uncertified_self_injectivity_is_not_kept(monkeypatch):
-    A = corpus.algebra("sec3_example")
+@pytest.mark.parametrize("name, verdict", [
+    ("sec3_example", True), ("finito", False), ("infinito", False)])
+def test_self_injectivity_makes_no_iso_test(monkeypatch, name, verdict):
+    def refuse(*args):
+        raise AssertionError("iso_test called")
+
+    monkeypatch.setattr(reps, "iso_test", refuse)
     monkeypatch.setattr(reps, "TRIALS", 0)
-    assert reps.certified_self_injective(A) is None
-    monkeypatch.undo()
-    assert reps.certified_self_injective(A) is True
-    monkeypatch.setattr(reps, "TRIALS", 0)
-    assert reps.certified_self_injective(A) is True  # certified, kept
+    A = corpus.algebra(name)
+    assert reps.certified_self_injective(A) is verdict
+    assert reps.certified_self_injective(A) is verdict
 
 
 def search_json(A):

@@ -4,10 +4,11 @@ import hashlib
 import time
 import weakref
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
-from quiverhom import corpus, linalg, reps
+from quiverhom import corpus, gorenstein, linalg, reps
 from quiverhom.algebra import TruncatedIdeal, build_algebra
 from quiverhom.algfile import parse_algebra_text
 from quiverhom.errors import (
@@ -20,6 +21,7 @@ from quiverhom.pathmodules import calculus
 from quiverhom.quiver import Quiver
 
 from helpers import (
+    ONE_VERTEX_WIDE_SOCLE,
     class_rep_oracle,
     cover_rep,
     dense,
@@ -30,6 +32,7 @@ from helpers import (
     dense_is_vertexwise_invertible,
     dense_verify,
     decompose_oracle,
+    exhaustive_truncated_family,
     injective_oracle,
     mat_vec,
     presentation_oracle,
@@ -37,6 +40,7 @@ from helpers import (
     random_monomial_algebra,
     random_nonzero_path,
     seeded,
+    self_injective_by_matching,
     simple_multiplicity_oracle,
 )
 
@@ -653,6 +657,54 @@ class TestSelfInjectivity:
     def test_truncated_cycle_certified(self):
         A = truncated_cycle(3, 2)
         assert reps.certified_self_injective(A) is True
+
+    @staticmethod
+    def check_against_matching(algebras):
+        """The socle criterion is a bool on every algebra and agrees with the
+        sampled projective/injective matching wherever that is certified;
+        returns how many were certified."""
+        certified = 0
+        for A in algebras:
+            verdict = reps.certified_self_injective(A)
+            assert isinstance(verdict, bool)
+            oracle = self_injective_by_matching(A)
+            if oracle is not None:
+                assert verdict == oracle, A
+                certified += 1
+        return certified
+
+    def test_corpus_matches_the_matching(self):
+        algebras = [corpus.algebra(name[:-4]) for name in corpus.FILES]
+        assert len(algebras) == 12
+        assert self.check_against_matching(algebras) == 12
+        for A in algebras:
+            if A.kind == "truncated":
+                assert reps.certified_self_injective(A) == \
+                    gorenstein.is_self_injective_truncated(A)
+
+    @pytest.mark.parametrize("name", ["finito", "sec3_example"])
+    @pytest.mark.parametrize("p", [3, 7, 31])
+    def test_prime_field_variants_match_the_matching(self, name, p):
+        text = corpus.FILES[f"{name}.alg"].replace("field: Q", f"field: Fp {p}")
+        assert self.check_against_matching([parse_algebra_text(text)]) == 1
+
+    def test_seeded_monomial_algebras_match_the_matching(self):
+        algebras = [random_monomial_algebra(seeded(seed + 15000)) for seed in range(60)]
+        assert self.check_against_matching(algebras) == 60
+        assert sum(reps.certified_self_injective(A) for A in algebras) == 9
+
+    def test_truncated_family_matches_the_cycle_graph_criterion(self):
+        algebras = list(islice(exhaustive_truncated_family(max_vertices=3), 0, None, 7))
+        for A in algebras:
+            assert reps.certified_self_injective(A) == \
+                gorenstein.is_self_injective_truncated(A), A
+        assert self.check_against_matching(algebras) == len(algebras) == 217
+
+    def test_non_simple_socle_is_decided_where_the_matching_is_not(self):
+        A = parse_algebra_text(ONE_VERTEX_WIDE_SOCLE)
+        assert len(reps._socle(reps.projective(A, "1"), "1")) == 3
+        assert reps.certified_self_injective(A) is False
+        assert self_injective_by_matching(A) is None
 
 
 def _trajectory(rep, steps):
