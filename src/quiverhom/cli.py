@@ -52,7 +52,7 @@ def load_algebra(spec):
 def _module_arg(args, algebra, context="auto"):
     if not args.module:
         raise QuiverHomError("this command needs --module EXPR")
-    return evaluate(args.module, algebra, context=context, generators=corpus.GENERATORS)
+    return evaluate(args.module, algebra, context=context)
 
 
 def _multiset_arg(args, algebra):
@@ -226,18 +226,22 @@ def cmd_phi(args, algebra):
 
 
 def _auto_catalog(algebra, summands):
-    """The shipped catalog for the doubled-cycle corpus algebra; elsewhere the
-    caller must stay within self-injective or closing cases."""
+    """The phi catalog and its assumed infinite-pd names.  The base is the
+    shipped catalog on the doubled-cycle corpus algebra, its simples assumed,
+    and elsewhere the simples with no assumption.  The summands follow, so
+    each of them classifies; a summand whose name is taken gets it primed."""
     if corpus._infinito_signature(algebra):
         n_max = max(1, *((max(r.dims.values()) - 1) // 3 + 1 for r in summands))
-        return corpus.infinito_catalog(algebra, n_max)
-    catalog = [(f"S_{v}", reps.simple(algebra, v)) for v in algebra.quiver.vertices]
+        catalog, assume = corpus.infinito_catalog(algebra, n_max)
+    else:
+        catalog = [(f"S_{v}", reps.simple(algebra, v)) for v in algebra.quiver.vertices]
+        assume = []
     for i, r in enumerate(summands):
         name = r.name or f"summand{i}"
         while name in dict(catalog):  # two literals share a name
             name += "'"
         catalog.append((name, r))
-    return catalog, []
+    return catalog, assume
 
 
 def cmd_phidim_subcat(args, algebra):
@@ -261,8 +265,8 @@ def cmd_triangular(args, algebra):
         gamma, gamma_bar = parse_split_text(fh.read())
     pairs = []
     for expr_a, expr_b in args.witness_pair or ():
-        _k, va = evaluate(expr_a, algebra, context="rep", generators=corpus.GENERATORS)
-        _k, vb = evaluate(expr_b, algebra, context="rep", generators=corpus.GENERATORS)
+        _k, va = evaluate(expr_a, algebra, context="rep")
+        _k, vb = evaluate(expr_b, algebra, context="rep")
         pairs.append((va[0][0], vb[0][0]))
     report = triangular_check(algebra, gamma, gamma_bar, witness_pairs=pairs)
     return report.to_json()

@@ -11,8 +11,9 @@ decomposition, so the returned value is exactly the defining minimum.
 For algebras presented by linear relations, an explicit-module hybrid
 classifies concrete syzygies against a user-supplied catalog of
 indecomposables.  When the catalog closes the bundle it applies the same rank
-procedure; otherwise sound per-level rules, documented on phi_of_reps, decide
-the ranks.
+procedure; otherwise, when a catalog class is assumed to have infinite
+projective dimension, sound per-level rules, documented on phi_of_reps,
+decide the ranks.
 """
 
 from . import linalg, reps
@@ -67,16 +68,30 @@ def build_lattice(algebra, seed_classes):
     if not algebra.is_monomial_like:
         raise UnsupportedIdeal("the class lattice needs a monomial or truncated ideal")
     calc = calculus(algebra)
-    basis = sorted((c for c in calc.closure(seed_classes).values() if not c.projective),
-                   key=lambda c: c.sort_key)
-    index = {c.sort_key: i for i, c in enumerate(basis)}
-    d = len(basis)
-    matrix = [[0] * d for _ in range(d)]
-    for j, c in enumerate(basis):
-        for child, mult in calc.syzygy_class(c).counts.items():
-            if child.projective:
-                continue
-            matrix[index[child.sort_key]][j] += mult
+    return _closure_lattice(
+        algebra, [c for c in seed_classes if not c.projective],
+        lambda c: {x: m for x, m in calc.syzygy_class(c).counts.items() if not x.projective},
+        key=lambda c: c.sort_key)
+
+
+def _closure_lattice(algebra, seeds, expand, key=None):
+    """The K0Lattice on the closure of seeds under expand, which maps an
+    element to its non-projective syzygy summands as {child: multiplicity};
+    the basis is sorted by key.  The seeds are expanded depth first, in
+    order from the last; an exception from expand propagates."""
+    sigma = {}
+    todo = list(seeds)
+    while todo:
+        x = todo.pop()
+        if x not in sigma:
+            sigma[x] = expand(x)
+            todo.extend(sigma[x])
+    basis = sorted(sigma, key=key)
+    index = {x: i for i, x in enumerate(basis)}
+    matrix = [[0] * len(basis) for _ in basis]
+    for j, x in enumerate(basis):
+        for child, mult in sigma[x].items():
+            matrix[index[child]][j] += mult
     return K0Lattice(algebra, basis, matrix)
 
 
@@ -263,11 +278,6 @@ class HybridClassTable:
                         entry)
         return self._canonical[name]
 
-    def class_count(self):
-        """The number of classes among the catalog entries (settles every
-        entry)."""
-        return sum(self.canonical(n) == n for n in self.names)
-
     def _unaliased(self):
         """The entries not yet known to be aliases, in catalog order."""
         return [n for n in self.names if self._canonical.get(n, n) == n]
@@ -288,8 +298,8 @@ class HybridClassTable:
         return self.projective[name]
 
     def syzygy_expansion(self, name):
-        """Counter over canonical names (projectives dropped); NoDecomposition
-        when the catalog cannot certify the syzygy."""
+        """Counter over canonical names (projectives dropped); NoDecomposition,
+        naming the class, when the catalog cannot certify the syzygy."""
         if name not in self.sigma:
             try:
                 counts, _warn = reps.decompose_against_catalog(
@@ -297,15 +307,15 @@ class HybridClassTable:
                     [(n, self.rep_by_name[n]) for n in self._unaliased()])
             except NoDecomposition:
                 self.sigma[name] = None
-                raise
-            out = {}
-            for n, mult in counts.items():
-                canon = self.canonical(n)
-                if not self.is_projective(canon):
-                    out[canon] = out.get(canon, 0) + mult
-            self.sigma[name] = out
+            else:
+                out = {}
+                for n, mult in counts.items():
+                    canon = self.canonical(n)
+                    if not self.is_projective(canon):
+                        out[canon] = out.get(canon, 0) + mult
+                self.sigma[name] = out
         if self.sigma[name] is None:
-            raise NoDecomposition(f"syzygy of {name} has no certified catalog decomposition")
+            raise NoDecomposition(f"the catalog certifies no decomposition of the syzygy of {name}")
         return self.sigma[name]
 
 
@@ -322,23 +332,26 @@ def phi_of_reps(algebra, summands, catalog, assume_infinite_pd=()):
 
     summands: the distinct indecomposable summands as Representations;
     catalog: (name, Representation) entries, the names distinct, that the
-    syzygy summands classify against; assume_infinite_pd: catalog names the caller asserts to have
-    infinite projective dimension (echoed in the result's assumptions).
+    summands and their syzygy summands classify against; assume_infinite_pd:
+    catalog names the caller asserts to have infinite projective dimension
+    (echoed in the result's assumptions; other names are ignored).
 
     Over a self-injective algebra phi is 0, and the rank sequence is the
     number of distinct non-projective classes among the summands.
     Elsewhere closure is decided first.  When the catalog certifies the syzygy
     expansion of every class reachable from the summands, those classes span
     a finite lattice, and phi comes from the exact rank procedure of phi()
-    on it.  Otherwise the levels are stepped in the free group on catalog
-    classes with delayed expansion: a class whose syzygy the catalog cannot
-    certify survives as an opaque symbol (class, shift) meaning "shift-th
-    syzygy class of it".  Vectors are nonnegative, so nothing cancels and
-    such a class stays reachable or opaque at every later level: no later
-    level could close.  Each level's rank is recorded only when one of these
+    on it.  Otherwise some start class reaches, at some level l, a class F
+    whose syzygy the catalog cannot certify.  From level l + 1 on, that
+    start's vector carries F as an opaque symbol (F, shift), meaning
+    "shift-th syzygy class of F", with a positive coefficient.  Vectors are
+    nonnegative, so it never cancels: no later level closes or is all zero,
+    and only an assumed infinite-pd class can end the rank sequence.  So
+    without one this raises Indeterminate at once, naming F.  With one the
+    levels are stepped in the free group on catalog classes with delayed
+    expansion, and each level's rank is recorded only when one of these
     sound rules certifies it:
 
-      * all vectors formally zero: rank 0 forever;
       * no opaque symbols in the current vectors: the formal rank is the
         true rank (every coordinate is a certified class);
       * all vectors formally identical and nonnegative: rank 1 while the
@@ -353,13 +366,11 @@ def phi_of_reps(algebra, summands, catalog, assume_infinite_pd=()):
         coordinate on some head.
 
     Anything else raises Indeterminate rather than guessing, and so does a
-    rank sequence still open past the one level cap, which the catalog sets
-    (_past_cap)."""
+    rank sequence still open past 4 levels per catalog entry plus 16."""
     if algebra.is_monomial_like:
         raise UnsupportedIdeal("use phi() for monomial and truncated algebras")
     table = HybridClassTable(algebra, catalog)
-    assume = {table.canonical(n) if n in table.rep_by_name else n
-              for n in assume_infinite_pd}
+    assume = {table.canonical(n) for n in assume_infinite_pd if n in table.rep_by_name}
     start = sorted({table.identify(rep) for rep in summands})
     start = [n for n in start if not table.is_projective(n)]
     if not start:
@@ -368,15 +379,21 @@ def phi_of_reps(algebra, summands, catalog, assume_infinite_pd=()):
         # the syzygy endomorphism of the stable category is an equivalence
         return PhiResult(0, [len(start)], None,
                          ["self-injective algebra: phi vanishes identically"])
-    lattice = _try_close(table, start)
-    if lattice is not None:
+    try:
+        lattice = _try_close(table, start)
+    except NoDecomposition as exc:
+        if not assume:
+            raise Indeterminate(
+                f"{exc.message}, and no catalog class is assumed to have infinite pd"
+            ) from None
+    else:
         value, ranks = _lattice_phi(lattice, [n in start for n in lattice.basis])
         return PhiResult(value, ranks, None)
     vectors = [{n: 1} for n in start]
     ranks = []
     assumptions = []
-    level = 0
-    while not _past_cap(table, level):
+    cap = 4 * len(table.names) + 16
+    for level in range(cap + 1):
         verdict = _certified_rank(vectors, assume)
         if verdict is None:
             raise Indeterminate(
@@ -389,34 +406,18 @@ def phi_of_reps(algebra, summands, catalog, assume_infinite_pd=()):
         if stable:
             return PhiResult(_stable_level(ranks), ranks, None, sorted(set(assumptions)))
         vectors = [_apply_sigma(table, v) for v in vectors]
-        level += 1
-    raise Indeterminate(f"phi rank sequence open after {level - 1} levels")
-
-
-def _past_cap(table, level):
-    """Whether level lies past 4 levels per catalog class plus 16, the one
-    level cap of phi_of_reps.  Counting the classes settles every entry, so
-    it waits until level is past that bound for the distinct dimension
-    vectors, which are at most as many."""
-    dim_vectors = len({rep.dim_vector() for rep in table.rep_by_name.values()})
-    return level > 4 * dim_vectors + 16 and level > 4 * table.class_count() + 16
-
-
-def _is_opaque_free(vector):
-    return all(isinstance(k, str) for k in vector)
+    raise Indeterminate(f"phi rank sequence open after {cap} levels")
 
 
 def _certified_rank(vectors, assume):
     """(rank, stable_from_here, assumption_note), or None when no rule of
     phi_of_reps certifies the rank of the vectors."""
+    if all(isinstance(k, str) for v in vectors for k in v):
+        return _vector_rank(vectors), False, None
     distinct = []
     for v in vectors:
         if v and v not in distinct:
             distinct.append(v)
-    if not distinct:
-        return 0, True, None
-    if all(_is_opaque_free(v) for v in vectors):
-        return _vector_rank(vectors), False, None
     if any(x < 0 for v in distinct for x in v.values()):
         return None
     if len(distinct) == 1:
@@ -464,25 +465,9 @@ def _apply_sigma(table, vector):
 
 def _try_close(table, names):
     """The lattice on the classes reachable from names under syzygy
-    expansion, or None when the catalog cannot certify some expansion."""
-    todo = list(names)
-    sigma = {}
-    while todo:
-        name = todo.pop()
-        if name in sigma:
-            continue
-        try:
-            sigma[name] = table.syzygy_expansion(name)
-        except NoDecomposition:
-            return None
-        todo.extend(n for n in sigma[name] if n not in sigma)
-    closed = sorted(sigma)
-    idx = {n: i for i, n in enumerate(closed)}
-    matrix = [[0] * len(closed) for _ in closed]
-    for j, name in enumerate(closed):
-        for child, m in sigma[name].items():
-            matrix[idx[child]][j] += m
-    return K0Lattice(table.algebra, closed, matrix)
+    expansion; NoDecomposition, naming the class, when the catalog cannot
+    certify some expansion."""
+    return _closure_lattice(table.algebra, names, table.syzygy_expansion)
 
 
 # -- certified merge lower bounds ---------------------------------------------

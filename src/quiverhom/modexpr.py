@@ -22,7 +22,7 @@ picks multiset when the algebra supports it and no rep-only atom occurs.
 
 import re
 
-from . import reps
+from . import corpus, reps
 from .algfile import MAX_MODULE_DIM
 from .errors import ParseError, UnsupportedIdeal
 from .fields import rational
@@ -131,25 +131,25 @@ def _parse_atom(toks):
 REP_ONLY = {"proj", "inj", "rep"}
 
 
-def _uses_rep_atom(node, generators):
+def _uses_rep_atom(node):
     kind = node[0]
     if kind == "sum":
-        return any(_uses_rep_atom(t, generators) for t in node[1])
+        return any(_uses_rep_atom(t) for t in node[1])
     if kind == "scale":
-        return _uses_rep_atom(node[2], generators)
+        return _uses_rep_atom(node[2])
     if kind == "rep":
         return True
     name = node[1]
-    return name in REP_ONLY or name in generators
+    return name in REP_ONLY or name in corpus.GENERATORS
 
 
-def evaluate(text, algebra, context="auto", generators=None):
+def evaluate(text, algebra, context="auto"):
     """Evaluate an expression; returns ('multiset', ModuleMultiset) or
-    ('rep', list of (Representation, multiplicity))."""
-    generators = generators or {}
+    ('rep', list of (Representation, multiplicity)).  A call atom other
+    than the built-in ones names a corpus generator (corpus.GENERATORS)."""
     ast = parse_expression(text)
     if context == "auto":
-        if _uses_rep_atom(ast, generators) or not algebra.is_monomial_like:
+        if _uses_rep_atom(ast) or not algebra.is_monomial_like:
             context = "rep"
         else:
             context = "multiset"
@@ -159,7 +159,7 @@ def evaluate(text, algebra, context="auto", generators=None):
                 "formal path-module expressions need a monomial or truncated ideal"
             )
         return "multiset", _eval_multiset(ast, algebra)
-    return "rep", _eval_rep(ast, algebra, generators)
+    return "rep", _eval_rep(ast, algebra)
 
 
 def _eval_multiset(node, algebra):
@@ -216,17 +216,17 @@ def _capped(value):
     return value
 
 
-def _eval_rep(node, algebra, generators):
+def _eval_rep(node, algebra):
     kind = node[0]
     # each term is capped as soon as it exists, so a sum stops at the first
     # term that overflows; atoms check their declared size before allocating
     if kind == "sum":
         out = []
         for t in node[1]:
-            out = _capped(out + _eval_rep(t, algebra, generators))
+            out = _capped(out + _eval_rep(t, algebra))
         return out
     if kind == "scale":
-        inner = _eval_rep(node[2], algebra, generators)
+        inner = _eval_rep(node[2], algebra)
         return _capped([(rep, mult * node[1]) for rep, mult in inner])
     if kind == "rep":
         return [(_parse_rep_literal(node[1], algebra), 1)]
@@ -242,8 +242,8 @@ def _eval_rep(node, algebra, generators):
     if name == "path":
         calc = calculus(algebra)
         return [(reps.rep_of_class(calc.class_of(algebra.path(arg))), 1)]
-    if name in generators:
-        return [(generators[name](algebra, args), 1)]
+    if name in corpus.GENERATORS:
+        return [(corpus.GENERATORS[name](algebra, args), 1)]
     raise ParseError(f"unknown module atom {name!r}")
 
 

@@ -45,15 +45,14 @@ class PathModuleClass:
     Holds its algebra through a weak reference, so the algebra's memo can
     keep classes without a reference cycle."""
 
-    __slots__ = ("_algebra", "quiver", "vertex", "continuations", "representative",
-                 "label", "projective", "dim_vector", "sort_key", "_targets", "_hash")
+    __slots__ = ("_algebra", "quiver", "vertex", "continuations", "label", "projective",
+                 "dim_vector", "sort_key", "_targets", "_hash")
 
-    def __init__(self, algebra, vertex, continuations, representative, all_from_v):
+    def __init__(self, algebra, vertex, continuations, all_from_v):
         self._algebra = weakref.ref(algebra)
         self.quiver = quiver = algebra.quiver
         self.vertex = vertex
         self.continuations = continuations
-        self.representative = representative
         self.projective = continuations == all_from_v
         targets = {}
         for arrows in continuations:
@@ -190,7 +189,7 @@ class PathModuleCalculus:
         cls = self._classes.get(key)
         if cls is None:
             cls = PathModuleClass(
-                self.algebra, vertex, continuations, None, self._all_from[vertex]
+                self.algebra, vertex, continuations, self._all_from[vertex]
             )
             self._classes[key] = cls
         return cls
@@ -206,10 +205,7 @@ class PathModuleCalculus:
             for arrows in self._all_from[v]
             if not A.tuple_is_zero(p.arrows + arrows)
         )
-        cls = self._intern(v, conts)
-        if cls.representative is None:
-            cls.representative = p
-        return cls
+        return self._intern(v, conts)
 
     def simple_class(self, v):
         return self._intern(v, frozenset({()}))

@@ -1021,24 +1021,32 @@ def decompose_against_catalog(m, catalog):
     return Counter({name: found[name] for name, _rep in entries if name in found}), []
 
 
-def _candidates(entries, idx, remaining):
+def _candidates(entries, idx, remaining, dead=None):
     """The multisets over entries[idx:] whose (dimension + top) vectors sum
     to remaining, as lists of (index, count) with count > 0, highest counts
-    first.  A module-level generator, so that no closure ties the catalog
-    into a reference cycle."""
+    first.  dead holds the (idx, remaining) states whose subtree yielded
+    nothing, shared down the recursion, so no such subtree is walked twice.
+    A module-level generator taking dead as an argument, so that no closure
+    ties the catalog into a reference cycle."""
     # top vectors are nonnegative, so a count that overshoots a top
     # coordinate cuts only multisets that could not match m's top
     if not any(remaining):
         yield []
         return
-    if idx == len(entries):
+    if dead is None:
+        dead = set()
+    if idx == len(entries) or (idx, remaining) in dead:
         return
     vec = entries[idx][2]
     most = min(r // d for r, d in zip(remaining, vec) if d)
+    found = False
     for count in range(most, -1, -1):
         rest = tuple(r - count * d for r, d in zip(remaining, vec))
-        for tail in _candidates(entries, idx + 1, rest):
+        for tail in _candidates(entries, idx + 1, rest, dead):
+            found = True
             yield [(idx, count)] + tail if count else tail
+    if not found:
+        dead.add((idx, remaining))
 
 
 # -- projective dimension probing ---------------------------------------------

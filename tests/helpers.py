@@ -605,6 +605,23 @@ def dense_is_vertexwise_invertible(hom):
                for v in hom.source.algebra.quiver.vertices)
 
 
+def candidates_oracle(entries, idx, remaining):
+    """The walk of `reps._candidates` with nothing remembered: every subtree
+    is walked, a failing one as often as it is reached.  The oracle for its
+    pruning."""
+    if not any(remaining):
+        yield []
+        return
+    if idx == len(entries):
+        return
+    vec = entries[idx][2]
+    most = min(r // d for r, d in zip(remaining, vec) if d)
+    for count in range(most, -1, -1):
+        rest = tuple(r - count * d for r, d in zip(remaining, vec))
+        for tail in candidates_oracle(entries, idx + 1, rest):
+            yield [(idx, count)] + tail if count else tail
+
+
 def decompose_oracle(m, catalog):
     """The whole-multiset catalog search, with no simple summand peeled off:
     every multiset over the catalog whose dimension and top vectors sum to
@@ -616,7 +633,7 @@ def decompose_oracle(m, catalog):
     entries = sorted(((name, rep, rep.dim_vector() + reps.top_dim_vector(rep))
                       for name, rep in catalog if not rep.is_zero()),
                      key=lambda e: (-e[1].total_dim, e[0]))
-    for cand in reps._candidates(entries, 0, m.dim_vector() + reps.top_dim_vector(m)):
+    for cand in candidates_oracle(entries, 0, m.dim_vector() + reps.top_dim_vector(m)):
         verdict, _nsum = reps.iso_test_against_sum(
             m, [(entries[idx][1], count) for idx, count in cand])
         if verdict.isomorphic:

@@ -161,10 +161,8 @@ def test_criterion_3_infinito_regression(infinito):
 
 
 def test_criterion_4_finito_regression(finito):
-    _k, va = evaluate(corpus.FINITO_WITNESS_A, finito, context="rep",
-                      generators=corpus.GENERATORS)
-    _k, vb = evaluate(corpus.FINITO_WITNESS_B, finito, context="rep",
-                      generators=corpus.GENERATORS)
+    _k, va = evaluate(corpus.FINITO_WITNESS_A, finito, context="rep")
+    _k, vb = evaluate(corpus.FINITO_WITNESS_B, finito, context="rep")
     data = triangular_check(finito, ["3"], ["1", "2"],
                             witness_pairs=[(va[0][0], vb[0][0])]).to_json()
     assert data["hypotheses"] == "pass"

@@ -182,12 +182,40 @@ class TestExitCodes:
         assert code == 2
 
     def test_phi_without_a_sound_rank_rule_is_two(self, capsys):
-        # the simples of finito do not decompose the syzygies of S_1, and at
-        # level 1 no rank rule applies to the opaque symbols left
+        # the simples of finito do not decompose the syzygy of S_1, and no
+        # class is assumed to have infinite pd, so no rank rule could end the
+        # sequence: it stops at once, naming S_1
         code, out, err = run(capsys, "phi", "--algebra", "corpus:finito",
                              "--module", "simple(1)")
         assert code == 2
-        assert "no sound rank rule applies at syzygy level 1" in err
+        assert ("the catalog certifies no decomposition of the syzygy of S_1, "
+                "and no catalog class is assumed to have infinite pd") in err
+
+    def test_phi_over_infinito_catalogs_the_summands(self, capsys):
+        # P_1 lies outside the shipped catalog; as a summand it joins it,
+        # classifies as projective and drops out of the bundle
+        code, with_p = run_json(capsys, "phi", "--algebra", "corpus:infinito",
+                                "--module", "proj(1)+M_alpha(1,2)")
+        assert code == 0
+        code, alone = run_json(capsys, "phi", "--algebra", "corpus:infinito",
+                               "--module", "M_alpha(1,2)")
+        assert code == 0
+        assert with_p["result"]["phi"] == alone["result"]["phi"] == 0
+        assert with_p["result"]["rank_sequence"] == alone["result"]["rank_sequence"] == [1, 1, 1]
+        infinito = corpus.algebra("infinito")
+        summands = [evaluate(m, infinito, context="rep")[1][0][0]
+                    for m in ("proj(1)", "M_alpha(1,2)")]
+        catalog, assume = cli._auto_catalog(infinito, summands)
+        assert [name for name, _rep in catalog[-2:]] == ["P_1", "M_alpha(1,2)'"]
+        assert assume == ["S_1", "S_2", "S_3", "S_4"]
+
+    @pytest.mark.parametrize("module", ["inj(1)", "inj(2)+M_beta(3,1)"])
+    def test_phi_of_an_injective_over_infinito_is_two(self, capsys, module):
+        # the injectives lie outside the shipped catalog: once a summand
+        # classifies, the answer is a cap, not a user error
+        code, out, err = run(capsys, "phi", "--algebra", "corpus:infinito",
+                             "--module", module)
+        assert code == 2 and "INDETERMINATE" in err
 
     def test_phi_of_modules_over_a_monomial_algebra_names_the_class_atoms(self, capsys):
         code, out, err = run(capsys, "phi", "--algebra", "corpus:sec4_example",
@@ -205,8 +233,7 @@ class TestExitCodes:
                              "--module", " + ".join(literals))
         assert code == 2 and "INDETERMINATE" in err
         algebra = corpus.algebra("finito")
-        summands = [evaluate(m, algebra, context="rep",
-                             generators=corpus.GENERATORS)[1][0][0] for m in literals]
+        summands = [evaluate(m, algebra, context="rep")[1][0][0] for m in literals]
         names = [name for name, _rep in cli._auto_catalog(algebra, summands)[0]]
         assert names == ["S_1", "S_2", "S_3", "rep-literal", "rep-literal'"]
 

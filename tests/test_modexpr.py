@@ -82,16 +82,15 @@ class TestRepContext:
             evaluate("rep{ 1:1 2:1 ; a1 = [[1, 2]] }", sec3)
 
     def test_generators(self, sec3, infinito):
-        kind, parts = evaluate("M_param(2)", sec3, generators=corpus.GENERATORS)
+        kind, parts = evaluate("M_param(2)", sec3)
         assert parts[0][0].dim_vector() == (1, 1)
-        kind, parts = evaluate("M_alpha(1,2) + M_beta(1,2)", infinito,
-                               generators=corpus.GENERATORS)
+        kind, parts = evaluate("M_alpha(1,2) + M_beta(1,2)", infinito)
         assert parts[0][0].dim_vector() == (2, 7, 0, 0)
         assert parts[1][0].dim_vector() == (2, 7, 0, 0)
 
     def test_generator_on_wrong_algebra(self, sec4):
         with pytest.raises(ParseError):
-            evaluate("M_alpha(1,2)", sec4, generators=corpus.GENERATORS)
+            evaluate("M_alpha(1,2)", sec4)
 
     def test_unknown_atom(self, sec4):
         with pytest.raises(ParseError):
@@ -167,7 +166,7 @@ def expressions(draw):
 def test_malformed_expressions_raise_user_errors(case):
     algebra, text = case
     try:
-        evaluate(text, algebra, generators=corpus.GENERATORS)
+        evaluate(text, algebra)
     except InternalInvariantError:
         raise
     except QuiverHomError:

@@ -31,6 +31,7 @@ from helpers import (
     dense_hom_space,
     dense_is_vertexwise_invertible,
     dense_verify,
+    candidates_oracle,
     decompose_oracle,
     exhaustive_truncated_family,
     injective_oracle,
@@ -512,6 +513,43 @@ class TestSimplePeel:
         monkeypatch.setattr(reps.ModuleHom, "verify", lambda self: False)
         with pytest.raises(InternalInvariantError):
             reps.split_simple_summands(m)
+
+
+def test_candidate_walk_matches_the_unpruned_oracle():
+    # the pruned walk yields the same multisets in the same order; small
+    # vectors over few coordinates make many failing subtrees recur
+    rng = seeded(31)
+    walked = 0
+    for _ in range(400):
+        width = rng.randint(1, 4)
+        entries = []
+        for _ in range(rng.randint(1, 7)):
+            vec = [rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(width)]
+            vec[rng.randrange(width)] = rng.randint(1, 3)
+            entries.append((None, None, tuple(vec)))
+        remaining = tuple(rng.randint(0, 8) for _ in range(width))
+        want = list(candidates_oracle(entries, 0, remaining))
+        assert list(reps._candidates(entries, 0, remaining)) == want, (entries, remaining)
+        walked += len(want)
+    assert walked
+
+
+def test_candidate_walk_skips_failing_subtrees(monkeypatch):
+    # the odd second coordinate is out of reach; the state (2, (0, 3)) is
+    # reached from counts 3, 2, 1 and 0 of the first entry, and only the
+    # first reach walks its subtree, which holds (3, (0, 1))
+    entries = [(None, None, vec) for vec in ((2, 0), (1, 0), (0, 2), (0, 2))]
+    walks = []
+    walk = reps._candidates
+
+    def counted(*args):
+        walks.append(args[1:3])
+        return walk(*args)
+
+    monkeypatch.setattr(reps, "_candidates", counted)
+    assert list(reps._candidates(entries, 0, (6, 3))) == []
+    assert walks.count((2, (0, 3))) == 4
+    assert walks.count((3, (0, 1))) == 1
 
 
 class TestPeeledDecomposition:
