@@ -30,7 +30,7 @@ from .igusa_todorov import (
     phidim_subcat,
     triangular_check,
 )
-from .modexpr import evaluate
+from .modexpr import LITERAL_NAME, evaluate
 from .pathmodules import calculus, pd_value_json
 from .quiver import analyze
 
@@ -229,7 +229,10 @@ def _auto_catalog(algebra, summands):
     """The phi catalog and its assumed infinite-pd names.  The base is the
     shipped catalog on the doubled-cycle corpus algebra, its simples assumed,
     and elsewhere the simples with no assumption.  The summands follow, so
-    each of them classifies; a summand whose name is taken gets it primed."""
+    each of them classifies; a summand whose name is taken gets it primed.
+    But an entry must be indecomposable, and a rep literal may be a direct
+    sum: it follows only when reps.certified_indecomposable certifies it,
+    and else it classifies against the base or not at all."""
     if corpus._infinito_signature(algebra):
         n_max = max(1, *((max(r.dims.values()) - 1) // 3 + 1 for r in summands))
         catalog, assume = corpus.infinito_catalog(algebra, n_max)
@@ -237,6 +240,8 @@ def _auto_catalog(algebra, summands):
         catalog = [(f"S_{v}", reps.simple(algebra, v)) for v in algebra.quiver.vertices]
         assume = []
     for i, r in enumerate(summands):
+        if r.name == LITERAL_NAME and not reps.certified_indecomposable(r):
+            continue
         name = r.name or f"summand{i}"
         while name in dict(catalog):  # two literals share a name
             name += "'"

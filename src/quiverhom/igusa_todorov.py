@@ -16,6 +16,8 @@ projective dimension, sound per-level rules, documented on phi_of_reps,
 decide the ranks.
 """
 
+from operator import attrgetter
+
 from . import linalg, reps
 from .errors import (
     HypothesisViolated,
@@ -68,30 +70,23 @@ def build_lattice(algebra, seed_classes):
     if not algebra.is_monomial_like:
         raise UnsupportedIdeal("the class lattice needs a monomial or truncated ideal")
     calc = calculus(algebra)
-    return _closure_lattice(
-        algebra, [c for c in seed_classes if not c.projective],
-        lambda c: {x: m for x, m in calc.syzygy_class(c).counts.items() if not x.projective},
-        key=lambda c: c.sort_key)
+    closed = [c for c in calc.closure(seed_classes).values() if not c.projective]
+    return _lattice(algebra, closed, lambda c: calc.syzygy_class(c).counts,
+                    attrgetter("sort_key"))
 
 
-def _closure_lattice(algebra, seeds, expand, key=None):
-    """The K0Lattice on the closure of seeds under expand, which maps an
-    element to its non-projective syzygy summands as {child: multiplicity};
-    the basis is sorted by key.  The seeds are expanded depth first, in
-    order from the last; an exception from expand propagates."""
-    sigma = {}
-    todo = list(seeds)
-    while todo:
-        x = todo.pop()
-        if x not in sigma:
-            sigma[x] = expand(x)
-            todo.extend(sigma[x])
-    basis = sorted(sigma, key=key)
-    index = {x: i for i, x in enumerate(basis)}
+def _lattice(algebra, elements, expand, key):
+    """The K0Lattice on elements, its basis sorted by key, which tells the
+    elements apart.  expand maps an element to its syzygy summands as {child:
+    multiplicity}; a child outside elements is projective and is dropped."""
+    basis = sorted(elements, key=key)
+    index = {key(x): i for i, x in enumerate(basis)}
     matrix = [[0] * len(basis) for _ in basis]
     for j, x in enumerate(basis):
-        for child, mult in sigma[x].items():
-            matrix[index[child]][j] += mult
+        for child, mult in expand(x).items():
+            i = index.get(key(child))
+            if i is not None:
+                matrix[i][j] += mult
     return K0Lattice(algebra, basis, matrix)
 
 
@@ -466,8 +461,16 @@ def _apply_sigma(table, vector):
 def _try_close(table, names):
     """The lattice on the classes reachable from names under syzygy
     expansion; NoDecomposition, naming the class, when the catalog cannot
-    certify some expansion."""
-    return _closure_lattice(table.algebra, names, table.syzygy_expansion)
+    certify some expansion.  The expansions are closed depth first, from
+    the last name."""
+    sigma = {}
+    todo = list(names)
+    while todo:
+        name = todo.pop()
+        if name not in sigma:
+            sigma[name] = table.syzygy_expansion(name)
+            todo.extend(sigma[name])
+    return _lattice(table.algebra, sigma, table.syzygy_expansion, str)
 
 
 # -- certified merge lower bounds ---------------------------------------------

@@ -130,6 +130,9 @@ def _parse_atom(toks):
 
 REP_ONLY = {"proj", "inj", "rep"}
 
+# every rep literal's name; each other rep atom is indecomposable by construction
+LITERAL_NAME = "rep-literal"
+
 
 def _uses_rep_atom(node):
     kind = node[0]
@@ -275,7 +278,7 @@ def _parse_rep_literal(body, algebra):
             raise ParseError(f"arrow {name!r} given twice in rep literal")
         mats[name] = _parse_matrix(mat_text.strip())
     try:
-        rep = reps.Representation(algebra, dims, mats, name="rep-literal")
+        rep = reps.Representation(algebra, dims, mats, name=LITERAL_NAME)
     except ValueError as exc:
         raise ParseError(str(exc))
     rep.check_relations()

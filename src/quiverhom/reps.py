@@ -961,6 +961,28 @@ def _socle(m, v):
     return _null_basis(F, rows, pivots, m.dims[v])[2]
 
 
+def certified_indecomposable(m):
+    """Whether m is certified indecomposable: m has a simple top or socle, or
+    every endomorphism acts on the top m / rad m as a scalar (those killing
+    the top map m into rad m, a nilpotent ideal of codimension 1, so End(m)
+    is local).  False leaves m undecided."""
+    if m.is_zero():
+        return False
+    quiver = m.algebra.quiver
+    tops = top_complements(m)
+    if 1 in (sum(map(len, tops.values())), sum(len(_socle(m, v)) for v in quiver.vertices)):
+        return True
+    # top generator j at v owns the columns (v, j, row): an endomorphism h
+    # puts h_v's column j there, and each block repeats rad m_v
+    gens = [(v, j) for v in quiver.vertices for t in tops[v] for j in t]
+    rad = [{(v, j, i): x for i, x in col.items()}
+           for v, j in gens for a in quiver.arrows_into(v) for col in m.columns[a.name]]
+    ends = [{(v, j, i): x for v, j in gens for i, x in h.columns[v][j].items()}
+            for h in hom_space(m, m)]
+    full, base = (len(linalg.sparse_rref(m.field, rows)[1]) for rows in (rad + ends, rad))
+    return full - base == 1
+
+
 def _simple_vertex(rep):
     """The vertex v of a rep isomorphic to S_v (total dimension 1, every
     arrow zero), else None."""

@@ -463,6 +463,17 @@ def dense_direct_sum(algebra, parts):
     return mats
 
 
+def rep_literal_text(rep):
+    """A rep{...} literal of the module: its dimensions, then the dense
+    matrix of every arrow that acts nonzero."""
+    sections = [" ".join(f"{v}:{d}" for v, d in rep.dims.items())]
+    for name, mat in rep.mats.items():
+        if any(any(row) for row in mat):
+            rows = ", ".join("[" + ", ".join(map(str, row)) + "]" for row in mat)
+            sections.append(f"{name} = [{rows}]")
+    return "rep{ " + " ; ".join(sections) + " }"
+
+
 def cover_rep(pres):
     """A presentation's projective cover as a dense Representation: the
     oracle for `Presentation.cover_images`."""

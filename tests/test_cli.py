@@ -8,13 +8,13 @@ import time
 
 import pytest
 
-from quiverhom import cli, corpus
+from quiverhom import cli, corpus, reps
 from quiverhom.algfile import format_algebra
 from quiverhom.cli import main
 from quiverhom.errors import InternalInvariantError
 from quiverhom.modexpr import evaluate
 
-from helpers import ONE_VERTEX_WIDE_SOCLE, fed_cycles_algebra
+from helpers import ONE_VERTEX_WIDE_SOCLE, fed_cycles_algebra, rep_literal_text
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +216,31 @@ class TestExitCodes:
         code, out, err = run(capsys, "phi", "--algebra", "corpus:infinito",
                              "--module", module)
         assert code == 2 and "INDETERMINATE" in err
+
+    @pytest.mark.parametrize("parts", [("simple(1)", "simple(2)"),
+                                       ("M_alpha(1,2)", "M_beta(1,2)")])
+    def test_phi_of_a_decomposable_literal_over_infinito_is_one(self, capsys, parts):
+        # a literal may be a direct sum, which no catalog entry may be: it
+        # stays out of the catalog, so it classifies against the shipped one
+        # or not at all, and is never taken for one class with a wrong phi
+        infinito = corpus.algebra("infinito")
+        literal = rep_literal_text(reps.direct_sum(
+            infinito, [evaluate(m, infinito, context="rep")[1][0][0] for m in parts]))
+        code, out, err = run(capsys, "phi", "--algebra", "corpus:infinito",
+                             "--module", literal)
+        assert code == 1 and "NO_DECOMPOSITION" in err
+        (rep, _mult), = evaluate(literal, infinito, context="rep")[1]
+        catalog, _assume = cli._auto_catalog(infinito, [rep])
+        assert all(entry is not rep for _name, entry in catalog)
+
+    def test_phi_catalogs_a_certified_literal(self, capsys):
+        # a literal of P_1 has a simple top: certified, it joins the catalog
+        # and drops out as projective, as proj(1) does
+        literal = rep_literal_text(reps.projective(corpus.algebra("infinito"), "1"))
+        code, doc = run_json(capsys, "phi", "--algebra", "corpus:infinito",
+                             "--module", f"{literal} + M_alpha(1,2)")
+        assert code == 0
+        assert doc["result"]["phi"] == 0 and doc["result"]["rank_sequence"] == [1, 1, 1]
 
     def test_phi_of_modules_over_a_monomial_algebra_names_the_class_atoms(self, capsys):
         code, out, err = run(capsys, "phi", "--algebra", "corpus:sec4_example",

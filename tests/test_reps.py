@@ -646,6 +646,28 @@ class TestPeeledDecomposition:
         assert calls and all(dv == (0, 2, 7, 0) and 1 not in dims for dv, dims in calls)
 
 
+class TestCertifiedIndecomposable:
+    @pytest.mark.parametrize("build", [
+        lambda A: reps.projective(A, "1"),  # simple top
+        lambda A: reps.injective(A, "2"),  # simple socle
+        lambda A: corpus.make_m_alpha(A, ["1", "3"]),  # End(M) scalar on the top
+        lambda A: corpus.make_m_beta(A, ["2", "2"]),
+    ])
+    def test_indecomposables_are_certified(self, infinito, build):
+        assert reps.certified_indecomposable(build(infinito))
+
+    @pytest.mark.parametrize("parts", [
+        lambda A: [reps.simple(A, "1"), reps.simple(A, "2")],
+        lambda A: [reps.projective(A, "1"), reps.projective(A, "1")],
+        lambda A: [corpus.make_m_alpha(A, ["1", "2"]), corpus.make_m_beta(A, ["1", "2"])],
+    ])
+    def test_direct_sums_are_not(self, infinito, parts):
+        assert not reps.certified_indecomposable(reps.direct_sum(infinito, parts(infinito)))
+
+    def test_the_zero_module_is_not(self, infinito):
+        assert not reps.certified_indecomposable(reps.direct_sum(infinito, []))
+
+
 class TestPdRep:
     def test_simple_sink(self):
         A = truncated_cycle(2, 2)
