@@ -21,7 +21,13 @@ import sys
 
 from . import corpus, gorenstein, reps
 from .algfile import MAX_MODULE_DIM, format_algebra, parse_algebra_text, parse_split_text
-from .errors import Indeterminate, InternalInvariantError, QuiverHomError, UnsupportedIdeal
+from .errors import (
+    Indeterminate,
+    InternalInvariantError,
+    NoDecomposition,
+    QuiverHomError,
+    UnsupportedIdeal,
+)
 from .igusa_todorov import (
     PhiResult,
     phi,
@@ -221,7 +227,15 @@ def cmd_phi(args, algebra):
         raise UnsupportedIdeal("over a monomial or truncated algebra phi takes path-class "
                                "summands: path(...), simple(...), proj(...)")
     catalog, assume = _auto_catalog(algebra, summands)
-    res = phi_of_reps(algebra, summands, catalog, assume_infinite_pd=assume)
+    try:
+        res = phi_of_reps(algebra, summands, catalog, assume_infinite_pd=assume)
+    except NoDecomposition as exc:
+        if all(any(entry is r for _name, entry in catalog) for r in summands):
+            raise
+        raise NoDecomposition(
+            f"{exc.message}; a rep{{...}} literal joins the catalog only when it is "
+            "certified indecomposable, and this one was not (it may be a direct sum)"
+        ) from None
     return {"module": " + ".join(r.name or "?" for r in summands), **res.to_json()}
 
 

@@ -1,8 +1,12 @@
 """Exact coefficient fields: the rationals and odd prime fields.
 
-Elements are plain Python objects (Fraction, or int reduced mod p); the field
-object only supplies the arithmetic, parsing and formatting.  No floats ever
-enter any computation.
+Elements are plain Python objects; the field object only supplies the
+arithmetic, parsing and formatting.  Over F_p an element is an int reduced
+mod p.  Over Q it is an int or a Fraction: the constants, `of`, `inv` and
+`div` give a plain int for an integral value and a Fraction otherwise, and
+the other operations may also leave an integral Fraction, which equals and
+hashes like its int.  No floats ever enter any computation: int / int is a
+float, so two ints are divided with `div` or `ratio`, never with `/`.
 """
 
 from fractions import Fraction
@@ -10,19 +14,34 @@ from fractions import Fraction
 from .errors import ParseError
 
 
+def ratio(a, b):
+    """The rational a / b of ints a and b: an int when b divides a, else the
+    Fraction.  ZeroDivisionError when b is 0."""
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
+
+
+def _canonical(x):
+    """The Fraction x as an int when it is integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class Rationals:
-    """Arbitrary-precision rational field."""
+    """Arbitrary-precision rational field; an integral element may be a
+    plain int."""
 
     name = "Q"
     char = 0
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
     # small nonzero integers keep entry growth tame in sampled combinations
     _SMALL = tuple(x for x in range(-5, 6) if x)
 
     def of(self, x):
-        return x if type(x) is Fraction else Fraction(x)
+        if type(x) is int:
+            return x
+        return _canonical(x if type(x) is Fraction else Fraction(x))
 
     def add(self, a, b):
         return a + b
@@ -37,10 +56,11 @@ class Rationals:
         return -a
 
     def inv(self, a):
-        return Fraction(1) / a
+        return ratio(1, a) if type(a) is int else _canonical(1 / a)
 
     def div(self, a, b):
-        return a / b
+        # a / b is a Fraction unless both are ints
+        return ratio(a, b) if type(a) is int and type(b) is int else _canonical(a / b)
 
     def is_zero(self, a):
         return a == 0
@@ -49,8 +69,8 @@ class Rationals:
         return f"{a.numerator}/{a.denominator}" if a.denominator != 1 else str(a.numerator)
 
     def random(self, rng):
-        """A nonzero plain int, one rng.choice over -5..5 without 0; of()
-        turns it into a field element."""
+        """A nonzero plain int, one rng.choice over -5..5 without 0, which is
+        a field element as it is."""
         return rng.choice(self._SMALL)
 
     def __eq__(self, other):

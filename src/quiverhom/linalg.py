@@ -9,8 +9,9 @@ computes on plain ints: `% p` inline over F_p, fraction-free on primitive
 integer rows over Q.
 """
 
-from fractions import Fraction
 from math import gcd, lcm
+
+from .fields import ratio
 
 
 def zeros(field, rows, cols):
@@ -31,7 +32,8 @@ def _eliminate(field, rows, reduced=True):
 
     Over F_p rows are kept reduced mod p with 1 at the pivot.  Over Q they
     are primitive integer rows with a positive pivot, combined as s*x - t*y;
-    the only Fractions built are those of the returned rows."""
+    a returned entry is a plain int when it is integral, and the only
+    Fractions built are its entries that are not."""
     if not rows:
         return [], []
     p = field.char
@@ -94,10 +96,7 @@ def _eliminate(field, rows, reduced=True):
     for c in pivots:
         row = basis[c]
         pv = row[c]
-        if pv == 1:
-            out.append({j: Fraction(x) for j, x in row.items()})
-        else:
-            out.append({j: Fraction(x, pv) for j, x in row.items()})
+        out.append(row if pv == 1 else {j: ratio(x, pv) for j, x in row.items()})
     return out, pivots
 
 

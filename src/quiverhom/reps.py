@@ -30,7 +30,6 @@ sampled sum test.
 """
 
 import random
-from fractions import Fraction
 from math import lcm
 
 from . import linalg, pathmodules
@@ -41,6 +40,7 @@ from .errors import (
     ParseError,
     PreconditionViolated,
 )
+from .fields import ratio
 from .quiver import INFINITE
 
 # the random combinations an iso decision tries before it falls back to the
@@ -793,8 +793,8 @@ def _certify(source, target, mats, den):
     if not all(linalg.is_invertible(F, mat) for mat in mats.values()):
         return None
     # over F_p the ints are reduced already; over Q an entry x stands for
-    # x / den, and Fraction(x) skips the gcd when den is 1
-    of = F.of if F.char else Fraction if den == 1 else lambda x: Fraction(x, den)
+    # x / den, a plain int when den divides it
+    of = F.of if F.char else int if den == 1 else lambda x: ratio(x, den)
     hom = ModuleHom(source, target, {v: _sparse_columns(of, mat, source.dims[v])
                                      for v, mat in mats.items()})
     return hom if hom.verify() else None

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -15,6 +16,13 @@ from quiverhom.errors import InternalInvariantError
 from quiverhom.modexpr import evaluate
 
 from helpers import ONE_VERTEX_WIDE_SOCLE, fed_cycles_algebra, rep_literal_text
+
+
+# sha256 of `phi --json` over corpus:infinito for these modules, in order,
+# as printed when every rational was a Fraction
+PHI_INFINITO_MODULES = [f"M_alpha(1,{n})+M_beta(1,{n})" for n in range(1, 6)] + \
+    [f"simple({v})" for v in range(1, 5)]
+PHI_INFINITO_SHA256 = "8b922c632f9442280f0977dba50406b1af5b4e0955cd7fbfbbb4e069ee74cce9"
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +240,25 @@ class TestExitCodes:
         (rep, _mult), = evaluate(literal, infinito, context="rep")[1]
         catalog, _assume = cli._auto_catalog(infinito, [rep])
         assert all(entry is not rep for _name, entry in catalog)
+
+    def test_phi_names_a_literal_left_out_of_the_catalog(self, capsys):
+        # S_1 + S_2 as one literal is not certified indecomposable: the
+        # error says why it matches nothing rather than only that it does not
+        code, out, err = run(capsys, "phi", "--algebra", "corpus:finito",
+                             "--module", "rep{1:1 2:1}")
+        assert code == 1 and "NO_DECOMPOSITION" in err
+        assert ("module with dim vector (1, 1, 0) matches no catalog entry; a rep{...} "
+                "literal joins the catalog only when it is certified indecomposable, "
+                "and this one was not (it may be a direct sum)") in err
+
+    def test_phi_json_over_infinito_is_pinned(self, capsys):
+        digest = hashlib.sha256()
+        for module in PHI_INFINITO_MODULES:
+            code, out, err = run(capsys, "phi", "--algebra", "corpus:infinito",
+                                 "--module", module, "--json")
+            assert code == 0, err
+            digest.update(out.encode())
+        assert digest.hexdigest() == PHI_INFINITO_SHA256
 
     def test_phi_catalogs_a_certified_literal(self, capsys):
         # a literal of P_1 has a simple top: certified, it joins the catalog

@@ -1,8 +1,8 @@
 """The exact kernels of `linalg` against a naive Gauss-Jordan written here.
 
 The reference runs the textbook per-scalar loop through the field's own
-methods, so over Q it is plain `Fraction` arithmetic and over F_p it is
-`% p` arithmetic.  A reduced row echelon form is unique, so the kernels must
+methods, so over Q it is exact int and `Fraction` arithmetic and over F_p
+it is `% p` arithmetic.  A reduced row echelon form is unique, so the kernels must
 agree with it entry for entry.
 """
 
@@ -67,8 +67,10 @@ def _dot(F, xs, ys):
 def scalars(F):
     if F.char:
         return st.one_of(st.just(0), st.integers(0, F.char - 1))
+    # an integral input comes as a plain int or as a Fraction
     return st.one_of(
         st.just(Fraction(0)),
+        st.integers(-4, 4),
         st.integers(-4, 4).map(Fraction),
         st.fractions(min_value=-6, max_value=6, max_denominator=7),
     )
@@ -95,12 +97,24 @@ def field_and_matrix(draw, max_dim=6, square=False):
 
 
 def assert_elements(F, m):
+    """Every entry is an exact field element: a reduced int over F_p, an int
+    or a Fraction over Q, never a float."""
     for row in m:
         for x in row:
             if F.char:
                 assert type(x) is int and 0 <= x < F.char
             else:
-                assert type(x) is Fraction
+                assert type(x) in (int, Fraction)
+
+
+def assert_canonical(F, m):
+    """assert_elements, and over Q an entry is an int exactly when it is
+    integral: the form the kernels return."""
+    assert_elements(F, m)
+    if not F.char:
+        for row in m:
+            for x in row:
+                assert (type(x) is int) == (x.denominator == 1), x
 
 
 def assert_fresh_rows(out, *inputs):
@@ -122,7 +136,7 @@ def test_rref_matches_reference(fm):
     assert pivots == ref_pivots
     assert red == ref_red
     assert a == before
-    assert_elements(F, red)
+    assert_canonical(F, red)
     assert_fresh_rows(red, a)
 
 
@@ -139,7 +153,7 @@ def test_sparse_rref_matches_reference(fm):
     assert [[row.get(j, F.zero) for j in range(cols)] for row in red] == ref_red[:len(pivots)]
     assert all(all(row.values()) for row in red)
     assert rows == before
-    assert_elements(F, [list(row.values()) for row in red])
+    assert_canonical(F, [list(row.values()) for row in red])
 
 
 @given(field_and_matrix())
@@ -161,7 +175,7 @@ def test_rank_and_nullspace(fm):
             expect[pc] = F.neg(ref_red[i][fc])
         assert v == expect
         assert all(F.is_zero(x) for x in ref_mat_vec(F, a, v))
-    assert_elements(F, basis)
+    assert_canonical(F, basis)
     assert_fresh_rows(basis, a)
 
 
@@ -192,7 +206,7 @@ def test_solve_many(fm, data):
             continue
         assert len(x) == n
         assert ref_mat_vec(F, a, x) == [F.of(bi) for bi in b]
-        assert_elements(F, [x])
+        assert_canonical(F, [x])
 
 
 @given(field_and_matrix(square=True))
@@ -207,7 +221,7 @@ def test_invert(fm):
         return
     assert ref_mul(F, inv, a, n) == identity(F, n)
     assert ref_mul(F, a, inv, n) == identity(F, n)
-    assert_elements(F, inv)
+    assert_canonical(F, inv)
     assert_fresh_rows(inv, a)
 
 
@@ -229,6 +243,7 @@ def test_mat_mul_and_mat_vec(F, r, k, c, data):
     prod = mat_mul(F, a, r, b, k, c)
     assert prod == ref_mul(F, a, b, c)
     assert len(prod) == r and all(len(row) == c for row in prod)
+    # the oracle's sums may leave integral Fractions: exact, not canonical
     assert_elements(F, prod)
     assert_fresh_rows(prod, a, b)
     image = mat_vec(F, a, v)
@@ -254,7 +269,7 @@ def test_empty_and_zero_matrices(F):
     zero = linalg.zeros(F, 3, 2)
     red, pivots = linalg.rref(F, zero)
     assert red == zero and pivots == []
-    assert_elements(F, red)
+    assert_canonical(F, red)
     assert_fresh_rows(red, zero)
     assert linalg.nullspace(F, zero) == [[F.one, F.zero], [F.zero, F.one]]
     assert linalg.invert(F, linalg.zeros(F, 2, 2)) is None
@@ -303,7 +318,7 @@ def test_rational_rref_of_integer_and_fractional_rows():
     red, pivots = linalg.rref(QQ, [[3, 1, 2], [6, 2, 5]])
     assert pivots == [0, 2]
     assert red == [[1, Fraction(1, 3), 0], [0, 0, 1]]
-    assert_elements(QQ, red)
+    assert_canonical(QQ, red)
 
 
 # -- fixed cases where coefficients grow ------------------------------------
@@ -346,7 +361,7 @@ def test_growth_cases_match_reference(F, name):
 
     red, pivots = linalg.rref(F, a)
     assert (red, pivots) == (ref_red, ref_pivots)
-    assert_elements(F, red)
+    assert_canonical(F, red)
 
     rows = [{j: x for j, x in enumerate(row) if x} for row in a]
     rows_before = [dict(row) for row in rows]
@@ -355,11 +370,13 @@ def test_growth_cases_match_reference(F, name):
     assert [[row.get(j, F.zero) for j in range(n)] for row in sparse] == \
         ref_red[:len(ref_pivots)]
     assert rows == rows_before
+    assert_canonical(F, [list(row.values()) for row in sparse])
 
     assert linalg.rank(F, a) == len(ref_pivots)
     basis = linalg.nullspace(F, a)
     assert len(basis) == n - len(ref_pivots)
     assert all(not any(ref_mat_vec(F, a, v)) for v in basis)
+    assert_canonical(F, basis)
 
     # right-hand sides: two columns of a (consistent) and a unit vector
     # (inconsistent when a is rank-deficient)
@@ -376,6 +393,7 @@ def test_growth_cases_match_reference(F, name):
             expect[pc] = ref_aug[i][n]
         assert x == expect
         assert ref_mat_vec(F, a, x) == b
+        assert_canonical(F, [x])
     assert a == before
 
 
@@ -392,4 +410,4 @@ def test_sparse_rows_empty_and_zero(F):
     assert pivots == [0, 2]
     assert red == [{0: F.one}, {2: F.one}]
     assert rows == before
-    assert_elements(F, [list(row.values()) for row in red])
+    assert_canonical(F, [list(row.values()) for row in red])

@@ -1212,6 +1212,28 @@ class TestFingerprint:
             checked += 1
         assert checked >= 40
 
+    # the rescaled scalars of M_param(a), N_param(a) and their syzygies, as
+    # the fingerprint held them when every rational was a Fraction
+    SEC3_SCALARS = {
+        ("M", "1"): ((("a1", 1), ("a2", 1)), (("b1", 1), ("b2", Fraction(-1, 2)))),
+        ("M", "2"): ((("a1", 1), ("a2", Fraction(1, 2))), (("b1", 1), ("b2", -1))),
+        ("M", "1/2"): ((("a1", 1), ("a2", 2)), (("b1", 1), ("b2", Fraction(-1, 4)))),
+        ("N", "1"): ((("b1", 1), ("b2", 1)), (("a1", 1), ("a2", -1))),
+        ("N", "2"): ((("b1", 1), ("b2", 2)), (("a1", 1), ("a2", Fraction(-1, 2)))),
+        ("N", "1/2"): ((("b1", 1), ("b2", Fraction(1, 2))), (("a1", 1), ("a2", -2))),
+    }
+
+    @pytest.mark.parametrize("kind, a", sorted(SEC3_SCALARS))
+    def test_sec3_scalars_are_exact_and_unchanged(self, sec3, kind, a):
+        # the fingerprint divides scales that start at F.one, an int: the
+        # quotients must stay exact rationals, never floats
+        make = corpus.make_m_param if kind == "M" else corpus.make_n_param
+        m = make(sec3, [a])
+        for rep, scalars in zip((m, reps.syzygy_rep(m)), self.SEC3_SCALARS[kind, a]):
+            dv, got = reps._fingerprint(rep)
+            assert dv == (1, 1) and got == scalars
+            assert all(type(x) in (int, Fraction) for _name, x in got)
+
     def test_thick_module_keys_on_dimension_vector(self, sec4):
         p1 = reps.projective(sec4, "1")
         assert reps._fingerprint(p1) == p1.dim_vector() == (3, 2)
