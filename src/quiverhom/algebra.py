@@ -37,8 +37,6 @@ zero, so products associate.  For a relations ideal:
   map onto the quotient by it, and products of cosets associate.
 """
 
-from fractions import Fraction
-
 from . import linalg
 from .errors import (
     BadRelation,
@@ -82,7 +80,7 @@ class Relation:
     """A rational linear combination of paths sharing source, target and length."""
 
     def __init__(self, terms):
-        terms = [(Fraction(c), p) for c, p in terms]
+        terms = [(QQ.of(c), p) for c, p in terms]
         terms = [(c, p) for c, p in terms if c != 0]
         if not terms:
             raise BadRelation("empty relation")

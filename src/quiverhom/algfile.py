@@ -231,7 +231,7 @@ def _parse_relation(quiver, chunk, lineno):
             except (ValueError, ZeroDivisionError):
                 raise ParseError(f"bad coefficient {ctext!r}", line=lineno)
         else:
-            coeff = Fraction(1)
+            coeff = 1
             ptext = piece
         terms.append((sgn * coeff, _parse_path(quiver, ptext.strip(), lineno)))
     try:

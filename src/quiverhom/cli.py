@@ -67,10 +67,7 @@ def _multiset_arg(args, algebra):
 
 def _sum_of(algebra, value):
     """The direct sum of a rep-context value, (Representation, multiplicity) pairs."""
-    parts = []
-    for rep, mult in value:
-        parts.extend([rep] * mult)
-    return reps.direct_sum(algebra, parts) if len(parts) != 1 else parts[0]
+    return reps.direct_sum(algebra, [rep for rep, mult in value for _ in range(mult)])
 
 
 # -- command implementations ------------------------------------------------

@@ -11,16 +11,19 @@ vertex share their prefixes through the algebra's push plan.  A module
 memoizes its top generators, read by the top dimension vector, the
 presentation and the kernel tops, and its presentation, which pushes those
 generators as they are; a module that is a hom target memoizes the pushes
-of its unit vectors, the columns of the hom constraints.  Hom spaces are solved through a projective presentation of
-the source (Yoneda: a hom out of a projective cover is a tuple of vectors,
-one per cover summand, constrained by the kernel generators), which keeps
-the linear systems small even against large targets.
+of its unit vectors, the columns of the hom constraints.  Hom spaces are
+solved through a projective presentation of the source (Yoneda: a hom out
+of a projective cover is a tuple of vectors, one per cover summand,
+constrained by the kernel generators), which keeps the linear systems small
+even against large targets.
 
 Isomorphism testing is Las Vegas with a fixed budget of TRIALS random
 combinations drawn from a fixed seed: a verdict of "isomorphic" always
 carries an explicit intertwiner, of full rank at every vertex and
 re-verified to commute with every arrow; "undetermined" is a distinct
-outcome and is never coerced.
+outcome and is never coerced.  iso_test is the one decision, on the basis
+of Hom(source, target); the sum test builds the direct sum of its parts and
+runs iso_test from it, and the sum of one part is the part itself.
 
 Catalog decomposition peels the simple summands off first, exactly and
 with no sampling: a few eliminations per vertex give the split M = C +
@@ -199,9 +202,12 @@ def _dense(F, columns, nrows):
     return mat
 
 
-def direct_sum(algebra, parts, name=""):
+def direct_sum(algebra, parts):
     """Block-diagonal direct sum; parts is a list of Representations.  Each
-    part's columns are shifted by the rows of the parts before it."""
+    part's columns are shifted by the rows of the parts before it.  The sum
+    of one part is that part itself, memoized presentation and all."""
+    if len(parts) == 1:
+        return parts[0]
     quiver = algebra.quiver
     dims = {v: sum(p.dims[v] for p in parts) for v in quiver.vertices}
     columns = {}
@@ -211,7 +217,7 @@ def direct_sum(algebra, parts, name=""):
         for p in parts:
             cols.extend({ro + i: x for i, x in col.items()} for col in p.columns[a.name])
             ro += p.dims[a.target]
-    return Representation._of_field_elements(algebra, dims, columns, name)
+    return Representation._of_field_elements(algebra, dims, columns, "")
 
 
 # -- standard modules --------------------------------------------------------
@@ -706,22 +712,15 @@ class IsoResult:
         return self.status
 
 
-def iso_test(m, n):
-    """Certified module isomorphism test: the iso decision on the hom basis
-    of Hom(m, n); the certificate goes m -> n."""
-    return _decide_iso(m, n, lambda: _int_entries(m.field, hom_space(m, n)))
-
-
-def _decide_iso(source, target, hom_entries):
-    """The one isomorphism decision behind iso_test and iso_test_against_sum;
-    a certificate goes source -> target.
+def iso_test(source, target):
+    """Certified module isomorphism test; a certificate goes source -> target.
 
     The checks run in this order: dimension vectors, zero modules, the
-    identity, and then, on the basis of Hom(source, target) that
-    hom_entries() yields as _int_entries gives it, Hom = 0, a row or column
-    zero in every hom, random combinations, hom dimension asymmetry.
-    isomorphic only with a re-verified invertible intertwiner; undetermined
-    after TRIALS random combinations."""
+    identity, and then, on the basis of Hom(source, target) as _int_entries
+    gives it, Hom = 0, a row or column zero in every hom, random
+    combinations, hom dimension asymmetry.  isomorphic only with a
+    re-verified invertible intertwiner; undetermined after TRIALS random
+    combinations."""
     if source.field != target.field:
         raise FieldMismatch(f"{source.field.name} vs {target.field.name}")
     if source.dim_vector() != target.dim_vector():
@@ -737,7 +736,7 @@ def _decide_iso(source, target, hom_entries):
                           {v: [{j: one} for j in range(d)] for v, d in source.dims.items()})
         if ident.verify():
             return IsoResult("isomorphic", ident, "identity")
-    den, entries = hom_entries()
+    den, entries = _int_entries(source.field, hom_space(source, target))
     if not entries:
         return IsoResult("not_isomorphic", detail="Hom(M,N) = 0")
     line = _shared_zero_line(entries, target.dims, source.dims)
@@ -841,35 +840,11 @@ def _combine(p, rows, cols, coeffs, entries):
 
 
 def iso_test_against_sum(m, parts):
-    """The iso decision for (direct sum of parts) -> m, with Hom(sum, m)
-    built blockwise.
-
-    parts: list of (Representation, multiplicity).  Hom(part, m) is solved
-    once per distinct part, and each of its homs is shifted into the
-    columns of every copy of the part, copies in order.  Returns
-    (IsoResult, the direct sum).
-    """
-    algebra = m.algebra
-    expanded = [rep for rep, mult in parts for _ in range(mult)]
-    nsum = direct_sum(algebra, expanded, name="+".join(p.name or "?" for p in expanded)) \
-        if expanded else Representation(algebra, {}, name="0")
-
-    def hom_entries():
-        # each distinct part's homs are scaled to ints once, with one den
-        distinct = {id(rep): rep for rep, _mult in parts}
-        bases = {key: hom_space(rep, m) for key, rep in distinct.items()}
-        homs = [h for basis in bases.values() for h in basis]
-        den, flat = _int_entries(m.field, homs)
-        by_hom = dict(zip(map(id, homs), flat))
-        entries, offset = [], {v: 0 for v in algebra.quiver.vertices}
-        for rep in expanded:
-            entries.extend([(v, i, offset[v] + j, x) for v, i, j, x in by_hom[id(h)]]
-                           for h in bases[id(rep)])
-            for v in offset:
-                offset[v] += rep.dims[v]
-        return den, entries
-
-    return _decide_iso(nsum, m, hom_entries), nsum
+    """The iso decision for (direct sum of parts) -> m.  parts: list of
+    (Representation, multiplicity), each copy in order.  Returns (IsoResult,
+    the direct sum)."""
+    nsum = direct_sum(m.algebra, [rep for rep, mult in parts for _ in range(mult)])
+    return iso_test(nsum, m), nsum
 
 
 # -- decomposition against a catalog ------------------------------------------
@@ -1006,8 +981,8 @@ def decompose_against_catalog(m, catalog):
     certifies is returned, and by Krull-Schmidt it is the only one (a
     duplicate entry could only change which of two isomorphic names comes
     back).  A semisimple m needs no iso test.  Returns (Counter name ->
-    multiplicity, names in (-total dim, name) order, warnings); the
-    warnings list is always empty.
+    multiplicity, in (-total dim, name) order, []); the empty list stays
+    because perfbench's workloads unpack two values.
     """
     from collections import Counter
 

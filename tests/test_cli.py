@@ -84,6 +84,14 @@ class TestBasicCommands:
         assert code == 0
         assert doc["result"]["syzygy"] == "S_1"
 
+    @pytest.mark.parametrize("module, name", [
+        ("simple(1)", "S_1"), ("simple(1)+simple(2)", "module"), ("2*simple(1)", "module")])
+    def test_syzygy_names_a_one_part_module_only(self, capsys, module, name):
+        # the sum of one part is the part itself, so it keeps its name
+        code, doc = run_json(capsys, "syzygy", "--algebra", "corpus:finito",
+                             "--module", module)
+        assert code == 0 and doc["result"]["module"] == name
+
     def test_pd_per_class(self, capsys):
         code, doc = run_json(capsys, "pd", "--algebra", "corpus:sec4_example",
                              "--module", "path(g) + path(b)")

@@ -414,28 +414,35 @@ class TestHybridClassTable:
 
     def test_iso_tests_per_phi_query(self, monkeypatch):
         """The iso tests of `phi M_alpha(1,n)+M_beta(1,n)` through the CLI,
-        n = 1..4; an eager dedup of the catalog made 14, 19, 23 and 27, and
-        the sampled projective/injective matching 6, 8, 9 and 10."""
-        calls = []
-        iso_test = reps.iso_test
+        n = 1..4, apart from the sum tests, which run iso_test on the built
+        sum; an eager dedup of the catalog made 14, 19, 23 and 27, and the
+        sampled projective/injective matching 6, 8, 9 and 10."""
+        calls = {"iso_test": 0, "iso_test_against_sum": 0}
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return iso_test(*args, **kwargs)
+        def counting(name):
+            fn = getattr(reps, name)
 
-        monkeypatch.setattr(reps, "iso_test", counted)
-        counts, answers = [], []
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(reps, name, counting(name))
+        counts, sum_counts, answers = [], [], []
         for n in (1, 2, 3, 4):
-            calls.clear()
+            calls.update(dict.fromkeys(calls, 0))
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
                 code = cli.main(["phi", "--algebra", "corpus:infinito",
                                  "--module", f"M_alpha(1,{n})+M_beta(1,{n})", "--json"])
             assert code == 0
-            counts.append(len(calls))
+            counts.append(calls["iso_test"] - calls["iso_test_against_sum"])
+            sum_counts.append(calls["iso_test_against_sum"])
             answers.append(json.loads(buf.getvalue())["result"]["phi"])
         assert answers == [0, 1, 2, 3]
         assert counts == [2, 4, 5, 6]
+        assert sum_counts == [0, 2, 5, 8]
 
 
 class TestMergeLowerBound:

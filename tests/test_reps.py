@@ -225,10 +225,13 @@ class TestCandidateOrder:
         vs = A.quiver.vertices
         p, s, i = reps.projective(A, vs[0]), reps.simple(A, vs[0]), reps.injective(A, vs[-1])
         x = reps.direct_sum(A, [p, s, i])
-        res, _nsum = reps.iso_test_against_sum(x, [(i, 1), (s, 1), (p, 1)])
+        res, nsum = reps.iso_test_against_sum(x, [(i, 1), (s, 1), (p, 1)])
         assert res.detail == "random combination, trial 0"
+        assert res.certificate.source is nsum and res.certificate.target is x
+        assert dense_verify(res.certificate)
+        assert dense_is_vertexwise_invertible(res.certificate)
         assert _certificate_digest(res) == \
-            "17843cad49cd0d66f69a0fcc02fbadfbd6a10823ea72b442f5560a72a5ad0353"
+            "2b4aacddad175d8c0fc5b8d1c096c8bb66ddf4da2f93cdd073ff7e74e8ab5f03"
 
     def test_shared_zero_line_runs_no_trial(self, monkeypatch):
         # Hom(Omega^3 I(3), Omega^6 I(3)) over F_32003 is spanned by one map
@@ -339,8 +342,8 @@ class TestIntegerCandidates:
 
 
 class TestIsoDecision:
-    """iso_test and iso_test_against_sum share one decision; the sum test
-    differs only in building Hom(sum, M) blockwise."""
+    """iso_test_against_sum is iso_test from the built direct sum of the
+    parts to M; the sum of one part is the part itself."""
 
     def test_zero_sum_is_certified(self, sec4):
         zero = reps.Representation(sec4, {})
@@ -372,16 +375,23 @@ class TestIsoDecision:
                                [(reps.simple(sec4, "1"), 3), (reps.simple(sec4, "2"), 2)]),
         }
 
-    def test_sum_test_agrees_with_iso_test(self, sec3, sec4, infinito):
+    def test_sum_certificates_pass_the_dense_oracles(self, sec3, sec4, infinito):
         statuses = {}
         for name, (m, parts) in self._sum_pairs(sec3, sec4, infinito).items():
             res, nsum = reps.iso_test_against_sum(m, parts)
             expanded = [rep for rep, mult in parts for _ in range(mult)]
-            direct = reps.iso_test(reps.direct_sum(m.algebra, expanded), m)
-            assert res.status == direct.status, name
-            assert nsum.dim_vector() == m.dim_vector(), name
+            assert nsum.mats == dense_direct_sum(m.algebra, expanded), name
+            if res.isomorphic:
+                cert = res.certificate
+                assert cert.source is nsum and cert.target is m, name
+                assert dense_verify(cert), name
+                assert dense_is_vertexwise_invertible(cert), name
             statuses[name] = res.status
         assert set(statuses.values()) == {"isomorphic", "not_isomorphic"}
+        # the sum of one part is the part itself, so the identity decides
+        p1 = reps.projective(sec4, "1")
+        res, nsum = reps.iso_test_against_sum(p1, [(p1, 1)])
+        assert nsum is p1 and (res.status, res.detail) == ("isomorphic", "identity")
 
     def test_single_hom_sum_is_certified_in_trial_0(self):
         # Hom(part, m) over A_2 is spanned by one map, which the identity
@@ -625,7 +635,7 @@ class TestPeeledDecomposition:
         tested = []
         monkeypatch.setattr(reps, "iso_test_against_sum",
                             lambda m, parts: tested.append(parts))
-        monkeypatch.setattr(reps, "_decide_iso", lambda *a: tested.append(a))
+        monkeypatch.setattr(reps, "iso_test", lambda *a: tested.append(a))
         counts, _warn = reps.decompose_against_catalog(omega, catalog)
         assert dict(counts) == {"S_4": 10}
         assert tested == []
