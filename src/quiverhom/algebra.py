@@ -122,18 +122,18 @@ class RelationsIdeal:
         return f"RelationsIdeal({len(self.relations)} relations{extra}, N={self.nilpotency})"
 
 
-def _all_paths_up_to(quiver, max_len, max_paths=None):
+def _all_paths_up_to(quiver, max_len, max_size=None):
     """All paths of length <= max_len, grouped by length up to the longest
-    one that exists.  More than max_paths of them raises InfiniteDimensional;
-    they are counted per target vertex before any is built, so a long
-    oriented cycle costs neither time nor memory."""
+    one that exists.  Their size, a path of length l counting l + 1, above
+    max_size raises InfiniteDimensional; the paths are counted per target
+    vertex before any is built, so a long oriented cycle costs neither time
+    nor memory."""
     ends = dict.fromkeys(quiver.vertices, 1)  # paths of the current length by target
-    count = lengths = 0
+    size = lengths = 0
     while lengths <= max_len and any(ends.values()):
-        count += sum(ends.values())
-        if max_paths is not None and count > max_paths:
-            raise InfiniteDimensional(
-                f"more than {max_paths} paths of length at most {max_len}")
+        size += (lengths + 1) * sum(ends.values())
+        if max_size is not None and size > max_size:
+            raise InfiniteDimensional(_too_large(max_size, max_len))
         nxt = dict.fromkeys(quiver.vertices, 0)
         for a in quiver.arrows:
             nxt[a.target] += ends[a.source]
@@ -146,14 +146,20 @@ def _all_paths_up_to(quiver, max_len, max_paths=None):
     return by_len
 
 
+def _too_large(max_size, max_len):
+    return (f"the paths of length at most {max_len} exceed the size cap {max_size} "
+            "(a path of length l counts l + 1)")
+
+
 class BoundQuiverAlgebra:
     """kQ/I with an enumerated basis and exact structure constants."""
 
     def __init__(self, quiver, ideal, field=QQ, max_basis=None):
-        """max_basis: optional hard cap on the paths enumerated for the basis
-        (for a relations ideal: every path up to the nilpotency bound);
-        exceeding it aborts with InfiniteDimensional (keeps sampled instances
-        and .alg files at desk scale)."""
+        """max_basis: optional hard cap on the size of the paths enumerated
+        for the basis (for a relations ideal: every path up to the
+        nilpotency bound), a path of length l counting l + 1, its arrows and
+        its end; exceeding it aborts with InfiniteDimensional (keeps sampled
+        instances and .alg files at desk scale)."""
         self.quiver = quiver
         self.ideal = ideal
         self.field = field
@@ -197,6 +203,7 @@ class BoundQuiverAlgebra:
             bound = len(self.quiver.arrows) * max(g.length for g in gens)
         basis = [Path.trivial(self.quiver, v) for v in self.quiver.vertices]
         frontier = list(basis)
+        size = len(basis)
         while frontier:
             nxt = []
             for p in frontier:
@@ -210,10 +217,9 @@ class BoundQuiverAlgebra:
                         )
                     nxt.append(q)
             basis.extend(nxt)
-            if self.max_basis is not None and len(basis) > self.max_basis:
-                raise InfiniteDimensional(
-                    f"basis enumeration exceeded the requested cap {self.max_basis}"
-                )
+            size += sum(q.length + 1 for q in nxt)
+            if self.max_basis is not None and size > self.max_basis:
+                raise InfiniteDimensional(_too_large(self.max_basis, bound))
             frontier = nxt
         self.basis = basis
 

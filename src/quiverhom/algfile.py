@@ -31,8 +31,10 @@ from .quiver import Path, Quiver
 
 _KEYS = ("vertices", "arrow", "truncated", "monomial", "relations", "nilpotency", "field")
 
-# cap on the paths a file's algebra may enumerate; the largest corpus
-# algebra enumerates 340, and a huge exponent ends here instead of hanging
+# cap on the size of the paths a file's algebra may enumerate, a path of
+# length l counting l + 1; the largest corpus algebra enumerates 340 paths of
+# size 1252, and a huge exponent or a long path around a loop ends here
+# instead of hanging or filling memory
 MAX_PATHS = 10**5
 
 # cap on the total dimension of a rep-context module expression, multiplicities
@@ -146,7 +148,8 @@ def parse_algebra_text(text):
             relations.append(_parse_relation(quiver, chunk, ln))
         if nilpotency is None:
             if radical_power is None:
-                raise ParseError("relations ideal needs a nilpotency line")
+                raise ParseError("relations ideal needs a nilpotency line",
+                                 line=ideal_kinds["relations"])
             nilpotency = (radical_line, radical_power)
         if radical_power is not None and radical_power != nilpotency[1]:
             raise ParseError(
@@ -155,8 +158,8 @@ def parse_algebra_text(text):
             )
         ideal = _on_line(nilpotency[0], RelationsIdeal, relations, nilpotency[1],
                          radical_power is not None)
-        # the build rejects a bound the relations do not reach or one that
-        # enumerates more than MAX_PATHS paths
+        # the build rejects a bound the relations do not reach or one whose
+        # paths exceed MAX_PATHS in size
         return _on_line(nilpotency[0], build_algebra, quiver, ideal, field, MAX_PATHS)
     if nilpotency is not None:
         raise ParseError("nilpotency only applies to relations ideals", line=nilpotency[0])

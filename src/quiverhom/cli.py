@@ -24,7 +24,6 @@ from .algfile import MAX_MODULE_DIM, format_algebra, parse_algebra_text, parse_s
 from .errors import (
     Indeterminate,
     InternalInvariantError,
-    NoDecomposition,
     QuiverHomError,
     UnsupportedIdeal,
 )
@@ -36,7 +35,7 @@ from .igusa_todorov import (
     phidim_subcat,
     triangular_check,
 )
-from .modexpr import LITERAL_NAME, evaluate
+from .modexpr import evaluate
 from .pathmodules import calculus, pd_value_json
 from .quiver import analyze
 
@@ -224,40 +223,20 @@ def cmd_phi(args, algebra):
         raise UnsupportedIdeal("over a monomial or truncated algebra phi takes path-class "
                                "summands: path(...), simple(...), proj(...)")
     catalog, assume = _auto_catalog(algebra, summands)
-    try:
-        res = phi_of_reps(algebra, summands, catalog, assume_infinite_pd=assume)
-    except NoDecomposition as exc:
-        if all(any(entry is r for _name, entry in catalog) for r in summands):
-            raise
-        raise NoDecomposition(
-            f"{exc.message}; a rep{{...}} literal joins the catalog only when it is "
-            "certified indecomposable, and this one was not (it may be a direct sum)"
-        ) from None
+    res = phi_of_reps(algebra, summands, catalog, assume_infinite_pd=assume)
     return {"module": " + ".join(r.name or "?" for r in summands), **res.to_json()}
 
 
 def _auto_catalog(algebra, summands):
-    """The phi catalog and its assumed infinite-pd names.  The base is the
-    shipped catalog on the doubled-cycle corpus algebra, its simples assumed,
-    and elsewhere the simples with no assumption.  The summands follow, so
-    each of them classifies; a summand whose name is taken gets it primed.
-    But an entry must be indecomposable, and a rep literal may be a direct
-    sum: it follows only when reps.certified_indecomposable certifies it,
-    and else it classifies against the base or not at all."""
+    """The phi catalog and its assumed infinite-pd names: the shipped
+    catalog on the doubled-cycle corpus algebra, sized to the summands, its
+    simples assumed, and elsewhere the simples with no assumption.  A
+    summand that matches no entry joins the phi table itself, see
+    HybridClassTable.identify."""
     if corpus._infinito_signature(algebra):
         n_max = max(1, *((max(r.dims.values()) - 1) // 3 + 1 for r in summands))
-        catalog, assume = corpus.infinito_catalog(algebra, n_max)
-    else:
-        catalog = [(f"S_{v}", reps.simple(algebra, v)) for v in algebra.quiver.vertices]
-        assume = []
-    for i, r in enumerate(summands):
-        if r.name == LITERAL_NAME and not reps.certified_indecomposable(r):
-            continue
-        name = r.name or f"summand{i}"
-        while name in dict(catalog):  # two literals share a name
-            name += "'"
-        catalog.append((name, r))
-    return catalog, assume
+        return corpus.infinito_catalog(algebra, n_max)
+    return [(f"S_{v}", reps.simple(algebra, v)) for v in algebra.quiver.vertices], []
 
 
 def cmd_phidim_subcat(args, algebra):

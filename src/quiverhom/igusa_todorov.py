@@ -242,16 +242,17 @@ class HybridClassTable:
     Syzygy expansions are computed lazily through the linear engine plus
     certified catalog decomposition.  Projective entries vanish in the
     group.  Catalog names must be distinct: a repeated one is a
-    PreconditionViolated."""
+    PreconditionViolated.  The table owns the modules it identifies: one
+    that matches no entry joins the catalog as a class of its own when it
+    is certified indecomposable."""
 
     def __init__(self, algebra, catalog):
         self.algebra = algebra
-        self.rep_by_name = {}
+        self.rep_by_name = {}  # in catalog order
         for name, rep in catalog:
             if name in self.rep_by_name:
                 raise PreconditionViolated(f"catalog name {name!r} is repeated")
             self.rep_by_name[name] = rep
-        self.names = list(self.rep_by_name)  # catalog order
         self._canonical = {}
         self.projective = {}
         self.sigma = {}  # name -> expansion, or None: no certified decomposition
@@ -262,7 +263,7 @@ class HybridClassTable:
         so each test reads a known status."""
         if name not in self._canonical:
             dv = self.rep_by_name[name].dim_vector()
-            group = [n for n in self.names if self.rep_by_name[n].dim_vector() == dv]
+            group = [n for n, rep in self.rep_by_name.items() if rep.dim_vector() == dv]
             for k, entry in enumerate(group[:group.index(name) + 1]):
                 if entry not in self._canonical:
                     rep = self.rep_by_name[entry]
@@ -275,17 +276,28 @@ class HybridClassTable:
 
     def _unaliased(self):
         """The entries not yet known to be aliases, in catalog order."""
-        return [n for n in self.names if self._canonical.get(n, n) == n]
+        return [n for n in self.rep_by_name if self._canonical.get(n, n) == n]
 
     def identify(self, rep):
+        """The canonical name of rep's class.  A module that matches no
+        entry and is certified indecomposable becomes a new class, under
+        its own name (primed while that is taken); one that is not may be a
+        direct sum, which no entry may be: NoDecomposition."""
         dv = rep.dim_vector()
         for name in self._unaliased():
             other = self.rep_by_name[name]
             if other.dim_vector() == dv and reps.iso_test(rep, other).isomorphic:
                 return self.canonical(name)
-        raise NoDecomposition(
-            f"module with dim vector {rep.dim_vector()} matches no catalog entry"
-        )
+        if not reps.certified_indecomposable(rep):
+            raise NoDecomposition(
+                f"module with dim vector {dv} matches no catalog entry and is not "
+                "certified indecomposable (it may be a direct sum)")
+        name = rep.name or "summand"
+        while name in self.rep_by_name:
+            name += "'"
+        self.rep_by_name[name] = rep
+        self._canonical[name] = name
+        return name
 
     def is_projective(self, name):
         if name not in self.projective:
@@ -327,7 +339,9 @@ def phi_of_reps(algebra, summands, catalog, assume_infinite_pd=()):
 
     summands: the distinct indecomposable summands as Representations;
     catalog: (name, Representation) entries, the names distinct, that the
-    summands and their syzygy summands classify against; assume_infinite_pd:
+    summands and their syzygy summands classify against (a summand that
+    matches none joins it when certified indecomposable, see
+    HybridClassTable.identify); assume_infinite_pd:
     catalog names the caller asserts to have infinite projective dimension
     (echoed in the result's assumptions; other names are ignored).
 
@@ -387,7 +401,7 @@ def phi_of_reps(algebra, summands, catalog, assume_infinite_pd=()):
     vectors = [{n: 1} for n in start]
     ranks = []
     assumptions = []
-    cap = 4 * len(table.names) + 16
+    cap = 4 * len(table.rep_by_name) + 16
     for level in range(cap + 1):
         verdict = _certified_rank(vectors, assume)
         if verdict is None:

@@ -130,7 +130,8 @@ def _parse_atom(toks):
 
 REP_ONLY = {"proj", "inj", "rep"}
 
-# every rep literal's name; each other rep atom is indecomposable by construction
+# every rep literal's name, shared by all of them: a phi table that catalogs
+# two literals keeps them apart by priming the second name
 LITERAL_NAME = "rep-literal"
 
 

@@ -56,7 +56,11 @@ class Representation:
     maps, stored per arrow as its sparse columns, {row: value} dicts of the
     nonzero entries, one per basis vector of the source space.  `mats`, the
     dense matrices (rows indexed by the target space, columns by the source),
-    is a view built on first read.  Immutable after construction."""
+    is a view built on first read.  Immutable after construction.  Any
+    arrow maps make a representation of the quiver; check_relations tests
+    that they make a module over the algebra, the same way for every ideal
+    kind: each arrow times each basis path acts as its expansion in the
+    basis, read off the push plan and the arrow action tables."""
 
     def __init__(self, algebra, dims, mats=None, name=""):
         F = algebra.field
@@ -116,64 +120,30 @@ class Representation:
     def is_zero(self):
         return self.total_dim == 0
 
-    def _path_images(self, path):
-        """The images of the unit vectors at path's source under path, as
-        sparse vectors: the columns of the path's action."""
-        columns = self.columns
-        p = self.field.char
-        vecs = [{j: self.field.one} for j in range(self.dims[path.source])]
-        for name in path.arrows:
-            vecs = [_apply(columns[name], x, p) for x in vecs]
-        return vecs
-
     def check_relations(self):
-        """Verify every defining relation acts as zero; ParseError naming the
-        first relation that does not (a module given as input breaks it)."""
+        """Verify that this is a module over the algebra, by the definition
+        of one: for each unit vector x at each vertex v, each arrow a and
+        each basis path b out of v that ends at a's source, a applied to the
+        image of x under b equals the image of x under a*b expanded in the
+        basis (the algebra's arrow action table at v).  Then every path
+        acts as its reduction, by induction on length, so the ideal acts as
+        zero; conversely every module passes.  ParseError naming the first
+        path that fails (a module given as input breaks it)."""
         A = self.algebra
         F = self.field
-        if A.kind == "monomial":
-            for g in A.ideal.generators:
-                if any(self._path_images(g)):
-                    raise ParseError(f"relation {g} acts nonzero")
-        if A.kind == "relations":
-            p = F.char
-            for rel in A.ideal.relations:
-                acc = None
-                for c, term in rel.terms:
-                    c = F.of(c)
-                    images = self._path_images(term)
-                    if acc is None:
-                        acc = [{} for _ in images]
-                    for out, vec in zip(acc, images):
-                        for i, x in vec.items():
-                            out[i] = out.get(i, 0) + c * x
-                if any(s % p if p else s for out in acc for s in out.values()):
-                    raise ParseError(f"relation {rel} acts nonzero")
-        if A.kind in ("truncated", "relations"):
-            self._check_long_paths_vanish(A.nilpotency)
+        p = F.char
+        for v in A.quiver.vertices:
+            for j in range(self.dims[v]):
+                pushed = {w: [] for w in A.quiver.vertices}  # per target, in basis order
+                for _b, w, x in _push(self, v, {j: F.one}):
+                    pushed[w].append(x)
+                for a in A.quiver.arrows:
+                    products = _arrow_action(A, a)[v][0]
+                    for n, (x, product) in enumerate(zip(pushed[a.source], products)):
+                        if _apply(self.columns[a.name], x, p) != \
+                                _apply(pushed[a.target], dict(product), p):
+                            raise ParseError(_broken_relation(A, v, a, n))
         return True
-
-    def _check_long_paths_vanish(self, length):
-        """Push the unit vectors at each vertex along every path of the given
-        length, dropping those that vanish on the way."""
-        quiver = self.algebra.quiver
-        columns = self.columns
-        p = self.field.char
-        for start in quiver.vertices:
-            stack = [(start, 0, [{j: self.field.one} for j in range(self.dims[start])])]
-            while stack:
-                v, depth, vecs = stack.pop()
-                vecs = [x for x in vecs if x]
-                if not vecs:
-                    continue
-                if depth == length:
-                    raise ParseError(
-                        f"relation J^{length} acts nonzero: a length-{length} "
-                        f"path from {start}"
-                    )
-                for a in quiver.arrows_from(v):
-                    stack.append((a.target, depth + 1,
-                                  [_apply(columns[a.name], x, p) for x in vecs]))
 
     def __repr__(self):
         label = self.name or "Rep"
@@ -385,6 +355,25 @@ def _build_arrow_action(algebra, arrow):
                   for b in out_of_v if algebra.basis[b].target == arrow.source]
         table[v] = (images, len(local))
     return table
+
+
+def _broken_relation(algebra, v, arrow, n):
+    """The message for a path arrow * b that does not act as its reduction,
+    b the n-th basis path out of v ending at the arrow's source: the
+    monomial generator that ends it, J^N for a path of length N, or else
+    the path and its reduction."""
+    b = [algebra.basis[i] for i in algebra.basis_indices_from(v)
+         if algebra.basis[i].target == arrow.source][n]
+    path = b.then(arrow.name)
+    for g in getattr(algebra.ideal, "generators", ()):
+        if path.arrows[-g.length:] == g.arrows:
+            return f"relation {g} acts nonzero"
+    N = algebra.nilpotency
+    if path.length == N:
+        return f"relation J^{N} acts nonzero: a length-{N} path from {v}"
+    reduction = " + ".join(f"{algebra.field.fmt(c)}*{algebra.basis[k]}"
+                           for k, c in algebra.reduce_path(path))
+    return f"path {path} from {v} does not act as its reduction {reduction or 0}"
 
 
 class Presentation:

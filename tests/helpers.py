@@ -49,11 +49,14 @@ def random_monomial_algebra(rng, max_vertices=4, max_arrows=6, max_dim=80):
         else:
             count = rng.randint(1, min(5, len(candidates)))
             gens = rng.sample(candidates, count)
+        # the build's cap counts a path of length l as l + 1, and no basis
+        # path is longer than the probe bound, 3 per arrow or the vertex count
+        longest = max(3 * len(q.arrows), len(q.vertices))
         try:
-            algebra = build_algebra(q, MonomialIdeal(gens), max_basis=max_dim)
+            algebra = build_algebra(q, MonomialIdeal(gens), max_basis=max_dim * (longest + 1))
         except (InfiniteDimensional, NotAdmissible, ParseError):
             continue
-        if not algebra.nonzero_nontrivial_paths():
+        if algebra.dimension > max_dim or not algebra.nonzero_nontrivial_paths():
             continue
         return algebra
 
@@ -692,4 +695,48 @@ def self_injective_by_matching(algebra):
         if hit is None:
             return None if undecided else False
         unmatched.discard(hit)
+    return True
+
+
+def relations_oracle(rep):
+    """Whether the ideal acts on rep as zero, checked per ideal kind as
+    `Representation.check_relations` once did: each monomial generator, or
+    each relation as the sum of its terms, pushes every unit vector at its
+    source to zero, and for a truncated or relations ideal every path of
+    length N does.  The oracle of `check_relations`."""
+    A = rep.algebra
+    F = rep.field
+    p = F.char
+
+    def images(path):
+        vecs = [{j: F.one} for j in range(rep.dims[path.source])]
+        for name in path.arrows:
+            vecs = [reps._apply(rep.columns[name], x, p) for x in vecs]
+        return vecs
+
+    if A.kind == "monomial" and any(any(images(g)) for g in A.ideal.generators):
+        return False
+    if A.kind == "relations":
+        for rel in A.ideal.relations:
+            acc = [{} for _ in range(rep.dims[rel.source])]
+            for c, term in rel.terms:
+                for out, vec in zip(acc, images(term)):
+                    for i, x in vec.items():
+                        out[i] = out.get(i, 0) + F.of(c) * x
+            if any(s % p if p else s for out in acc for s in out.values()):
+                return False
+    if A.kind in ("truncated", "relations"):
+        N = A.nilpotency
+        for start in A.quiver.vertices:
+            stack = [(start, 0, [{j: F.one} for j in range(rep.dims[start])])]
+            while stack:
+                v, depth, vecs = stack.pop()
+                vecs = [x for x in vecs if x]
+                if not vecs:
+                    continue
+                if depth == N:
+                    return False
+                stack.extend((a.target, depth + 1,
+                              [reps._apply(rep.columns[a.name], x, p) for x in vecs])
+                             for a in A.quiver.arrows_from(v))
     return True

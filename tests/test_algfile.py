@@ -3,11 +3,13 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiverhom import algfile, cli, corpus
 from quiverhom.algebra import build_algebra
 from quiverhom.algfile import format_algebra, parse_algebra_text, parse_split_text
-from quiverhom.errors import InfiniteDimensional, NotAdmissible, ParseError
+from quiverhom.errors import InfiniteDimensional, NotAdmissible, ParseError, QuiverHomError
 
 from helpers import dense_relations_build
 
@@ -159,11 +161,23 @@ class TestErrorLines:
          "nonzero path of length 5 exceeds the probe bound 4"),
         ("vertices: 1\narrow: a 1 1\narrow: b 1 1\nmonomial: b.a\n\nmonomial: a.a\n", 6,
          "nonzero path of length 5 exceeds the probe bound 4"),
-        # a huge exponent on a cycle ends at the path cap, not in a hang
+        # a huge exponent on a cycle ends at the size cap, not in a hang
         ("vertices: 1\narrow: a 1 1\ntruncated: 99999999999\n", 3,
-         "more than 100000 paths of length at most 99999999998"),
+         "the paths of length at most 99999999998 exceed the size cap 100000"),
         ("vertices: 1\narrow: a 1 1\nrelations: a.a.a\nnilpotency: 99999999\n", 4,
-         "more than 100000 paths of length at most 99999999"),
+         "the paths of length at most 99999999 exceed the size cap 100000"),
+        # fewer than 100000 paths around a loop, one per length: the cap
+        # counts their arrows, so none builds millions of arrow slots
+        ("vertices: 1 2\narrow: c 2 2\ntruncated: 5000\n", 3,
+         "the paths of length at most 4999 exceed the size cap 100000"),
+        ("vertices: 1 2\narrow: c 2 2\nrelations: c.c.c\nnilpotency: 99999\n", 4,
+         "the paths of length at most 99999 exceed the size cap 100000"),
+        pytest.param("vertices: 1\narrow: c 1 1\nmonomial: " + ".".join(["c"] * 99999) + "\n",
+                     3, "the paths of length at most 99999 exceed the size cap 100000",
+                     id="long-monomial-generator-on-a-loop"),
+        # a relations ideal with no nilpotency line is named where it starts
+        ("vertices: 1 2\narrow: a 1 2\narrow: b 2 1\nrelations: a.b\n", 4,
+         "relations ideal needs a nilpotency line"),
         # whole-file errors: the file's last line, or the second ideal kind
         ("arrow: a 1 1\ntruncated: 2\n", 2, "missing vertices line"),
         ("vertices: 1\ntruncated: 2\n# no arrows\n", 3, "no arrows declared"),
@@ -190,6 +204,51 @@ class TestErrorLines:
         path.write_text(text)
         assert cli.main(["info", "--algebra", str(path)]) == 1
         assert f"line {lineno}: {message}" in capsys.readouterr().err
+
+
+# pieces of .alg lines, valid and malformed, over the arrows a: 1 -> 2,
+# b: 2 -> 1 and the loop c at 2; paths that compose are drawn most often
+_PATHS = st.one_of(
+    st.sampled_from(["a.b", "b.a", "c.c", "a.c", "c.b", "a.c.b", "b.a.b", "c.c.c"]),
+    st.lists(st.sampled_from(["a", "b", "c", "z"]), max_size=4).map(".".join))
+_TERMS = st.builds(lambda c, p: c + p,
+                   st.sampled_from(["", "", "2*", "1/3*", "-1/2*", "0*", "1/0*", "x*"]), _PATHS)
+_RELATION = st.builds(
+    lambda lead, first, rest: lead + first + "".join(s + t for s, t in rest),
+    st.sampled_from(["", "", "-", "+- "]), _TERMS,
+    st.lists(st.tuples(st.sampled_from([" + ", " - ", " -- ", " "]), _TERMS), max_size=2))
+_CHUNKS = st.one_of(_RELATION, st.integers(-1, 8).map(lambda k: f"J^{k}"), st.just(""))
+_EXPONENT = st.one_of(st.integers(-1, 8).map(str), st.sampled_from(["", "x"]))
+_QUIVER = ["vertices: 1 2", "arrow: a 1 2", "arrow: b 2 1", "arrow: c 2 2"]
+_LINES = st.one_of(
+    st.sampled_from(_QUIVER),
+    st.sampled_from(["field: Q", "field: Fp 5", "# a comment", ""]),
+    st.sampled_from(["vertices: 1", "vertices: 1 1", "vertices:", "arrow: a 2 1",
+                     "arrow: d 1 3", "arrow: e 1", "field: Fp 4", "field: R",
+                     "plot: yes", "no colon"]),
+    _EXPONENT.map(lambda k: f"truncated: {k}"),
+    _EXPONENT.map(lambda k: f"nilpotency: {k}"),
+    st.lists(_PATHS, max_size=3).map(lambda ps: "monomial: " + ", ".join(ps)),
+    st.lists(_CHUNKS, min_size=1, max_size=3).map(lambda cs: "relations: " + ", ".join(cs)),
+)
+
+
+# 1 to 8 lines in any order, often with the lines of a whole quiver among them
+_FILES = st.integers(0, 4).flatmap(lambda n: st.lists(
+    _LINES, min_size=1 if n == 0 else 0, max_size=8 - n).flatmap(
+        lambda rest: st.permutations(_QUIVER[:n] + rest)))
+
+
+@given(_FILES)
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_alg_text_builds_or_names_a_line(lines):
+    """Every .alg text either builds or is refused as a user error that
+    names a line of the file."""
+    text = "\n".join(lines) + "\n"
+    try:
+        parse_algebra_text(text)
+    except QuiverHomError as exc:
+        assert isinstance(exc.line, int) and 1 <= exc.line <= max(1, len(lines)), exc
 
 
 # every relations input of this file that reaches the algebra build

@@ -13,6 +13,7 @@ from quiverhom import cli, corpus, reps
 from quiverhom.algfile import format_algebra
 from quiverhom.cli import main
 from quiverhom.errors import InternalInvariantError
+from quiverhom.igusa_todorov import HybridClassTable
 from quiverhom.modexpr import evaluate
 
 from helpers import ONE_VERTEX_WIDE_SOCLE, fed_cycles_algebra, rep_literal_text
@@ -208,8 +209,8 @@ class TestExitCodes:
                 "and no catalog class is assumed to have infinite pd") in err
 
     def test_phi_over_infinito_catalogs_the_summands(self, capsys):
-        # P_1 lies outside the shipped catalog; as a summand it joins it,
-        # classifies as projective and drops out of the bundle
+        # P_1 lies outside the shipped catalog; as a summand it joins the
+        # phi table, classifies as projective and drops out of the bundle
         code, with_p = run_json(capsys, "phi", "--algebra", "corpus:infinito",
                                 "--module", "proj(1)+M_alpha(1,2)")
         assert code == 0
@@ -222,8 +223,11 @@ class TestExitCodes:
         summands = [evaluate(m, infinito, context="rep")[1][0][0]
                     for m in ("proj(1)", "M_alpha(1,2)")]
         catalog, assume = cli._auto_catalog(infinito, summands)
-        assert [name for name, _rep in catalog[-2:]] == ["P_1", "M_alpha(1,2)'"]
         assert assume == ["S_1", "S_2", "S_3", "S_4"]
+        assert all(entry is not r for _name, entry in catalog for r in summands)
+        table = HybridClassTable(infinito, catalog)
+        assert [table.identify(r) for r in summands] == ["P_1", "M_alpha(1,2)"]
+        assert list(table.rep_by_name) == [name for name, _rep in catalog] + ["P_1"]
 
     @pytest.mark.parametrize("module", ["inj(1)", "inj(2)+M_beta(3,1)"])
     def test_phi_of_an_injective_over_infinito_is_two(self, capsys, module):
@@ -255,9 +259,8 @@ class TestExitCodes:
         code, out, err = run(capsys, "phi", "--algebra", "corpus:finito",
                              "--module", "rep{1:1 2:1}")
         assert code == 1 and "NO_DECOMPOSITION" in err
-        assert ("module with dim vector (1, 1, 0) matches no catalog entry; a rep{...} "
-                "literal joins the catalog only when it is certified indecomposable, "
-                "and this one was not (it may be a direct sum)") in err
+        assert ("module with dim vector (1, 1, 0) matches no catalog entry and is not "
+                "certified indecomposable (it may be a direct sum)") in err
 
     def test_phi_json_over_infinito_is_pinned(self, capsys):
         digest = hashlib.sha256()
@@ -284,9 +287,9 @@ class TestExitCodes:
         assert "path(...), simple(...), proj(...)" in err and "phi()" not in err
 
     def test_phi_keeps_literals_that_share_a_name(self, capsys):
-        # both literals are named rep-literal; each keeps its own catalog
-        # entry, so each one is identified and the answer is indeterminate
-        # rather than a missing decomposition
+        # both literals are named rep-literal; each becomes a class of the
+        # phi table, so each one is identified and the answer is
+        # indeterminate rather than a missing decomposition
         literals = ["rep{ 2:1 3:2 ; g = [[1, 0]] ; d = [[0, 0],[1, 0]] }",
                     "rep{ 1:1 2:2 ; a1 = [[1],[0]] ; a2 = [[0],[1]] }"]
         code, out, err = run(capsys, "phi", "--algebra", "corpus:finito",
@@ -294,8 +297,9 @@ class TestExitCodes:
         assert code == 2 and "INDETERMINATE" in err
         algebra = corpus.algebra("finito")
         summands = [evaluate(m, algebra, context="rep")[1][0][0] for m in literals]
-        names = [name for name, _rep in cli._auto_catalog(algebra, summands)[0]]
-        assert names == ["S_1", "S_2", "S_3", "rep-literal", "rep-literal'"]
+        table = HybridClassTable(algebra, cli._auto_catalog(algebra, summands)[0])
+        assert [table.identify(r) for r in summands] == ["rep-literal", "rep-literal'"]
+        assert list(table.rep_by_name) == ["S_1", "S_2", "S_3", "rep-literal", "rep-literal'"]
 
     def test_dimension_budget_is_two(self, capsys):
         """S_1 over infinito has syzygies of total dimension 14, 46, 404 and

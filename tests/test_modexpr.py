@@ -56,11 +56,14 @@ class TestRepContext:
         assert rep.dim_vector() == (1, 1)
 
     def test_rep_literal_checks_relations(self):
-        """An inconsistent literal is rejected, naming the relation it breaks."""
+        """An inconsistent literal is rejected, naming the path it breaks."""
         for algebra, text, message in [
             # a1.b1 must equal 2 a2.b2 (a relations ideal)
             ("sec3_example", "rep{ 1:1 2:1 ; a1 = [[1]] ; b1 = [[1]] }",
-             "relation 1*a1.b1 + -2*a2.b2 acts nonzero"),
+             "path a1.b1 from 1 does not act as its reduction 2*a2.b2"),
+            # a1.b2 lies in the ideal
+            ("sec3_example", "rep{ 1:1 2:1 ; a1 = [[1]] ; b2 = [[1]] }",
+             "path a1.b2 from 1 does not act as its reduction 0"),
             # a truncated ideal: every path of length 2 acts as zero
             ("a3_k2", "rep{ 1:1 2:1 3:1 ; a = [[1]] ; b = [[1]] }",
              "relation J^2 acts nonzero: a length-2 path from 1"),

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import time
 import weakref
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 
@@ -15,6 +16,7 @@ from quiverhom.errors import (
     FieldMismatch,
     InternalInvariantError,
     NoDecomposition,
+    ParseError,
     PreconditionViolated,
 )
 from quiverhom.pathmodules import calculus
@@ -40,6 +42,7 @@ from helpers import (
     projective_oracle,
     random_monomial_algebra,
     random_nonzero_path,
+    relations_oracle,
     seeded,
     self_injective_by_matching,
     simple_multiplicity_oracle,
@@ -83,6 +86,59 @@ class TestStandardModules:
             tops = reps.top_dim_vector(p)
             idx = sec3.quiver.vertices.index(v)
             assert tops[idx] == 1 and sum(tops) == 1
+
+
+def _accepts(rep):
+    try:
+        return rep.check_relations()
+    except ParseError:
+        return False
+
+
+def _perturbed(rep, rng):
+    """Three seeded breaks of a module with a nonzero arrow matrix: one
+    entry changed, one arrow scaled, one arrow zeroed."""
+    F = rep.field
+    arrows = [a for a in rep.algebra.quiver.arrows if rep.dims[a.source] and rep.dims[a.target]]
+    if not arrows:
+        return []
+    out = []
+    for how in ("entry", "scale", "zero"):
+        mats = {name: [row[:] for row in m] for name, m in rep.mats.items()}
+        a = rng.choice(arrows)
+        m = mats[a.name]
+        if how == "entry":
+            row = rng.choice(m)
+            j = rng.randrange(len(row))
+            row[j] = F.add(row[j], F.random(rng))
+        elif how == "scale":
+            c = F.random(rng)
+            mats[a.name] = [[F.mul(c, x) for x in row] for row in m]
+        else:
+            del mats[a.name]
+        out.append(reps.Representation(rep.algebra, rep.dims, mats))
+    return out
+
+
+def test_check_relations_matches_the_per_kind_oracle():
+    """The one module check accepts and rejects exactly the modules that the
+    per-kind relation check it replaced does: every standard module and its
+    first two syzygies over each corpus algebra, and seeded breaks of them."""
+    rejected = Counter()
+    for k, name in enumerate(sorted(corpus.FILES)):
+        A = corpus.algebra(name.removesuffix(".alg"))
+        rng = seeded(7000 + k)
+        for v in A.quiver.vertices:
+            for make in (reps.simple, reps.projective, reps.injective):
+                m = make(A, v)
+                for step in range(3):
+                    assert _accepts(m) and relations_oracle(m)
+                    for bad in _perturbed(m, rng):
+                        assert _accepts(bad) == relations_oracle(bad)
+                        rejected[A.kind] += not relations_oracle(bad)
+                    m = reps.syzygy_rep(m)
+    assert set(rejected) == {"truncated", "monomial", "relations"}
+    assert all(rejected.values())
 
 
 class TestSyzygyRep:
@@ -677,6 +733,23 @@ class TestCertifiedIndecomposable:
     def test_the_zero_module_is_not(self, infinito):
         assert not reps.certified_indecomposable(reps.direct_sum(infinito, []))
 
+    def test_every_module_atom_is_certified(self):
+        """The phi table catalogs a summand it cannot match only when it is
+        certified indecomposable, so each atom is, and keeps its phi."""
+        atoms = []
+        for name in ("infinito", "finito", "finito_f32003", "sec3_example"):
+            A = corpus.algebra(name)
+            atoms += [make(A, v) for v in A.quiver.vertices
+                      for make in (reps.simple, reps.projective, reps.injective)]
+        infinito = corpus.algebra("infinito")
+        atoms += [make(infinito, [str(i), str(n)])
+                  for make in (corpus.make_m_alpha, corpus.make_m_beta)
+                  for i in range(1, 5) for n in range(1, 6)]
+        sec3 = corpus.algebra("sec3_example")
+        atoms += [make(sec3, [a]) for make in (corpus.make_m_param, corpus.make_n_param)
+                  for a in ("1", "-1", "2", "1/2", "-3/7")]
+        assert [m for m in atoms if not reps.certified_indecomposable(m)] == []
+
 
 class TestPdRep:
     def test_simple_sink(self):
@@ -950,7 +1023,8 @@ class TestTopsMemo:
 
     def test_unchanged_by_readers(self, infinito):
         m = corpus.make_m_alpha(infinito, ["1", "2"])
-        other = reps.direct_sum(infinito, [m])
+        other = reps.Representation(infinito, m.dims, m.mats)
+        assert other is not m
         tops = reps.top_complements(m)
         snapshot = copy.deepcopy(tops)
         pres = reps.presentation(m)
