@@ -48,6 +48,10 @@ class _CapReached(Exception):
 
 
 def load_algebra(spec):
+    """The algebra of an --algebra spec.  corpus:NAME is the one algebra per
+    corpus file that every call in the process shares (corpus.algebra);
+    any other spec is a file path, read and parsed afresh on every call,
+    since the file may change between batch lines."""
     if spec.startswith("corpus:"):
         return corpus.algebra(spec.split(":", 1)[1])
     with open(spec) as fh:
@@ -275,8 +279,10 @@ def cmd_corpus(args, _algebra=None):
 
 def cmd_batch(args, _algebra=None):
     """Run one command line per input line; JSON array ordered by input.
-    Tasks are independent (each owns its algebra), so a parallel runner would
-    be safe; this one is sequential and deterministic."""
+    A line that runs batch is refused with exit 1: a file that names itself
+    would recurse without end.  Lines share the corpus algebras they name,
+    which no command changes, and parse afresh any file they name; this
+    runner is sequential and deterministic."""
     with open(args.file) as fh:
         lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
     results = []
@@ -291,6 +297,8 @@ def cmd_batch(args, _algebra=None):
             sub, usage_exit = _parse(argv)
         if sub is None:
             entry.update(error="bad arguments", exit=usage_exit)
+        elif sub.command == "batch":
+            entry.update(error="bad arguments: a batch line cannot run batch", exit=1)
         else:
             exit_code, payload, error = _run_command(sub)
             if error is None:

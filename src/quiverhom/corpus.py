@@ -5,6 +5,7 @@ module families.
 Names resolve through the CLI as --algebra corpus:<name>.
 """
 
+import functools
 from fractions import Fraction
 
 from . import reps
@@ -144,9 +145,20 @@ gamma_bar: 3
 
 
 def algebra(name):
+    """The corpus algebra `name`, with or without its .alg suffix: one shared
+    BoundQuiverAlgebra per corpus file per process, so "infinito" and
+    "infinito.alg" are the same object.  Sharing is safe because an algebra
+    is immutable after build and keeps every derived value in its memo, none
+    of which holds a module; the memo fills on first use and lives as long
+    as the process.  An unknown name raises ParseError on every call."""
     key = name if name.endswith(".alg") else f"{name}.alg"
     if key not in FILES:
         raise ParseError(f"unknown corpus algebra {name!r}; have {sorted(FILES)}")
+    return _built(key)
+
+
+@functools.cache
+def _built(key):
     return parse_algebra_text(FILES[key])
 
 

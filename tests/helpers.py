@@ -7,8 +7,9 @@ from collections import Counter
 from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations
 
-from quiverhom import gorenstein, linalg, reps
+from quiverhom import corpus, gorenstein, linalg, reps
 from quiverhom.algebra import MonomialIdeal, TruncatedIdeal, _all_paths_up_to, build_algebra
+from quiverhom.algfile import parse_algebra_text
 from quiverhom.errors import (
     InfiniteDimensional,
     NoDecomposition,
@@ -132,6 +133,25 @@ def _orbit_representatives(max_vertices, max_arrows):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def fresh_corpus_algebra(name):
+    """A new build of a corpus algebra, whose memo is empty: the shared one
+    that corpus.algebra returns may already hold the values under test."""
+    return parse_algebra_text(corpus.FILES[f"{name}.alg"])
+
+
+def leaves(value):
+    """The keys and values of nested tuples, lists and dicts, depth first."""
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            yield from leaves(item)
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield key
+            yield from leaves(item)
+    else:
+        yield value
 
 
 # -- brute-force oracles ---------------------------------------------------------

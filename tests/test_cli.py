@@ -383,6 +383,24 @@ class TestBatch:
         assert runs[0] == {"line": "gldim", "error": "bad arguments", "exit": 1}
         assert runs[1]["exit"] == 2 and runs[1]["result"]["pd"]["kind"] == "at_least"
 
+    def test_self_naming_file_is_one_entry(self, capsys, tmp_path):
+        script = tmp_path / "self.txt"
+        script.write_text(f"batch {script} --json\n")
+        code, out, err = run(capsys, "batch", str(script), "--json")
+        assert code == 0 and "Traceback" not in err
+        assert json.loads(out)["result"]["runs"] == [
+            {"line": f"batch {script} --json",
+             "error": "bad arguments: a batch line cannot run batch", "exit": 1}]
+
+    def test_nested_batch_line_is_refused(self, capsys, tmp_path):
+        inner = tmp_path / "inner.txt"
+        inner.write_text("gldim --algebra corpus:c3_k2\n")
+        runs = self.batch(capsys, tmp_path, f"quiverhom batch {inner}",
+                          "gldim --algebra corpus:a3_k2")
+        assert [r["exit"] for r in runs] == [1, 0]
+        assert runs[0]["error"] == "bad arguments: a batch line cannot run batch"
+        assert runs[1]["result"] == {"gldim": 2, "formula_value": 2}
+
     def test_internal_error_is_three(self, capsys, tmp_path, monkeypatch):
         def broken(args, algebra):
             raise InternalInvariantError("broken on purpose")

@@ -12,7 +12,7 @@ from quiverhom.errors import UnsupportedIdeal
 from quiverhom.igusa_todorov import phidim_bounds
 from quiverhom.pathmodules import calculus
 
-from helpers import random_monomial_algebra, seeded
+from helpers import fresh_corpus_algebra, random_monomial_algebra, seeded
 
 # sha256 of the Co-Gorenstein and periodic-find JSON over family_sample plus
 # the 50 seeded monomial algebras below, as computed before the two deciders
@@ -39,7 +39,7 @@ def run_everything(A):
 
 @pytest.mark.parametrize("name", ["two_cycles", "sec4_example", "sec3_example"])
 def test_no_attribute_set_after_construction(name):
-    A = corpus.algebra(name)
+    A = fresh_corpus_algebra(name)
     attributes = set(vars(A))
     run_everything(A)
     run_everything(A)
@@ -71,7 +71,7 @@ def test_self_injectivity_makes_no_iso_test(monkeypatch, name, verdict):
 
     monkeypatch.setattr(reps, "iso_test", refuse)
     monkeypatch.setattr(reps, "TRIALS", 0)
-    A = corpus.algebra(name)
+    A = fresh_corpus_algebra(name)
     assert reps.certified_self_injective(A) is verdict
     assert reps.certified_self_injective(A) is verdict
 

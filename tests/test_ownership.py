@@ -6,8 +6,10 @@ path-module class refers to its algebra weakly.  So each query's objects are
 freed by reference counting as soon as the query drops them, and the cyclic
 collector finds nothing.  `test_query_leaves_no_cyclic_garbage` runs one
 query of each kind that the benchmark workloads run, with the collector off,
-and asserts that `gc.collect()` then frees nothing; the other tests pin the
-ownership rules themselves.
+and asserts that `gc.collect()` then frees nothing;
+`test_repeated_query_leaves_no_cyclic_garbage` runs each twice, the second
+time on the tables the first left in the shared corpus algebra.  The other
+tests pin the ownership rules themselves.
 """
 
 import contextlib
@@ -124,6 +126,16 @@ QUERIES = {
 def test_query_leaves_no_cyclic_garbage(kind):
     cli.build_parser()  # built once per process, not per query
     with collector_off():
+        out = QUERIES[kind]()
+        del out
+        assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("kind", sorted(QUERIES))
+def test_repeated_query_leaves_no_cyclic_garbage(kind):
+    cli.build_parser()
+    with collector_off():
+        QUERIES[kind]()
         out = QUERIES[kind]()
         del out
         assert gc.collect() == 0

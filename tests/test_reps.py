@@ -36,7 +36,9 @@ from helpers import (
     candidates_oracle,
     decompose_oracle,
     exhaustive_truncated_family,
+    fresh_corpus_algebra,
     injective_oracle,
+    leaves,
     mat_vec,
     presentation_oracle,
     projective_oracle,
@@ -969,7 +971,7 @@ class TestHomSpaceOracle:
                     [h.matrices for h in dense_hom_space(m, n)]
                 checked += len(homs)
         for m in modules:
-            assert all(type(leaf) in (int, Fraction) for leaf in _leaves(list(m._pushes.values())))
+            assert all(type(leaf) in (int, Fraction) for leaf in leaves(list(m._pushes.values())))
         return checked
 
     def test_only_a_hom_target_memoizes_pushes(self, infinito):
@@ -1115,18 +1117,6 @@ def _table_algebras():
         [random_monomial_algebra(seeded(seed + 6100)) for seed in range(5)]
 
 
-def _leaves(value):
-    if isinstance(value, (tuple, list)):
-        for item in value:
-            yield from _leaves(item)
-    elif isinstance(value, dict):
-        for key, item in value.items():
-            yield key
-            yield from _leaves(item)
-    else:
-        yield value
-
-
 class TestAlgebraTables:
     """The per-algebra push plans and arrow actions that every syzygy step
     reads, against the basis paths and the structure constants."""
@@ -1147,7 +1137,7 @@ class TestAlgebraTables:
                 done = len(path) - len(arrows)
                 pushed.extend(path[:done + j + 1] for j in range(len(arrows)))
             assert len(pushed) == len(set(pushed))
-            assert all(type(leaf) in (int, str) for leaf in _leaves(plan))
+            assert all(type(leaf) in (int, str) for leaf in leaves(plan))
 
     @pytest.mark.parametrize("A", _table_algebras(), ids=repr)
     def test_arrow_action_matches_structure_constants(self, A):
@@ -1164,10 +1154,10 @@ class TestAlgebraTables:
                 assert n_w == len(at_w)
                 assert images == [tuple((at_w.index(k), F.of(c))
                                         for k, c in A.product_indices(ai, b)) for b in at_u]
-            assert all(type(leaf) in (int, str, Fraction) for leaf in _leaves(table))
+            assert all(type(leaf) in (int, str, Fraction) for leaf in leaves(table))
 
     def test_second_step_reads_the_tables(self, monkeypatch):
-        A = corpus.algebra("finito_f32003")
+        A = fresh_corpus_algebra("finito_f32003")
         first, second = reps.injective(A, "3"), reps.injective(A, "1")
         calls = []
         product_indices = A.product_indices
