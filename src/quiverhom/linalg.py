@@ -1,12 +1,14 @@
 """Exact linear algebra over a coefficient field.
 
-Matrices are lists of row lists; `sparse_rref` alone takes sparse rows,
-{column: value} dicts.  Everything here is fraction-exact; ranks, kernels and
-inverses are certificates, not approximations.  One Gauss-Jordan kernel,
-`_eliminate`, runs every elimination on sparse rows (`rref` and `rank` hand
-it their dense rows as dicts).  It reads `field.char` once per call and
-computes on plain ints: `% p` inline over F_p, fraction-free on primitive
-integer rows over Q.
+Matrices are lists of row lists; `sparse_rref` and `sparse_pivots` take
+sparse rows and `sparse_kernel` sparse columns, {index: value} dicts.
+Everything here is fraction-exact; ranks, kernels and inverses are
+certificates, not approximations.  One Gauss-Jordan kernel, `_eliminate`,
+runs every row elimination on sparse rows (`rref` and `rank` hand it their
+dense rows as dicts); `sparse_kernel` reduces columns left to right with the
+same row-clearing helpers, with no transpose and no back-substitution.  Both
+read `field.char` once per call and compute on plain ints: `% p` inline over
+F_p, fraction-free on primitive integer vectors over Q.
 """
 
 from math import gcd, lcm
@@ -42,15 +44,7 @@ def _eliminate(field, rows, reduced=True):
     for row in rows:
         if not row:
             continue
-        if p:
-            acc = {j: v for j, x in row.items() if (v := x % p)}
-        else:
-            den = lcm(*[x.denominator for x in row.values()])
-            if den == 1:
-                acc = {j: v for j, x in row.items() if (v := x.numerator)}
-            else:
-                acc = {j: v for j, x in row.items()
-                       if (v := x.numerator * (den // x.denominator))}
+        acc = {j: v for j, x in row.items() if (v := x % p)} if p else _int_entries(row)[0]
         if reduced:
             # the basis rows vanish at each other's pivots, so clearing acc
             # at one of them leaves it zero or nonzero at the others as it was
@@ -68,20 +62,7 @@ def _eliminate(field, rows, reduced=True):
                 clear(acc, lead, c, p)
             if not acc:
                 continue
-        pv = acc[c]
-        if p:
-            if pv != 1:
-                inv = pow(pv, p - 2, p)
-                for j, x in acc.items():
-                    acc[j] = x * inv % p
-        elif pv != 1:
-            # a unit pivot leaves the row primitive already
-            g = 1 if pv == -1 else gcd(*acc.values())
-            if pv < 0:
-                g = -g
-            if g != 1:
-                for j, x in acc.items():
-                    acc[j] = x // g
+        _normalize(acc, c, p)
         if reduced:
             for other in basis.values():
                 if c in other:
@@ -98,6 +79,80 @@ def _eliminate(field, rows, reduced=True):
         pv = row[c]
         out.append(row if pv == 1 else {j: ratio(x, pv) for j, x in row.items()})
     return out, pivots
+
+
+def sparse_kernel(field, columns, nrows):
+    """Kernel of a matrix of nrows rows given by its sparse columns, {row:
+    value} dicts: returns (free columns, kernel basis as sparse vectors) in
+    column order.  The basis vector of free column f is 1 at f minus the
+    expression of column f in the pivot columns before it, which is unique:
+    the basis `nullspace` reads off the rref.
+
+    One left-to-right pass, with no transpose and no back-substitution.
+    Column k carries its tag, key nrows + k, in the same dict, so a reduced
+    column is always a matrix column paired with the combination that gives
+    it.  It is cleared at its leading row while some earlier pivot column
+    leads there; it then keeps that row as its pivot, or it has cleared down
+    to its tags and is free.  In plain ints as `_eliminate`: `% p` over F_p,
+    fraction-free over Q, a returned entry an int when it is integral."""
+    p = field.char
+    clear = _clear_mod if p else _clear_int
+    basis = {}  # pivot row -> reduced column leading there
+    free, kernel = [], []
+    for k, col in enumerate(columns):
+        if not col:
+            free.append(k)
+            kernel.append({k: 1})
+            continue
+        tag = nrows + k
+        if p:
+            acc = {j: v for j, x in col.items() if (v := x % p)}
+            acc[tag] = 1
+        else:
+            acc, den = _int_entries(col)
+            acc[tag] = den
+        while (c := min(acc)) < nrows:
+            lead = basis.get(c)
+            if lead is None:
+                basis[c] = _normalize(acc, c, p)
+                break
+            clear(acc, lead, c, p)
+        else:
+            pv = acc[tag]  # 1 over F_p, positive over Q
+            free.append(k)
+            kernel.append({j - nrows: x for j, x in acc.items()} if pv == 1
+                          else {j - nrows: ratio(x, pv) for j, x in acc.items()})
+    return free, kernel
+
+
+def _int_entries(vec):
+    """(entries, den) of a sparse vector over Q: its nonzero entries times
+    den, the lcm of their denominators, as plain ints."""
+    den = lcm(*[x.denominator for x in vec.values()])
+    if den == 1:
+        return {j: v for j, x in vec.items() if (v := x.numerator)}, 1
+    return {j: v for j, x in vec.items() if (v := x.numerator * (den // x.denominator))}, den
+
+
+def _normalize(acc, c, p):
+    """acc scaled in place to 1 at c over F_p, or made primitive and positive
+    at c over Q; returns it."""
+    pv = acc[c]
+    if pv == 1:
+        return acc
+    if p:
+        inv = pow(pv, p - 2, p)
+        for j, x in acc.items():
+            acc[j] = x * inv % p
+        return acc
+    # a unit pivot leaves the row primitive already
+    g = 1 if pv == -1 else gcd(*acc.values())
+    if pv < 0:
+        g = -g
+    if g != 1:
+        for j, x in acc.items():
+            acc[j] = x // g
+    return acc
 
 
 def _clear_mod(acc, row, c, p):
@@ -158,10 +213,15 @@ def sparse_rref(field, rows):
     return _eliminate(field, rows)
 
 
+def sparse_pivots(field, rows):
+    """Pivot columns of sparse rows, {column: value} dicts: those of their
+    rref, found with no back-substitution."""
+    return _eliminate(field, rows, reduced=False)[1]
+
+
 def rank(field, a):
     """Rank of a matrix of row lists."""
-    return len(_eliminate(field, [{j: x for j, x in enumerate(row) if x} for row in a],
-                           reduced=False)[1])
+    return len(sparse_pivots(field, [{j: x for j, x in enumerate(row) if x} for row in a]))
 
 
 def nullspace(field, a, cols=None):

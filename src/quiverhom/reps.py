@@ -15,7 +15,9 @@ of its unit vectors, the columns of the hom constraints.  Hom spaces are
 solved through a projective presentation of the source (Yoneda: a hom out
 of a projective cover is a tuple of vectors, one per cover summand,
 constrained by the kernel generators), which keeps the linear systems small
-even against large targets.
+even against large targets.  Every null space here (the syzygy step's
+kernel, the hom solve, the socle) is one `linalg.sparse_kernel` pass over
+sparse columns, and every top is a pivots-only elimination.
 
 Isomorphism testing is Las Vegas with a fixed budget of TRIALS random
 combinations drawn from a fixed seed: a verdict of "isomorphic" always
@@ -261,8 +263,7 @@ def top_complements(rep):
         out = {}
         for w in quiver.vertices:
             images = [col for a in quiver.arrows_into(w) for col in cols[a.name]]
-            _rows, pivots = linalg.sparse_rref(F, images)
-            pivot_set = set(pivots)
+            pivot_set = set(linalg.sparse_pivots(F, images))
             out[w] = [{j: F.one} for j in range(rep.dims[w]) if j not in pivot_set]
         rep._tops = out
     return rep._tops
@@ -274,7 +275,16 @@ def top_dim_vector(rep):
 
 
 def _apply(columns, vec, p):
-    """A matrix given by its sparse columns, applied to a sparse vector."""
+    """A matrix given by its sparse columns, applied to a sparse vector of
+    nonzero entries; a one-entry vector, as most pushes are, maps to one
+    scaled column."""
+    if len(vec) == 1:
+        [(j, x)] = vec.items()
+        if x == 1:
+            return dict(columns[j])
+        if p:
+            return {i: r for i, c in columns[j].items() if (r := c * x % p)}
+        return {i: r for i, c in columns[j].items() if (r := c * x)}
     out = {}
     for j, x in vec.items():
         for i, c in columns[j].items():
@@ -383,10 +393,11 @@ class Presentation:
     generator vector in M_vertex); cover_basis[w]: list of (copy index,
     algebra basis index) spanning the cover at w;  cover -> M at w: one
     column per cover basis element, the image of a generator (a unit
-    vector) under a basis path, pushed along the algebra's push plan.  A
-    syzygy is one elimination of that map per vertex: its pivots check that
-    the cover surjects, its free columns give the kernel basis and the
-    coordinates of the cover action on it.  Holds only what it reads of the
+    vector) under a basis path, pushed along the algebra's push plan, and
+    the per-copy block offsets of the cover at each vertex, recorded as it
+    is built.  A syzygy is one column pass over that map per vertex: its
+    pivots check that the cover surjects, its free columns give the kernel
+    basis and the coordinates of the cover action on it.  Holds only what it reads of the
     module (algebra, field, dims, name), not the module itself, so a module
     and its memoized presentation form no reference cycle.
     """
@@ -402,7 +413,10 @@ class Presentation:
         self.copies = [(v, g) for v in quiver.vertices for g in tops[v]]
         self.cover_basis = {w: [] for w in quiver.vertices}
         self._pi_cols = {w: [] for w in quiver.vertices}
+        self._offsets = {w: [] for w in quiver.vertices}
         for ci, (v, g) in enumerate(self.copies):
+            for w, offsets in self._offsets.items():
+                offsets.append(len(self.cover_basis[w]))
             for b, w, x in _push(rep, v, g):
                 self.cover_basis[w].append((ci, b))
                 self._pi_cols[w].append(x)
@@ -416,27 +430,23 @@ class Presentation:
         Each copy of a projective P_v occupies one block of the cover at u
         and one at w, in copy order; the algebra's arrow action table maps a
         position in P_v at u to positions in P_v at w, shifted here by the
-        block offsets."""
+        block offsets recorded when the cover was built."""
         p = self.field.char
         action = _arrow_action(self.algebra, arrow)
+        copies = self.copies
         cover = self.cover_basis[arrow.source]
-        blocks = []  # per copy: (first position at u, images, first position at w)
-        at_u = at_w = 0
-        for v, _g in self.copies:
-            images, n_w = action[v]
-            blocks.append((at_u, images, at_w))
-            at_u += len(images)
-            at_w += n_w
+        at_u, at_w = self._offsets[arrow.source], self._offsets[arrow.target]
         out = []
         for vec in vectors:
             acc = {}
             for j, x in vec.items():
-                start, images, offset = blocks[cover[j][0]]
-                for k, c in images[j - start]:
+                ci = cover[j][0]
+                offset = at_w[ci]
+                for k, c in action[copies[ci][0]][0][j - at_u[ci]]:
                     k += offset
                     acc[k] = acc.get(k, 0) + c * x
             if p:
-                out.append({k: s % p for k, s in acc.items() if s % p})
+                out.append({k: r for k, s in acc.items() if (r := s % p)})
             else:
                 out.append({k: s for k, s in acc.items() if s})
         return out
@@ -445,10 +455,13 @@ class Presentation:
         """(kernel representation, embedding kernel -> cover as sparse
         cover-coordinate vectors per vertex).
 
-        The kernel basis vector of a free column f of the reduced cover map
-        is 1 at f and 0 at the other free columns, so the kernel coordinates
-        of a cover vector are its entries at the free columns, and the
-        kernel's arrow matrices come out column by column."""
+        One `linalg.sparse_kernel` pass over the cover map's columns per
+        vertex: its pivots check that the cover surjects, its free columns
+        give the kernel basis.  The basis vector of a free column f is 1 at f
+        and 0 at the other free columns, so the kernel coordinates of a
+        cover vector in the kernel are its entries at the free columns, and
+        the kernel's arrow matrices come out column by column, each image
+        checked to lie in the kernel in the same pass."""
         if self._kernel is not None:
             return self._kernel
         algebra = self.algebra
@@ -456,38 +469,32 @@ class Presentation:
         F = self.field
         p = F.char
         embed = {}
-        reduced = {}
+        slots = {}
         for w in quiver.vertices:
-            rows = [{} for _ in range(self.dims[w])]
-            for k, col in enumerate(self._pi_cols[w]):
-                for i, x in col.items():
-                    rows[i][k] = x
-            r, pivots = linalg.sparse_rref(F, rows)
-            if len(pivots) != self.dims[w]:
+            cols = self._pi_cols[w]
+            free, embed[w] = linalg.sparse_kernel(F, cols, self.dims[w])
+            if len(cols) - len(free) != self.dims[w]:
                 raise InternalInvariantError(
                     "projective cover of the top fails to surject"
                 )
-            free, free_cols, embed[w] = _null_basis(F, r, pivots, len(self.cover_basis[w]))
-            row_of = {pc: i for i, pc in enumerate(pivots)}
-            slot = {fc: k for k, fc in enumerate(free)}
-            reduced[w] = (row_of, slot, free_cols)
+            slots[w] = {fc: k for k, fc in enumerate(free)}
         dims = {w: len(embed[w]) for w in quiver.vertices}
         columns = {}
         for a in quiver.arrows:
-            row_of, slot, free_cols = reduced[a.target]
+            slot, pi = slots[a.target], self._pi_cols[a.target]
             cols = []
             for t in self.cover_images(a, embed[a.source]):
-                # t is in the kernel iff every reduced row r_i kills it:
-                # t[pivot_i] + sum over free columns f of r_i[f] * t[f] == 0
+                if not t:
+                    cols.append({})
+                    continue
+                # col: t's entries at the free columns; acc: pi applied to t
                 col, acc = {}, {}
                 for j, x in t.items():
-                    if j in slot:
-                        col[slot[j]] = x
-                        for i, c in free_cols[j]:
-                            acc[i] = acc.get(i, 0) + c * x
-                    else:
-                        i = row_of[j]
-                        acc[i] = acc.get(i, 0) + x
+                    k = slot.get(j)
+                    if k is not None:
+                        col[k] = x
+                    for i, c in pi[j].items():
+                        acc[i] = acc.get(i, 0) + c * x
                 if any([s % p for s in acc.values()]) if p else any(acc.values()):
                     raise InternalInvariantError("cover action leaves the kernel")
                 cols.append(col)
@@ -532,27 +539,6 @@ class Presentation:
                         secs[j - size][pc] = x
         self._sections = out
         return out
-
-
-def _null_basis(F, rows, pivots, ncols):
-    """(free columns, per free column its nonzero (row, value) entries, kernel
-    basis) of a matrix on ncols columns from its rref rows and pivots; the
-    basis vector of free column f is 1 at f and -r_i[f] at the i-th pivot."""
-    p = F.char
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    free_cols = {fc: [] for fc in free}
-    for i, row in enumerate(rows):
-        for j, x in row.items():
-            if j != pivots[i]:
-                free_cols[j].append((i, x))
-    basis = []
-    for fc in free:
-        v = {fc: F.one}
-        for i, c in free_cols[fc]:
-            v[pivots[i]] = -c % p if p else -c
-        basis.append(v)
-    return free, free_cols, basis
 
 
 def presentation(rep):
@@ -619,9 +605,11 @@ def _hom_parameter_space(source, target):
     """Solve for homs source -> target through the source's presentation.
     A hom is a parameter vector u, one block u_ci in target_v per cover copy
     of P_v; each kernel-top generator sum coeff * (ci, b) constrains it by
-    sum coeff * b.u_ci = 0, whose columns are the target's unit pushes.
-    Returns (presentation, per parameter its (copy, index in u_ci), list of
-    u as sparse vectors)."""
+    sum coeff * b.u_ci = 0, whose columns are the target's unit pushes.  The
+    constraints are built as one sparse column per parameter, the
+    generators' blocks stacked, and solved in one `linalg.sparse_kernel`
+    pass.  Returns (presentation, per parameter its (copy, index in u_ci),
+    list of u as sparse vectors)."""
     if source.field != target.field:
         raise FieldMismatch(f"{source.field.name} vs {target.field.name}")
     F = source.field
@@ -630,21 +618,21 @@ def _hom_parameter_space(source, target):
     for ci, (v, _g) in enumerate(pres.copies):
         offsets.append(len(owner))
         owner.extend((ci, k) for k in range(target.dims[v]))
-    rows = []
+    cols = [{} for _ in owner]
+    nrows = 0  # each generator at w owns the next target.dims[w] rows
     for w, kv in pres.kernel_top_generators():
         if not target.dims[w]:
             continue
-        block = [{} for _ in range(target.dims[w])]
         for pos, coeff in kv.items():
             ci, b = pres.cover_basis[w][pos]
             v = pres.copies[ci][0]
             for k in range(target.dims[v]):
-                col = offsets[ci] + k
+                col = cols[offsets[ci] + k]
                 for i, x in _unit_push(target, v, k)[b].items():
-                    block[i][col] = block[i].get(col, 0) + coeff * x
-        rows.extend(block)
-    r, pivots = linalg.sparse_rref(F, rows)
-    return pres, owner, _null_basis(F, r, pivots, len(owner))[2]
+                    i += nrows
+                    col[i] = col.get(i, 0) + coeff * x
+        nrows += target.dims[w]
+    return pres, owner, linalg.sparse_kernel(F, cols, nrows)[1]
 
 
 def _materialize_hom(source, target, pres, owner, u):
@@ -914,15 +902,16 @@ def split_simple_summands(m):
 
 def _socle(m, v):
     """A basis of soc_v m, the common kernel of the arrows out of v, as
-    sparse vectors."""
-    F = m.field
-    out = {}  # the rows of the arrows out of v, stacked
+    sparse vectors: the kernel of their matrices stacked, one column per
+    basis vector of m_v."""
+    cols = [{} for _ in range(m.dims[v])]
+    nrows = 0
     for a in m.algebra.quiver.arrows_from(v):
-        for j, col in enumerate(m.columns[a.name]):
-            for i, x in col.items():
-                out.setdefault((a.name, i), {})[j] = x
-    rows, pivots = linalg.sparse_rref(F, list(out.values()))
-    return _null_basis(F, rows, pivots, m.dims[v])[2]
+        for col, arrow_col in zip(cols, m.columns[a.name]):
+            for i, x in arrow_col.items():
+                col[nrows + i] = x
+        nrows += m.dims[a.target]
+    return linalg.sparse_kernel(m.field, cols, nrows)[1]
 
 
 def certified_indecomposable(m):
@@ -943,7 +932,7 @@ def certified_indecomposable(m):
            for v, j in gens for a in quiver.arrows_into(v) for col in m.columns[a.name]]
     ends = [{(v, j, i): x for v, j in gens for i, x in h.columns[v][j].items()}
             for h in hom_space(m, m)]
-    full, base = (len(linalg.sparse_rref(m.field, rows)[1]) for rows in (rad + ends, rad))
+    full, base = (len(linalg.sparse_pivots(m.field, rows)) for rows in (rad + ends, rad))
     return full - base == 1
 
 

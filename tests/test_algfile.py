@@ -1,4 +1,5 @@
 import contextlib
+import io
 import json
 from fractions import Fraction
 
@@ -249,6 +250,21 @@ def test_fuzzed_alg_text_builds_or_names_a_line(lines):
         parse_algebra_text(text)
     except QuiverHomError as exc:
         assert isinstance(exc.line, int) and 1 <= exc.line <= max(1, len(lines)), exc
+
+
+@given(lines=_FILES)
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_alg_file_never_exits_3(tmp_path_factory, lines):
+    """`info` on every fuzzed .alg file answers (exit 0) or refuses it as a
+    user error (exit 1), with no traceback: exit 3, an internal error,
+    never occurs."""
+    path = tmp_path_factory.getbasetemp() / "fuzzed.alg"
+    path.write_text("\n".join(lines) + "\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["info", "--algebra", str(path), "--json"])
+    assert code in (0, 1), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 # every relations input of this file that reaches the algebra build

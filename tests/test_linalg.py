@@ -179,6 +179,51 @@ def test_rank_and_nullspace(fm):
     assert_fresh_rows(basis, a)
 
 
+@st.composite
+def field_and_columns(draw, max_dim=6):
+    """A field, a row count and a matrix as sparse columns, {row: value}
+    dicts: the columns of field_and_matrix, or random sparse columns whose
+    stored values may be zero (0, or p itself over F_p)."""
+    if draw(st.booleans()):
+        F, a = draw(field_and_matrix(max_dim))
+        n = len(a[0]) if a else 0
+        return F, len(a), [{i: row[j] for i, row in enumerate(a) if row[j]} for j in range(n)]
+    F = draw(st.sampled_from(FIELDS))
+    nrows = draw(st.integers(0, max_dim))
+    values = st.one_of(scalars(F), st.just(F.char)) if F.char else scalars(F)
+    col = st.dictionaries(st.integers(0, nrows - 1), values, max_size=nrows) if nrows \
+        else st.just({})
+    return F, nrows, draw(st.lists(col, max_size=max_dim + 2))
+
+
+def dense_of_columns(F, nrows, cols):
+    return [[F.of(col.get(i, 0)) for col in cols] for i in range(nrows)]
+
+
+def assert_kernel_matches_nullspace(F, nrows, cols):
+    """sparse_kernel against the dense nullspace oracle: the same free
+    columns, vectors and order; canonical nonzero entries; the input
+    columns left as they were."""
+    before = [dict(col) for col in cols]
+    free, basis = linalg.sparse_kernel(F, cols, nrows)
+    a = dense_of_columns(F, nrows, cols)
+    n = len(cols)
+    oracle = linalg.nullspace(F, a, cols=n)
+    pivots = linalg.rref(F, a)[1]
+    assert free == [c for c in range(n) if c not in pivots]
+    assert [[v.get(j, F.zero) for j in range(n)] for v in basis] == oracle
+    assert all(v[f] == 1 for f, v in zip(free, basis))
+    assert all(all(v.values()) for v in basis)
+    assert_canonical(F, [list(v.values()) for v in basis])
+    assert cols == before
+
+
+@given(field_and_columns())
+@settings(max_examples=200, deadline=None)
+def test_sparse_kernel_matches_nullspace(fc):
+    assert_kernel_matches_nullspace(*fc)
+
+
 @given(field_and_matrix(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_solve_many(fm, data):
@@ -411,3 +456,22 @@ def test_sparse_rows_empty_and_zero(F):
     assert red == [{0: F.one}, {2: F.one}]
     assert rows == before
     assert_canonical(F, [list(row.values()) for row in red])
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_sparse_kernel_edge_cases(F):
+    assert linalg.sparse_kernel(F, [], 3) == ([], [])
+    assert linalg.sparse_kernel(F, [{}, {}], 0) == ([0, 1], [{0: 1}, {1: 1}])
+    # all-zero columns, one of them storing a value that vanishes in the field
+    zero = {1: F.char} if F.char else {1: Fraction(0)}
+    assert linalg.sparse_kernel(F, [{}, zero], 2) == ([0, 1], [{0: 1}, {1: 1}])
+    # full column rank
+    assert linalg.sparse_kernel(F, [{0: F.of(2)}, {0: F.one, 1: F.of(3)}], 2) == ([], [])
+    # column 2 clears at row 0 against column 0, which fills in row 1, where
+    # column 1 leads: a pass over the keys column 2 started with stops short
+    cols = [{0: F.one, 1: F.one}, {1: F.one}, {0: F.one}]
+    assert linalg.sparse_kernel(F, cols, 2) == ([2], [{0: F.neg(1), 1: 1, 2: 1}])
+    for cols in ([{0: F.of(2), 1: F.of(3)}, {1: F.of(5)}, {0: F.one}],
+                 [{0: F.of(Fraction(1, 2)), 2: F.of(3)}, {1: F.of(Fraction(-2, 3))},
+                  {2: F.of(4)}, {0: F.of(5), 1: F.of(7), 2: F.of(Fraction(1, 3))}]):
+        assert_kernel_matches_nullspace(F, 3, cols)

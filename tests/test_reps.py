@@ -1012,9 +1012,9 @@ class TestTopsMemo:
     def test_computed_once(self, infinito, monkeypatch):
         m = corpus.make_m_alpha(infinito, ["1", "2"])
         eliminations = []
-        sparse_rref = linalg.sparse_rref
-        monkeypatch.setattr(linalg, "sparse_rref",
-                            lambda *args: eliminations.append(args) or sparse_rref(*args))
+        sparse_pivots = linalg.sparse_pivots
+        monkeypatch.setattr(linalg, "sparse_pivots",
+                            lambda *args: eliminations.append(args) or sparse_pivots(*args))
         tops = reps.top_complements(m)
         assert len(eliminations) == len(infinito.quiver.vertices)
         assert reps.top_dim_vector(m) == (2, 0, 0, 0)
